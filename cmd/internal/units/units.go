@@ -1,5 +1,5 @@
 // Package units fixes the throughput-reporting convention shared by the
-// CLI tools and the BENCH_*.json records: decimal (SI) megabytes,
+// CLI tools and the repository benchmark (bench/): decimal (SI) megabytes,
 // 1 MB = 1e6 bytes — the same convention `go test -bench` uses for its
 // MB/s column, so tool output and benchmark records compare directly.
 // (Binary mebibytes, 1 MiB = 1048576 bytes, are NOT used anywhere.)

@@ -22,7 +22,7 @@
 // its events address shard 0 unless they name another shard.
 //
 // All rates are decimal MB/s (1 MB = 1e6 bytes), matching `go test
-// -bench` and the BENCH_*.json records.
+// -bench` and the repository benchmark (go run ./bench).
 package main
 
 import (
@@ -40,6 +40,7 @@ import (
 	"repro/cmd/internal/units"
 	"repro/pdl"
 	"repro/pdl/cluster"
+	"repro/pdl/code"
 	"repro/pdl/obs"
 	"repro/pdl/scenario"
 	"repro/pdl/serve"
@@ -302,6 +303,9 @@ func serveAdmin(addr string, c *cluster.Client) (net.Listener, error) {
 			"size_bytes": m.Size(),
 			"unit_bytes": m.UnitBytes(),
 			"shard_map":  man.Shards,
+			// The GF(2^8) kernel of THIS process: what self-hosted shards
+			// run; remote shards report their own on their statusz.
+			"kernel": code.Kernel(),
 		}
 	})
 	h.AddStatus("shards", func() any { return c.Stats() })

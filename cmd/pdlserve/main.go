@@ -26,7 +26,7 @@
 // and Rebuild requests route through the array's manifest.
 //
 // All rates are decimal MB/s (1 MB = 1e6 bytes), matching `go test
-// -bench` and the BENCH_*.json records.
+// -bench` and the repository benchmark (go run ./bench).
 package main
 
 import (
@@ -42,6 +42,7 @@ import (
 
 	"repro/cmd/internal/units"
 	"repro/pdl"
+	"repro/pdl/code"
 	"repro/pdl/obs"
 	"repro/pdl/scenario"
 	"repro/pdl/serve"
@@ -218,6 +219,7 @@ func serveAdmin(addr string, front *serve.Frontend, srv *serve.Server) (net.List
 			"capacity":        s.Capacity(),
 			"size_bytes":      s.Size(),
 			"codec":           s.Code().Name(),
+			"kernel":          code.Kernel(),
 			"parity_shards":   s.Code().ParityShards(),
 			"failed_disk":     st.Failed,
 			"failed_disks":    st.FailedDisks,

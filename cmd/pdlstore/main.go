@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"repro/cmd/internal/units"
+	"repro/pdl/code"
 	"repro/pdl/store"
 	"repro/pdl/store/array"
 )
@@ -300,8 +301,10 @@ func cmdBench(args []string) error {
 			fmt.Fprintln(os.Stderr, "pdlstore: bench: restoring contents:", err)
 		}
 	}()
+	fmt.Printf("codec %s/%d, kernel %s, %d B units\n", s.Code().Name(), s.Code().ParityShards(), code.Kernel(), unit)
 	// Rates are decimal MB/s (1 MB = 1e6 B), matching `go test -bench`
-	// and BENCH_*.json; see repro/cmd/internal/units.
+	// and the repository benchmark (go run ./bench); see
+	// repro/cmd/internal/units.
 	run := func(name string, op func(i int) error) error {
 		deadline := time.Now().Add(time.Duration(*secs * float64(time.Second)))
 		var ops int64

@@ -6,7 +6,7 @@
 // allocations per span in steady state. A full networked ReadAt/WriteAt
 // additionally pays per-shard network bookkeeping (one goroutine spawn
 // per touched shard and the serve client's own pooled call state);
-// BenchmarkClusterReadAt records that residual in BENCH_cluster.json.
+// BenchmarkClusterReadAt reports that residual.
 // Excluded under -race: sync.Pool randomly drops items under the race
 // detector.
 

@@ -31,8 +31,7 @@ func BenchmarkClusterLocate(b *testing.B) {
 // benchCluster stripes spans over 3 live in-process shards through the
 // full network path. The per-op allocations reported here are the
 // per-shard network bookkeeping (goroutine spawn + serve client call
-// state) on top of the zero-alloc span machinery; BENCH_cluster.json
-// records them.
+// state) on top of the zero-alloc span machinery.
 func benchCluster(b *testing.B, span int64, write bool) {
 	const unitBytes = 4096
 	tc := startClusterUnit(b, 4096, unitBytes, []int64{64, 64, 64}, cluster.ByCapacity,

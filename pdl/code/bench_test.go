@@ -8,7 +8,10 @@ import (
 // BenchmarkCode measures the steady-state byte kernels — full-stripe
 // encode, RMW delta update, and single-shard reconstruction — for both
 // codes at a 4 KiB unit size. Runs in the CI bench smoke (-benchtime 10x)
-// to catch kernels that start allocating or collapse in throughput.
+// to catch kernels that start allocating or collapse in throughput. The
+// rs rows carry the running MulAdd kernel in their name (rs-avx2/encode,
+// rs-generic/encode), so a number is never read against the wrong
+// kernel; xor never reaches it.
 func BenchmarkCode(b *testing.B) {
 	const k, size = 6, 4096
 	for _, tc := range []struct {
@@ -18,6 +21,9 @@ func BenchmarkCode(b *testing.B) {
 		c, err := New(tc.name, tc.m)
 		if err != nil {
 			b.Fatal(err)
+		}
+		if tc.name == "rs" {
+			tc.name += "-" + Kernel()
 		}
 		data := make([][]byte, k)
 		for i := range data {

@@ -8,9 +8,11 @@
 // systematic MDS code tolerating up to 8 simultaneous unit losses per
 // stripe.
 //
-// The byte kernels (MulAdd and the per-parity encode/update loops) are
-// table-driven — one flat 64 KiB multiplication table, one 256-byte
-// inverse table — and allocation-free in steady state, so the pdl/store
+// The byte kernels (the per-parity encode/update loops) all funnel
+// through MulAdd, which is table-driven — one flat 64 KiB multiplication
+// table, one 256-byte inverse table, and on amd64 with AVX2 an 8 KiB set
+// of split-nibble tables feeding an assembly VPSHUFB kernel (Kernel names
+// the one in use) — and allocation-free in steady state, so the pdl/store
 // hot paths stay at 0 allocs/op (TestCodeHotPathAllocs pins this). Like
 // repro/pdl/layout, this package is part of the public API and depends on
 // nothing under internal/.
@@ -51,6 +53,7 @@ func init() {
 		}
 		invTab[a] = expTab[255-int(logTab[a])]
 	}
+	initKernel()
 }
 
 // Mul returns the GF(2^8) product a*b.
@@ -93,9 +96,11 @@ func MulNoTable(a, b byte) byte {
 
 // MulAdd accumulates dst ^= c*src byte-wise: the fundamental erasure-code
 // kernel. c = 0 is a no-op and c = 1 a plain XOR, so XOR-coded and
-// unit-coefficient work never pays the table walk. src and dst must have
+// unit-coefficient work never pays the multiply. src and dst must have
 // equal length and may not overlap (dst == src aliasing is allowed only
-// for c = 0 or 1).
+// for c = 0 or 1). The platform's vector kernel, where there is one (see
+// Kernel), takes the leading whole blocks; the portable loop finishes the
+// tail, and is the whole implementation everywhere else.
 func MulAdd(dst, src []byte, c byte) {
 	switch c {
 	case 0:
@@ -104,11 +109,29 @@ func MulAdd(dst, src []byte, c byte) {
 		subtle.XORBytes(dst, dst, src)
 		return
 	}
-	row := mulTab[int(c)<<8 : int(c)<<8+256]
 	if len(src) != len(dst) {
 		panic("code: MulAdd: length mismatch")
 	}
+	n := mulAddVec(dst, src, c)
+	mulAddGeneric(dst[n:], src[n:], c)
+}
+
+// mulAddGeneric is the portable MulAdd loop over one row of mulTab: the
+// reference every vector kernel is differentially tested against.
+func mulAddGeneric(dst, src []byte, c byte) {
+	row := mulTab[int(c)<<8 : int(c)<<8+256]
 	for i, s := range src {
 		dst[i] ^= row[s]
 	}
+}
+
+// Kernel names the MulAdd implementation this process runs for
+// coefficients other than 0 and 1: "avx2" (amd64 with AVX2 enabled by the
+// OS) or "generic" (the portable table loop). It is chosen once at init
+// from what the CPU reports; there is nothing to configure.
+func Kernel() string {
+	if useAVX2 {
+		return "avx2"
+	}
+	return "generic"
 }

@@ -59,6 +59,13 @@ func TestPlannerHotPathAllocs(t *testing.T) {
 		}
 		i++
 	})
+	down := []int{3}
+	assertZero("RebuildStripe", func() {
+		if _, err := pln.RebuildStripe(i%m.Stripes(), 3, down, &p); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
 	assertZero("FullStripeWrite", func() {
 		if err := pln.FullStripeWrite(i%m.DataUnits(), -1, &p); err != nil {
 			t.Fatal(err)

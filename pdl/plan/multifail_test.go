@@ -1,6 +1,7 @@
 package plan_test
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/pdl"
@@ -251,5 +252,63 @@ func TestRebuildMTwoFailures(t *testing.T) {
 	// The rebuild target must be in the failed set.
 	if _, err := pln.RebuildM(2, []int{0, 4}); err == nil {
 		t.Error("RebuildM with target outside the failed set accepted")
+	}
+}
+
+// TestRebuildStripeMatchesRebuildM pins that there is one rebuild-plan
+// compiler: walking the stripes with RebuildStripe into ONE reused Plan
+// yields, stripe by stripe, exactly what RebuildM materialises — same
+// stripes in the same order, same Steps, Missing, Target and shard
+// metadata, and the same per-disk read tallies — with one disk down and
+// with two.
+func TestRebuildStripeMatchesRebuildM(t *testing.T) {
+	m := rs2Mapper(t, 17, 5)
+	pln := plan.NewPlanner(m)
+	for _, failed := range [][]int{{3}, {0, 1}, {1, 16}} {
+		for _, target := range failed {
+			rb, err := pln.RebuildM(target, failed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reads := make([]int64, m.Disks())
+			var p plan.Plan // reused: stale state must not leak between stripes
+			next := 0
+			for stripe := 0; stripe < m.Stripes(); stripe++ {
+				crosses, err := pln.RebuildStripe(stripe, target, failed, &p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !crosses {
+					continue
+				}
+				if next >= len(rb.Plans) {
+					t.Fatalf("failed %v target %d: stripe %d streamed, RebuildM has only %d plans", failed, target, stripe, len(rb.Plans))
+				}
+				want := &rb.Plans[next]
+				next++
+				if p.Kind != want.Kind || p.Logical != want.Logical || p.Stripe != want.Stripe ||
+					p.Target != want.Target || p.TargetShard != want.TargetShard || p.DataShards != want.DataShards ||
+					!reflect.DeepEqual(p.Missing, want.Missing) || !reflect.DeepEqual(p.Steps, want.Steps) {
+					t.Fatalf("failed %v target %d stripe %d:\nstreamed     %+v\nmaterialised %+v", failed, target, stripe, p, *want)
+				}
+				for _, st := range p.Steps {
+					reads[st.Disk]++
+				}
+			}
+			if next != len(rb.Plans) {
+				t.Errorf("failed %v target %d: %d stripes streamed, RebuildM has %d plans", failed, target, next, len(rb.Plans))
+			}
+			if !reflect.DeepEqual(reads, rb.Reads) {
+				t.Errorf("failed %v target %d: streamed read tallies %v, RebuildM %v", failed, target, reads, rb.Reads)
+			}
+		}
+	}
+	// The same argument checks guard the streamed compiler.
+	var p plan.Plan
+	if _, err := pln.RebuildStripe(0, 2, []int{0, 4}, &p); err == nil {
+		t.Error("RebuildStripe with target outside the failed set accepted")
+	}
+	if _, err := pln.RebuildStripe(m.Stripes(), 0, []int{0}, &p); err == nil {
+		t.Error("RebuildStripe past the last stripe accepted")
 	}
 }

@@ -504,55 +504,77 @@ func (p *Planner) Rebuild(failed int) (*Rebuild, error) {
 
 // RebuildM compiles the reconstruction schedule for one disk of a failed
 // set: target names the disk being rebuilt, failed the complete sorted
-// set of down disks (which must contain target). Steps read only
-// surviving units; the executor weighs them with the erasure code's
-// reconstruction coefficients, so with extra parity in the stripe some
-// reads carry zero weight and are skipped at execution time.
+// set of down disks (which must contain target). It materialises what
+// RebuildStripe streams — one plan per crossing stripe, each with its own
+// storage — for consumers that want the whole schedule at once (the
+// simulator, traces, the read-balance tallies).
 func (p *Planner) RebuildM(target int, failed []int) (*Rebuild, error) {
-	if err := p.checkFailedSet("Rebuild", failed); err != nil {
-		return nil, err
-	}
-	if target < 0 || target >= p.m.Disks() {
-		return nil, fmt.Errorf("plan: Rebuild: failed disk %d outside [0,%d)", target, p.m.Disks())
-	}
-	if !down(target, failed) {
-		return nil, fmt.Errorf("plan: Rebuild: target disk %d not in failed set %v", target, failed)
-	}
 	rb := &Rebuild{Failed: target, Reads: make([]int64, p.m.Disks())}
 	for s := 0; s < p.m.Stripes(); s++ {
-		units, err := p.m.AppendStripeUnits(p.buf[:0], s)
-		p.buf = units[:0]
+		var pl Plan
+		crosses, err := p.RebuildStripe(s, target, failed, &pl)
 		if err != nil {
 			return nil, err
-		}
-		var lost layout.Unit
-		crosses := false
-		for _, u := range units {
-			if u.Disk == target {
-				lost = u
-				crosses = true
-				break
-			}
 		}
 		if !crosses {
 			continue
 		}
-		var pl Plan
-		pl.reset(RebuildStripe, -1, s)
-		pl.Target = lost
-		pl.TargetShard = p.m.ShardAt(lost)
-		p.setStripeMeta(&pl, units, failed)
-		k := pl.DataShards
-		for _, u := range units {
-			if down(u.Disk, failed) {
-				continue
-			}
-			pl.Steps = append(pl.Steps, Step{Unit: u, Parity: p.m.ShardAt(u) >= k})
-			rb.Reads[u.Disk]++
+		for _, st := range pl.Steps {
+			rb.Reads[st.Disk]++
 		}
 		rb.Plans = append(rb.Plans, pl)
 	}
 	return rb, nil
+}
+
+// RebuildStripe is the rebuild-plan compiler: it compiles into dst the
+// RebuildStripe plan reconstructing the unit stripe holds on disk
+// target, with failed the complete sorted set of down disks (which must
+// contain target), and reports whether the stripe crosses target at all
+// — when it does not, crosses is false and dst is left alone. Steps read
+// only surviving units; the executor weighs them with the erasure code's
+// reconstruction coefficients, so with extra parity in the stripe some
+// reads carry zero weight and are skipped at execution time. Like every
+// other compiler here it reuses dst's storage, so a rebuild that walks
+// the stripes with one Plan allocates nothing per stripe.
+func (p *Planner) RebuildStripe(stripe, target int, failed []int, dst *Plan) (crosses bool, err error) {
+	if err := p.checkFailedSet("Rebuild", failed); err != nil {
+		return false, err
+	}
+	if target < 0 || target >= p.m.Disks() {
+		return false, fmt.Errorf("plan: Rebuild: failed disk %d outside [0,%d)", target, p.m.Disks())
+	}
+	if !down(target, failed) {
+		return false, fmt.Errorf("plan: Rebuild: target disk %d not in failed set %v", target, failed)
+	}
+	units, err := p.m.AppendStripeUnits(p.buf[:0], stripe)
+	p.buf = units[:0]
+	if err != nil {
+		return false, err
+	}
+	var lost layout.Unit
+	for _, u := range units {
+		if u.Disk == target {
+			lost = u
+			crosses = true
+			break
+		}
+	}
+	if !crosses {
+		return false, nil
+	}
+	dst.reset(RebuildStripe, -1, stripe)
+	dst.Target = lost
+	dst.TargetShard = p.m.ShardAt(lost)
+	p.setStripeMeta(dst, units, failed)
+	k := dst.DataShards
+	for _, u := range units {
+		if down(u.Disk, failed) {
+			continue
+		}
+		dst.Steps = append(dst.Steps, Step{Unit: u, Parity: p.m.ShardAt(u) >= k})
+	}
+	return true, nil
 }
 
 // Rebuild is a compiled reconstruction schedule for one failed disk.

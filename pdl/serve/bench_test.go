@@ -13,7 +13,7 @@ import (
 )
 
 // Bench geometry: ring v=17 k=4, 4 layout copies per disk, 1 KiB units,
-// MemDisk backends — the BENCH_serve.json configuration. The batched/
+// MemDisk backends. The batched/
 // unbatched pair differs only in QueueDepth: 1 disables coalescing
 // (every request is its own batch), 32 is the acceptance configuration.
 const (
@@ -82,8 +82,8 @@ func BenchmarkServeWriteUnbatched(b *testing.B) { benchAsyncWrite(b, 1) }
 
 // BenchmarkServeWriteBatched is the acceptance configuration (queue
 // depth 32): sequential small writes coalesce per stripe and whole
-// stripes promote to no-preread Condition 5 writes. The BENCH_serve
-// criterion: ≥ 2× BenchmarkServeWriteUnbatched.
+// stripes promote to no-preread Condition 5 writes. The standing
+// criterion (CONTRIBUTING.md): ≥ 2× BenchmarkServeWriteUnbatched.
 func BenchmarkServeWriteBatched(b *testing.B) { benchAsyncWrite(b, benchDepth) }
 
 // BenchmarkServeReadBatched measures pipelined reads at queue depth 32

@@ -106,3 +106,47 @@ func TestMmapHotPathAllocs(t *testing.T) {
 		t.Errorf("healthy MmapDisk Read allocates %v/op, want 0", n)
 	}
 }
+
+// TestRebuildAllocs pins that Rebuild streams its per-stripe plans
+// through the pooled scratch instead of materialising them: a Fail +
+// Rebuild cycle costs the same handful of allocations (the failed-set
+// snapshots and the completion closure) on a 1-copy and an 8-copy
+// array — eight times the stripes — for XOR and for Reed–Solomon with
+// a second disk down.
+func TestRebuildAllocs(t *testing.T) {
+	const unitSize = 512
+	for _, m := range []int{1, 2} {
+		var perCopies [2]float64
+		for i, copies := range []int{1, 8} {
+			res, err := pdl.Build(17, 5, pdl.WithParityShards(m))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := store.Open(res, copies*res.Layout.Size, unitSize, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m == 2 {
+				if err := s.Fail(9); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var spare store.Backend = store.NewMemDisk(int64(s.Mapper().DiskUnits()) * unitSize)
+			cycle := func() {
+				if err := s.Fail(3); err != nil {
+					t.Fatal(err)
+				}
+				old := s.DiskBackend(3)
+				if err := s.Rebuild(spare); err != nil {
+					t.Fatal(err)
+				}
+				spare = old
+			}
+			cycle() // warm the pooled planner and plan storage
+			perCopies[i] = testing.AllocsPerRun(20, cycle)
+		}
+		if perCopies[0] != perCopies[1] || perCopies[1] > 16 {
+			t.Errorf("m=%d: Fail+Rebuild allocates %v on 1 copy, %v on 8 copies; want equal and <= 16", m, perCopies[0], perCopies[1])
+		}
+	}
+}

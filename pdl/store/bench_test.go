@@ -10,7 +10,7 @@ import (
 	"repro/pdl/store"
 )
 
-// benchGeometry mirrors BENCH_plan.json: ring v=17 k=4, 4 layout copies
+// benchGeometry matches pdl/plan's benchmarks: ring v=17 k=4, 4 layout copies
 // per disk, 4 KiB units (~1 MiB per disk).
 const benchUnitSize = 4096
 
@@ -241,7 +241,7 @@ func benchMmapStore(b *testing.B) *store.Store {
 // The backend comparison pairs: the same healthy unit read/write loops
 // as BenchmarkStoreRead/BenchmarkStoreWrite, against file-backed disks
 // over positioned I/O (FileDisk) and over a shared memory mapping
-// (MmapDisk). BENCH_store.json records the spread.
+// (MmapDisk), to show the spread between backends.
 func BenchmarkStoreReadFileDisk(b *testing.B)  { benchReadLoop(b, benchFileStore(b)) }
 func BenchmarkStoreReadMmapDisk(b *testing.B)  { benchReadLoop(b, benchMmapStore(b)) }
 func BenchmarkStoreWriteFileDisk(b *testing.B) { benchWriteLoop(b, benchFileStore(b)) }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -371,5 +372,118 @@ func TestMultiFailValidation(t *testing.T) {
 	st := s.Stats()
 	if st.Failed != 3 || len(st.FailedDisks) != 2 {
 		t.Errorf("Stats: Failed=%d FailedDisks=%v", st.Failed, st.FailedDisks)
+	}
+}
+
+// yieldingDisk is a replacement disk that yields the processor before
+// every write, so foreground goroutines get to run between the stripes
+// of a Rebuild even when the test has fewer CPUs than goroutines.
+type yieldingDisk struct{ store.Backend }
+
+func (d yieldingDisk) WriteAt(p []byte, off int64) (int, error) {
+	runtime.Gosched()
+	return d.Backend.WriteAt(p, off)
+}
+
+// TestTwoDownRebuildUnderConcurrentLoad is the regression test for the
+// two-disks-down rebuild corruption: on the reference geometry G17
+// (v=17, k=5, rs m=2) two goroutines run a 30 % Write / 70 % Read mix,
+// every read checked against pdl/layout's Data model, while the main
+// goroutine fails disks 0 and 1 and rebuilds both, thirty times over. A
+// DegradedWrite (home lost together with another data unit) landing on
+// an already-rebuilt stripe whose home unit lives on the disk being
+// rebuilt used to update the parities and leave the replacement's copy
+// of the home stale, so the swapped-in disk disagreed with parity.
+func TestTwoDownRebuildUnderConcurrentLoad(t *testing.T) {
+	const (
+		unitSize = 64
+		workers  = 2
+		cycles   = 30
+	)
+	s, l := mustRS2(t, 17, 5, unitSize)
+	model, err := layout.NewData(l, unitSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The model is single-threaded, so it sits behind a mutex; worker w
+	// owns the logical units congruent to w, so nobody else changes a
+	// unit between its store write and its model write.
+	var mu sync.Mutex
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(100 + w)))
+			buf := make([]byte, unitSize)
+			got := make([]byte, unitSize)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				logical := rng.Intn(s.Capacity()/workers)*workers + w
+				if rng.Intn(10) < 3 {
+					payload(buf, rng.Int())
+					if err := s.Write(logical, buf); err != nil {
+						t.Error(err)
+						return
+					}
+					mu.Lock()
+					err := model.WriteLogical(logical, buf)
+					mu.Unlock()
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					continue
+				}
+				if err := s.Read(logical, got); err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				want, err := model.ReadLogical(logical)
+				same := err == nil && bytes.Equal(got, want)
+				mu.Unlock()
+				if !same {
+					t.Errorf("logical %d: store %x != model %x (%v)", logical, got, want, err)
+					return
+				}
+			}
+		}(w)
+	}
+
+	diskBytes := int64(s.Mapper().DiskUnits()) * unitSize
+	for c := 0; c < cycles && !t.Failed(); c++ {
+		for _, d := range []int{0, 1} {
+			if err := s.Fail(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for range 2 {
+			if err := s.Rebuild(yieldingDisk{store.NewMemDisk(diskBytes)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if err := s.VerifyParity(); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, unitSize)
+	for logical := 0; logical < s.Capacity(); logical++ {
+		if err := s.Read(logical, got); err != nil {
+			t.Fatal(err)
+		}
+		if want, err := model.ReadLogical(logical); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("after %d cycles, logical %d: store %x != model %x (%v)", cycles, logical, got, want, err)
+		}
 	}
 }

@@ -827,7 +827,7 @@ func (s *Store) execWriteMulti(sc *scratch, within int, p []byte) error {
 			}
 			s.noteIO(st.Disk, true, false, len(b))
 		}
-		return s.patchReplacementDelta(sc, stripe, homeShard, a, within)
+		return s.patchReplacement(sc, stripe, homeShard, p, a, within)
 
 	case plan.DataOnlyWrite:
 		// Every parity unit is down: write the data unit; keep a rebuilt
@@ -950,33 +950,36 @@ func (s *Store) execWriteMulti(sc *scratch, within int, p []byte) error {
 			}
 			s.noteIO(st.Disk, true, true, len(pj))
 		}
-		return s.patchReplacementDelta(sc, stripe, homeShard, b, within)
+		return s.patchReplacement(sc, stripe, homeShard, p, b, within)
 
 	default:
 		return fmt.Errorf("store: writeUnit: unexpected plan kind %v", sc.p.Kind)
 	}
 }
 
-// patchReplacementDelta keeps an already-rebuilt stripe current on the
-// replacement after a delta-style write to data shard homeShard: a
-// parity unit on the rebuild disk absorbs the weighted delta; a data
-// unit other than the home is untouched by the write and needs nothing.
-// (The home unit itself cannot live on the rebuild disk here — callers
-// with a lost home patch it explicitly with the payload.)
-func (s *Store) patchReplacementDelta(sc *scratch, stripe, homeShard int, delta []byte, within int) error {
+// patchReplacement keeps an already-rebuilt stripe current on the
+// replacement after a delta-style write of payload p to data shard
+// homeShard: a parity unit on the rebuild disk absorbs the weighted
+// delta; the home unit itself, when it is the lost unit on the rebuild
+// disk (DegradedWrite), takes the payload — no delta would ever reach
+// it; any other data unit is untouched by the write and needs nothing.
+func (s *Store) patchReplacement(sc *scratch, stripe, homeShard int, p, delta []byte, within int) error {
 	ru, rs, ok := s.replacementUnit(sc, stripe)
-	if !ok || rs < sc.p.DataShards {
+	if !ok || (rs < sc.p.DataShards && rs != homeShard) {
 		return nil
 	}
-	b := sc.b[:len(delta)]
-	if &b[0] == &delta[0] {
-		b = sc.a[:len(delta)]
-	}
 	off := s.byteOff(ru, within)
-	if _, err := s.rebuildDst.ReadAt(b, off); err != nil {
-		return fmt.Errorf("store: write replacement read: %w", err)
+	b := p
+	if rs != homeShard {
+		b = sc.b[:len(delta)]
+		if &b[0] == &delta[0] {
+			b = sc.a[:len(delta)]
+		}
+		if _, err := s.rebuildDst.ReadAt(b, off); err != nil {
+			return fmt.Errorf("store: write replacement read: %w", err)
+		}
+		s.codec.UpdateParity(rs-sc.p.DataShards, homeShard, b, delta)
 	}
-	s.codec.UpdateParity(rs-sc.p.DataShards, homeShard, b, delta)
 	if _, err := s.rebuildDst.WriteAt(b, off); err != nil {
 		return fmt.Errorf("store: write replacement: %w", err)
 	}
@@ -1122,15 +1125,17 @@ func (s *Store) Rebuild(replacement Backend) error {
 		s.admin.Unlock()
 	}
 
+	// Stream the schedule: each crossing stripe's plan is compiled into
+	// the pooled scratch plan and executed before the next, so a rebuild
+	// allocates the same few objects whatever the array's size.
 	sc := s.pool.Get().(*scratch)
 	defer s.pool.Put(sc)
-	rb, err := sc.pln.RebuildM(target, fs.disks)
-	if err != nil {
-		finish(false)
-		return err
-	}
-	for i := range rb.Plans {
-		if err := s.rebuildStripe(sc, &rb.Plans[i]); err != nil {
+	for stripe := 0; stripe < s.mapper.Stripes(); stripe++ {
+		crosses, err := sc.pln.RebuildStripe(stripe, target, fs.disks, &sc.p)
+		if err == nil && crosses {
+			err = s.rebuildStripe(sc, &sc.p)
+		}
+		if err != nil {
 			finish(false)
 			return err
 		}

@@ -6,12 +6,11 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/core"
 	"repro/internal/design"
-	"repro/internal/disksim"
 	"repro/internal/experiments"
 	"repro/internal/flow"
-	"repro/internal/workload"
 	"repro/pdl"
 	"repro/pdl/layout"
+	"repro/pdl/sim"
 )
 
 // One benchmark per experiment id in DESIGN.md's per-experiment index.
@@ -182,7 +181,7 @@ func BenchmarkBalanceParity(b *testing.B) {
 
 // BenchmarkAblationSeekModel vs ...ConstantModel: the disk service-time
 // ablation (seek-aware adds head tracking and distance costs).
-func benchServeWorkload(b *testing.B, cfg disksim.Config) {
+func benchServeWorkload(b *testing.B, cfg sim.Config) {
 	b.Helper()
 	rl, err := core.NewRingLayout(17, 4)
 	if err != nil {
@@ -191,11 +190,11 @@ func benchServeWorkload(b *testing.B, cfg disksim.Config) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		a, err := disksim.New(rl.Layout, cfg)
+		a, err := sim.New(rl.Layout, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		gen := workload.NewUniform(a.Mapping.DataUnits(), 0.3, uint64(i+1))
+		gen := sim.NewUniform(a.Mapping.DataUnits(), 0.3, uint64(i+1))
 		b.StartTimer()
 		if _, err := a.ServeWorkload(gen, 2000, 2); err != nil {
 			b.Fatal(err)
@@ -204,11 +203,11 @@ func benchServeWorkload(b *testing.B, cfg disksim.Config) {
 }
 
 func BenchmarkAblationConstantModel(b *testing.B) {
-	benchServeWorkload(b, disksim.Config{ServiceTime: 1})
+	benchServeWorkload(b, sim.Config{ServiceTime: 1})
 }
 
 func BenchmarkAblationSeekModel(b *testing.B) {
-	benchServeWorkload(b, disksim.Config{ServiceTime: 1, Seek: &disksim.SeekParams{Base: 2, PerUnit: 0.1}})
+	benchServeWorkload(b, sim.Config{ServiceTime: 1, Seek: &sim.SeekParams{Base: 2, PerUnit: 0.1}})
 }
 
 // BenchmarkMappingLookup measures the Condition 4 address translation.

@@ -5,8 +5,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
-	"repro/internal/disksim"
-	"repro/internal/workload"
+	"repro/pdl/sim"
 )
 
 // S1Reconstruction runs the motivating experiment: offline rebuild of one
@@ -32,11 +31,11 @@ func S1Reconstruction(quick bool) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			ad, err := disksim.New(rl.Layout, disksim.Config{})
+			ad, err := sim.New(rl.Layout, sim.Config{})
 			if err != nil {
 				return nil, err
 			}
-			ar, err := disksim.New(r5, disksim.Config{})
+			ar, err := sim.New(r5, sim.Config{})
 			if err != nil {
 				return nil, err
 			}
@@ -75,7 +74,7 @@ func S2ApproxVsExact(quick bool) (*Table, error) {
 
 	type entry struct {
 		name string
-		a    *disksim.Array
+		a    *sim.Array
 	}
 	var entries []entry
 
@@ -84,7 +83,7 @@ func S2ApproxVsExact(quick bool) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	ea, err := disksim.New(exact.Layout, disksim.Config{})
+	ea, err := sim.New(exact.Layout, sim.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +98,7 @@ func S2ApproxVsExact(quick bool) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	ra, err := disksim.New(removed, disksim.Config{})
+	ra, err := sim.New(removed, sim.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -114,7 +113,7 @@ func S2ApproxVsExact(quick bool) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	sa, err := disksim.New(stair, disksim.Config{})
+	sa, err := sim.New(stair, sim.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -122,17 +121,17 @@ func S2ApproxVsExact(quick bool) (*Table, error) {
 
 	for _, e := range entries {
 		l := e.a.L
-		gen := workload.NewUniform(e.a.Mapping.DataUnits(), 0.3, 101)
+		gen := sim.NewUniform(e.a.Mapping.DataUnits(), 0.3, 101)
 		cres, rres, err := e.a.RebuildOnline(gen, nOps, 2, 1)
 		if err != nil {
 			return nil, err
 		}
 		// Fresh array for the contention measurement.
-		a2, err := disksim.New(l, disksim.Config{})
+		a2, err := sim.New(l, sim.Config{})
 		if err != nil {
 			return nil, err
 		}
-		maxW, meanW, err := a2.ParityContention(workload.NewUniform(a2.Mapping.DataUnits(), 1, 55), nOps)
+		maxW, meanW, err := a2.ParityContention(sim.NewUniform(a2.Mapping.DataUnits(), 1, 55), nOps)
 		if err != nil {
 			return nil, err
 		}

@@ -14,12 +14,12 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/workload"
+	"repro/pdl/sim"
 )
 
 // RebuildHours returns the time to rebuild one failed disk when each of
 // the v-1 survivors must deliver a (k-1)/(v-1) fraction of diskUnits
-// units in parallel at unitsPerHour per disk (the disksim model's
+// units in parallel at unitsPerHour per disk (the simulator's
 // analytic counterpart). k = v reproduces RAID5 (read everything).
 func RebuildHours(diskUnits, v, k int, unitsPerHour float64) float64 {
 	if v < 2 || k < 2 || k > v || diskUnits < 1 || unitsPerHour <= 0 {
@@ -55,7 +55,7 @@ func SimulateMTTDL(v int, mttfHours, rebuildHours float64, trials int, seed uint
 	if v < 2 || mttfHours <= 0 || rebuildHours <= 0 {
 		panic("reliability: SimulateMTTDL: invalid parameters")
 	}
-	rng := workload.NewRNG(seed)
+	rng := sim.NewRNG(seed)
 	expVariate := func(mean float64) float64 {
 		u := rng.Float64()
 		for u == 0 {

@@ -468,6 +468,16 @@ func TestReportContents(t *testing.T) {
 	}
 }
 
+func TestReportUnassignedParity(t *testing.T) {
+	l := &layout.Layout{V: 2, Size: 1, Stripes: []layout.Stripe{
+		{Units: []layout.Unit{{Disk: 0, Offset: 0}, {Disk: 1, Offset: 0}}, Parity: -1},
+	}}
+	rep := Report(l)
+	if !strings.Contains(rep, "parity unassigned") {
+		t.Errorf("report: %s", rep)
+	}
+}
+
 func TestCoverage(t *testing.T) {
 	for _, r := range Coverage(100) {
 		if r.V >= 3 && !r.Covered {

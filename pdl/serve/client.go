@@ -70,27 +70,12 @@ const (
 type Option func(*dialOptions)
 
 type dialOptions struct {
-	conns    int
-	noDelay  bool
-	readBuf  int
-	writeBuf int
+	conns int
 }
 
 // WithConns sets how many TCP connections the client opens (default
 // DefaultConns). Values below 1 mean 1.
 func WithConns(n int) Option { return func(o *dialOptions) { o.conns = n } }
-
-// WithNoDelay sets TCP_NODELAY on every connection (default true: the
-// client already batches frames via writev, so Nagle only adds latency).
-func WithNoDelay(v bool) Option { return func(o *dialOptions) { o.noDelay = v } }
-
-// WithReadBuffer sizes each connection's kernel receive buffer
-// (SO_RCVBUF); zero keeps the OS default.
-func WithReadBuffer(n int) Option { return func(o *dialOptions) { o.readBuf = n } }
-
-// WithWriteBuffer sizes each connection's kernel send buffer
-// (SO_SNDBUF); zero keeps the OS default.
-func WithWriteBuffer(n int) Option { return func(o *dialOptions) { o.writeBuf = n } }
 
 // call is one in-flight request's completion state. For OpReadSpan
 // streams, units/recv/unit track the chunk reassembly: the reader fills
@@ -282,7 +267,7 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 // timeout on every shard, so one unreachable endpoint cannot hang a
 // fan-out).
 func DialContext(ctx context.Context, addr string, opts ...Option) (*Client, error) {
-	o := dialOptions{conns: defaultConns(), noDelay: true}
+	o := dialOptions{conns: defaultConns()}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -291,20 +276,13 @@ func DialContext(ctx context.Context, addr string, opts ...Option) (*Client, err
 	}
 	c := newClient()
 	for i := 0; i < o.conns; i++ {
+		// Go dials TCP with TCP_NODELAY set, which is what this client
+		// wants: it batches frames via writev, so Nagle only adds latency.
 		var d net.Dialer
 		nc, err := d.DialContext(ctx, "tcp", addr)
 		if err != nil {
 			c.Close()
 			return nil, fmt.Errorf("serve: dial: %w", err)
-		}
-		if tc, ok := nc.(*net.TCPConn); ok {
-			tc.SetNoDelay(o.noDelay)
-			if o.readBuf > 0 {
-				tc.SetReadBuffer(o.readBuf)
-			}
-			if o.writeBuf > 0 {
-				tc.SetWriteBuffer(o.writeBuf)
-			}
 		}
 		c.addConn(nc)
 	}

@@ -7,17 +7,16 @@ import (
 	"repro/pdl/serve/wire"
 )
 
-// spanWindow bounds how many unit requests a ReadAt/WriteAt span keeps
-// in flight at once on the v1 unit-op path: enough concurrency to fill
-// server batches (and, for stripe-aligned writes, whole Condition 5
-// full-stripe promotions), bounded so one huge span cannot monopolize
-// client memory or starve the connection.
+// spanWindow bounds how many segments a ReadAt/WriteAt span keeps in
+// flight at once: enough concurrency to fill server batches (and, for
+// stripe-aligned unit writes, whole Condition 5 full-stripe promotions),
+// bounded so one huge span cannot monopolize client memory or starve the
+// connection.
 const spanWindow = 64
 
 const (
 	// streamMinUnits is the smallest aligned middle worth a v2 stream;
-	// below it the pipelined unit path is just as good and cheaper to
-	// set up.
+	// below it pipelined unit ops are just as good and cheaper to set up.
 	streamMinUnits = 4
 
 	// maxSegUnits caps one stream segment. Spans larger than this split
@@ -48,41 +47,105 @@ func (c *Client) Size() int64 {
 // visible after RefreshInfo (or in Stats).
 func (c *Client) Failed() int { return c.geom().Failed }
 
-// flight is one in-progress unit op of a striped span.
+// flight is one in-flight segment of a span: a single-unit op or, on a
+// link that negotiated streams, one OpReadSpan/OpWriteSpan stream.
 type flight struct {
 	cl *call
 
-	// scratch is the full-unit buffer a partial read landed in; its
-	// [within, within+len(out)) range is copied to out on completion.
-	// nil for aligned ops that read directly into the span buffer.
-	scratch []byte
-	out     []byte
-	within  int
+	// out and src land a partial-unit read: the op read the whole unit
+	// into a scratch buffer, whose requested range src is copied to out (a
+	// range of the span buffer) on completion. Both are nil for aligned
+	// segments, which read directly into the span buffer.
+	out, src []byte
 
-	// n is the span bytes this op accounts for.
+	// n is the span bytes this segment accounts for.
 	n int
 }
 
-// streamEligible reports whether a span's aligned middle is big enough
-// for the v2 chunked-stream path (and the handshake accepted it).
-func (c *Client) streamEligible(plen int, off int64, unit int) bool {
-	if !c.useStreams || unit <= 0 {
-		return false
+// span is the state of one ReadAt/WriteAt call: its in-flight segments,
+// oldest first, and the outcome so far.
+type span struct {
+	c    *Client
+	unit int
+
+	ring           [spanWindow]flight
+	head, inflight int
+
+	n   int   // contiguous bytes confirmed from the span's start
+	err error // the first failure; nothing past it counts
+}
+
+// segUnits returns the size, in units, of the segments a span's
+// unit-aligned middle moves in: streams of up to maxSegUnits units when
+// the handshake negotiated them and the middle is at least streamMinUnits
+// long; single-unit ops otherwise — always, against a v1 server.
+func (c *Client) segUnits(plen int, off int64, unit int) int {
+	if !c.useStreams {
+		return 1
 	}
 	head := 0
 	if w := int(off % int64(unit)); w != 0 {
 		head = min(unit-w, plen)
 	}
-	return (plen-head)/unit >= streamMinUnits
+	if (plen-head)/unit < streamMinUnits {
+		return 1
+	}
+	return maxSegUnits
+}
+
+// push adds a started segment, first waiting for the oldest when the
+// window is full.
+func (s *span) push(f flight) {
+	if s.inflight == spanWindow {
+		s.settle()
+	}
+	s.ring[(s.head+s.inflight)%spanWindow] = f
+	s.inflight++
+}
+
+// settle waits for the oldest in-flight segment. Every started segment
+// is waited for, even past a failure: its frames and destination alias
+// the caller's buffer, which the caller owns again once the span returns.
+func (s *span) settle() {
+	f := s.ring[s.head]
+	s.head = (s.head + 1) % spanWindow
+	s.inflight--
+	recv, err := s.c.waitSpan(f.cl)
+	switch {
+	case s.err != nil:
+	case err != nil:
+		// A read stream confirms the ordered prefix of units it delivered;
+		// unit ops and write streams (applied all-or-error) confirm nothing.
+		s.n += recv * s.unit
+		s.err = err
+	default:
+		copy(f.out, f.src)
+		s.n += f.n
+	}
+}
+
+// drain settles every in-flight segment.
+func (s *span) drain() {
+	for s.inflight > 0 {
+		s.settle()
+	}
+}
+
+// fail records a failure to start the segment after the in-flight ones.
+func (s *span) fail(err error) {
+	s.drain()
+	if s.err == nil {
+		s.err = err
+	}
 }
 
 // ReadAt reads len(p) bytes from the logical byte space starting at off.
-// Against a v2 server, large unit-aligned middles move as chunked read
-// streams (one OpReadSpan per segment, segments striped across the
-// client's connections, chunk payloads landing directly in p); the
-// unit-unaligned edges — and everything, against a v1 server — stripe
-// into unit-granularity requests pipelined over the connections, which
-// the server frontend coalesces into ReadVec batch passes. Reads
+// The span moves as pipelined segments striped across the client's
+// connections. Against a v2 server, a large unit-aligned middle moves as
+// chunked read streams (one OpReadSpan per segment, chunk payloads
+// landing directly in p); the unit-unaligned edges — and everything,
+// against a v1 server or on a short span — are unit-granularity requests,
+// which the server frontend coalesces into ReadVec batch passes. Reads
 // crossing the end of the array return the available prefix and io.EOF.
 // On a request failure it returns the contiguous byte count confirmed
 // before the failing offset.
@@ -96,8 +159,8 @@ func (c *Client) ReadAtClass(p []byte, off int64, class Class) (int, error) {
 		return 0, fmt.Errorf("serve: ReadAt: negative offset %d", off)
 	}
 	in := c.geom()
-	unit := int64(in.UnitSize)
-	size := int64(in.Capacity) * unit
+	unit := in.UnitSize
+	size := int64(in.Capacity) * int64(unit)
 	if off >= size {
 		return 0, io.EOF
 	}
@@ -106,144 +169,54 @@ func (c *Client) ReadAtClass(p []byte, off int64, class Class) (int, error) {
 		p = p[:size-off]
 		eof = true
 	}
-	var n int
-	var err error
-	if c.streamEligible(len(p), off, in.UnitSize) {
-		n, err = c.readAtStream(p, off, in.UnitSize, class)
-	} else {
-		n, err = c.readAtUnits(p, off, unit, class)
+	segUnits := c.segUnits(len(p), off, unit)
+	s := span{c: c, unit: unit}
+	for len(p) > 0 && s.err == nil {
+		logical, within := uint64(off/int64(unit)), int(off%int64(unit))
+		f := flight{n: min(unit-within, len(p))}
+		var err error
+		switch {
+		case f.n < unit:
+			// A partial unit (the span's head or tail): read it whole, aside.
+			scratch := make([]byte, unit)
+			f.out, f.src = p[:f.n], scratch[within:within+f.n]
+			f.cl, err = c.start(wire.OpRead, class, logical, nil, scratch, nil)
+		case segUnits == 1:
+			f.cl, err = c.start(wire.OpRead, class, logical, nil, p[:unit], nil)
+		default:
+			k := min(segUnits, len(p)/unit)
+			f.n = k * unit
+			f.cl, err = c.startReadSpan(c.pick(), int(logical), k, p[:f.n], class)
+		}
+		if err != nil {
+			s.fail(err)
+			break
+		}
+		s.push(f)
+		p, off = p[f.n:], off+int64(f.n)
 	}
-	if err != nil {
-		return n, err
+	s.drain()
+	if s.err != nil {
+		return s.n, s.err
 	}
 	if eof {
-		return n, io.EOF
+		return s.n, io.EOF
 	}
-	return n, nil
-}
-
-// readAtStream is the v2 path: synchronous partial-unit head and tail,
-// aligned middle as pipelined read-stream segments.
-func (c *Client) readAtStream(p []byte, off int64, unit int, class Class) (int, error) {
-	n := 0
-	if w := int(off % int64(unit)); w != 0 {
-		chunk := min(unit-w, len(p))
-		scratch := make([]byte, unit)
-		if err := c.do(wire.OpRead, class, uint64(off/int64(unit)), nil, scratch, nil); err != nil {
-			return 0, err
-		}
-		copy(p[:chunk], scratch[w:w+chunk])
-		n += chunk
-		off += int64(chunk)
-		p = p[chunk:]
-	}
-	midUnits := len(p) / unit
-	mid := p[:midUnits*unit]
-	tail := p[midUnits*unit:]
-	startUnit := int(off / int64(unit))
-
-	type seg struct {
-		cl    *call
-		bytes int
-	}
-	segs := make([]seg, 0, (midUnits+maxSegUnits-1)/maxSegUnits)
-	var firstErr error
-	for u := 0; u < midUnits; u += maxSegUnits {
-		k := min(maxSegUnits, midUnits-u)
-		cl, err := c.startReadSpan(c.pick(), startUnit+u, k, mid[u*unit:(u+k)*unit], class)
-		if err != nil {
-			firstErr = err
-			break
-		}
-		segs = append(segs, seg{cl, k * unit})
-	}
-	// Wait for every started segment, even past a failure: later
-	// segments' chunks land in p, which the caller owns again the moment
-	// we return.
-	for _, sg := range segs {
-		recv, err := c.waitSpan(sg.cl)
-		if firstErr == nil {
-			if err != nil {
-				n += recv * unit // the stream's confirmed ordered prefix
-				firstErr = err
-			} else {
-				n += sg.bytes
-			}
-		}
-	}
-	if firstErr != nil {
-		return n, firstErr
-	}
-	if len(tail) > 0 {
-		scratch := make([]byte, unit)
-		if err := c.do(wire.OpRead, class, uint64(startUnit+midUnits), nil, scratch, nil); err != nil {
-			return n, err
-		}
-		copy(tail, scratch[:len(tail)])
-		n += len(tail)
-	}
-	return n, nil
-}
-
-// readAtUnits is the v1 path: every unit its own pipelined request.
-// p is already clamped to the array.
-func (c *Client) readAtUnits(p []byte, off, unit int64, class Class) (int, error) {
-	var window []flight
-	n := 0
-	var firstErr error
-	drain := func(all bool) {
-		for len(window) > 0 && (all || len(window) >= spanWindow) {
-			f := window[0]
-			window = window[1:]
-			err := c.wait(f.cl)
-			if err == nil && f.scratch != nil {
-				copy(f.out, f.scratch[f.within:f.within+len(f.out)])
-			}
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			if firstErr == nil {
-				n += f.n
-			}
-		}
-	}
-	for len(p) > 0 && firstErr == nil {
-		logical := off / unit
-		within := int(off % unit)
-		chunk := int(min(unit-int64(within), int64(len(p))))
-		f := flight{out: p[:chunk], within: within, n: chunk}
-		dst := p[:chunk]
-		if chunk != int(unit) {
-			f.scratch = make([]byte, unit)
-			dst = f.scratch
-		}
-		cl, err := c.start(wire.OpRead, class, uint64(logical), nil, dst, nil)
-		if err != nil {
-			firstErr = err
-			break
-		}
-		f.cl = cl
-		window = append(window, f)
-		p = p[chunk:]
-		off += int64(chunk)
-		drain(false)
-	}
-	drain(true)
-	return n, firstErr
+	return s.n, nil
 }
 
 // WriteAt writes len(p) bytes to the logical byte space starting at off.
-// Against a v2 server, large unit-aligned middles move as chunked write
-// streams (one OpWriteSpan + OpWriteChunk sequence per segment, striped
-// across the connections, chunk payloads sent as iovecs straight from
-// p); the edges — and everything, against a v1 server — stripe into
-// unit-granularity requests pipelined so the server frontend coalesces
-// them into WriteVec batch passes, with stripe-aligned spans promoting
-// to single Condition 5 full-stripe writes. Unit-unaligned head and
-// tail edges are client-side read-modify-writes, so a span is not
-// atomic against concurrent writers of the same units. On a request
-// failure it returns the contiguous byte count confirmed before the
-// failing offset.
+// The span moves as pipelined segments striped across the client's
+// connections. Against a v2 server, a large unit-aligned middle moves as
+// chunked write streams (one OpWriteSpan + OpWriteChunk sequence per
+// segment, chunk payloads sent as iovecs straight from p); otherwise —
+// always, against a v1 server — it is unit-granularity requests the
+// server frontend coalesces into WriteVec batch passes, with
+// stripe-aligned spans promoting to single Condition 5 full-stripe
+// writes. Unit-unaligned head and tail edges are client-side
+// read-modify-writes, so a span is not atomic against concurrent writers
+// of the same units. On a request failure it returns the contiguous byte
+// count confirmed before the failing offset.
 func (c *Client) WriteAt(p []byte, off int64) (int, error) {
 	return c.WriteAtClass(p, off, Foreground)
 }
@@ -254,130 +227,48 @@ func (c *Client) WriteAtClass(p []byte, off int64, class Class) (int, error) {
 		return 0, fmt.Errorf("serve: WriteAt: negative offset %d", off)
 	}
 	in := c.geom()
-	unit := int64(in.UnitSize)
-	size := int64(in.Capacity) * unit
+	unit := in.UnitSize
+	size := int64(in.Capacity) * int64(unit)
 	if off+int64(len(p)) > size {
 		return 0, fmt.Errorf("serve: WriteAt: [%d,%d) outside array of %d bytes", off, off+int64(len(p)), size)
 	}
-	if c.streamEligible(len(p), off, in.UnitSize) {
-		return c.writeAtStream(p, off, in.UnitSize, class)
-	}
-	return c.writeAtUnits(p, off, unit, class)
-}
-
-// writeAtStream is the v2 path: synchronous read-modify-write edges,
-// aligned middle as pipelined write-stream segments.
-func (c *Client) writeAtStream(p []byte, off int64, unit int, class Class) (int, error) {
-	n := 0
-	if w := int(off % int64(unit)); w != 0 {
-		chunk := min(unit-w, len(p))
-		if err := c.rmwUnit(off/int64(unit), w, p[:chunk], class); err != nil {
-			return 0, err
-		}
-		n += chunk
-		off += int64(chunk)
-		p = p[chunk:]
-	}
-	midUnits := len(p) / unit
-	mid := p[:midUnits*unit]
-	tail := p[midUnits*unit:]
-	startUnit := int(off / int64(unit))
-
-	type seg struct {
-		cl    *call
-		bytes int
-	}
-	segs := make([]seg, 0, (midUnits+maxSegUnits-1)/maxSegUnits)
-	var firstErr error
-	for u := 0; u < midUnits; u += maxSegUnits {
-		k := min(maxSegUnits, midUnits-u)
-		cl, err := c.startWriteSpan(c.pick(), startUnit+u, mid[u*unit:(u+k)*unit], unit, class)
-		if err != nil {
-			firstErr = err
-			break
-		}
-		segs = append(segs, seg{cl, k * unit})
-	}
-	// Wait for every started segment even past a failure: their chunk
-	// frames alias p, which the caller owns again once we return.
-	for _, sg := range segs {
-		_, err := c.waitSpan(sg.cl)
-		if firstErr == nil {
-			if err != nil {
-				// The server applies a write stream all-or-error; a failed
-				// segment confirms none of its bytes.
-				firstErr = err
+	segUnits := c.segUnits(len(p), off, unit)
+	s := span{c: c, unit: unit}
+	for len(p) > 0 && s.err == nil {
+		logical, within := uint64(off/int64(unit)), int(off%int64(unit))
+		n := min(unit-within, len(p))
+		if n < unit {
+			// A partial unit (the span's head or tail): a synchronous
+			// read-modify-write, issued once everything before it is
+			// confirmed.
+			s.drain()
+			if s.err != nil {
+				break
+			}
+			if s.err = c.rmwUnit(int64(logical), within, p[:n], class); s.err != nil {
+				break
+			}
+			s.n += n
+		} else {
+			// Payload frames alias p until the segment is settled.
+			var cl *call
+			var err error
+			if segUnits == 1 {
+				cl, err = c.start(wire.OpWrite, class, logical, p[:n], nil, nil)
 			} else {
-				n += sg.bytes
+				n = min(segUnits, len(p)/unit) * unit
+				cl, err = c.startWriteSpan(c.pick(), int(logical), p[:n], unit, class)
 			}
-		}
-	}
-	if firstErr != nil {
-		return n, firstErr
-	}
-	if len(tail) > 0 {
-		if err := c.rmwUnit(int64(startUnit+midUnits), 0, tail, class); err != nil {
-			return n, err
-		}
-		n += len(tail)
-	}
-	return n, nil
-}
-
-// writeAtUnits is the v1 path: read-modify-write edges and pipelined
-// full-unit writes. The span is already validated against the array.
-func (c *Client) writeAtUnits(p []byte, off, unit int64, class Class) (int, error) {
-	n := 0
-	// Unaligned head (or a short write inside one unit): read-modify-write.
-	if within := int(off % unit); within != 0 || int64(len(p)) < unit {
-		chunk := int(min(unit-int64(within), int64(len(p))))
-		if err := c.rmwUnit(off/unit, within, p[:chunk], class); err != nil {
-			return 0, err
-		}
-		n += chunk
-		off += int64(chunk)
-		p = p[chunk:]
-	}
-	// Aligned middle: pipelined full-unit writes. Payload frames alias p
-	// until each call completes; p stays valid because we drain every
-	// in-flight call before returning.
-	var window []flight
-	var firstErr error
-	drain := func(all bool) {
-		for len(window) > 0 && (all || len(window) >= spanWindow) {
-			f := window[0]
-			window = window[1:]
-			if err := c.wait(f.cl); err != nil && firstErr == nil {
-				firstErr = err
+			if err != nil {
+				s.fail(err)
+				break
 			}
-			if firstErr == nil {
-				n += f.n
-			}
+			s.push(flight{cl: cl, n: n})
 		}
+		p, off = p[n:], off+int64(n)
 	}
-	for int64(len(p)) >= unit && firstErr == nil {
-		cl, err := c.start(wire.OpWrite, class, uint64(off/unit), p[:unit], nil, nil)
-		if err != nil {
-			firstErr = err
-			break
-		}
-		window = append(window, flight{cl: cl, n: int(unit)})
-		p = p[unit:]
-		off += unit
-		drain(false)
-	}
-	drain(true)
-	if firstErr != nil {
-		return n, firstErr
-	}
-	// Unaligned tail.
-	if len(p) > 0 {
-		if err := c.rmwUnit(off/unit, 0, p, class); err != nil {
-			return n, err
-		}
-		n += len(p)
-	}
-	return n, nil
+	s.drain()
+	return s.n, s.err
 }
 
 // startReadSpan opens one OpReadSpan stream on cn: the server answers

@@ -3,6 +3,7 @@ package serve_test
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -95,8 +96,9 @@ func TestInteropV1ClientAgainstV2Server(t *testing.T) {
 // startV1Server runs a minimal wire-v1 server — ReadFrame + full
 // DecodeRequest, one response frame per request, no v2 ops, and Info
 // answered with the plain payload whatever Arg says — the behavior of
-// the previous server generation. Unit payloads land in an in-memory
-// map guarded by mu.
+// the previous server generation, admin ops included: one failed disk at
+// most, and the Stats document of the time (no failed_disks, codec or
+// parity_shards). Unit payloads and the failed disk are guarded by mu.
 func startV1Server(t *testing.T, unitSize, capacity int) (addr string) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -106,6 +108,7 @@ func startV1Server(t *testing.T, unitSize, capacity int) (addr string) {
 	t.Cleanup(func() { ln.Close() })
 	var mu sync.Mutex
 	units := make(map[int][]byte)
+	failed := -1
 	go func() {
 		for {
 			conn, err := ln.Accept()
@@ -130,9 +133,11 @@ func startV1Server(t *testing.T, unitSize, capacity int) (addr string) {
 					switch req.Op {
 					case wire.OpInfo:
 						// A v1 server ignores Arg: always the plain payload.
+						mu.Lock()
 						resp.Payload = wire.AppendInfo(nil, &wire.Info{
-							UnitSize: unitSize, Capacity: capacity, Disks: 13, Failed: -1,
+							UnitSize: unitSize, Capacity: capacity, Disks: 13, Failed: failed,
 						})
+						mu.Unlock()
 					case wire.OpRead:
 						mu.Lock()
 						b, ok := units[int(req.Arg)]
@@ -145,6 +150,23 @@ func startV1Server(t *testing.T, unitSize, capacity int) (addr string) {
 						b := append([]byte(nil), req.Payload...)
 						mu.Lock()
 						units[int(req.Arg)] = b
+						mu.Unlock()
+					case wire.OpFail:
+						mu.Lock()
+						if failed >= 0 {
+							resp.Status = wire.StatusErr
+							resp.Payload = []byte("a disk is already failed")
+						} else {
+							failed = int(req.Arg)
+						}
+						mu.Unlock()
+					case wire.OpRebuild:
+						mu.Lock()
+						failed = -1
+						mu.Unlock()
+					case wire.OpStats:
+						mu.Lock()
+						resp.Payload = fmt.Appendf(nil, `{"store":{"failed_disk":%d,"rebuilding":false},"frontend":{}}`, failed)
 						mu.Unlock()
 					default:
 						// v2 ops (spans, chunks) are unknown to a v1 server.

@@ -1,10 +1,9 @@
-package disksim
+package sim
 
 import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/workload"
 )
 
 func copiesArray(t *testing.T, copies int) *Array {
@@ -87,7 +86,7 @@ func TestCopiesDegradedWriteParityInSameCopy(t *testing.T) {
 
 func TestCopiesOnlineRebuild(t *testing.T) {
 	a := copiesArray(t, 2)
-	gen := workload.NewUniform(a.DataUnits(), 0.2, 5)
+	gen := NewUniform(a.DataUnits(), 0.2, 5)
 	_, rres, err := a.RebuildOnline(gen, 200, 2, 1)
 	if err != nil {
 		t.Fatal(err)

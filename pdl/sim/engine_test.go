@@ -1,4 +1,4 @@
-package disksim
+package sim
 
 import (
 	"testing"
@@ -6,7 +6,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/design"
-	"repro/internal/workload"
 )
 
 func raid5Array(t *testing.T, v, rows int) *Array {
@@ -181,7 +180,7 @@ func TestRebuildDeclusteredBeatsRAID5(t *testing.T) {
 
 func TestServeWorkloadHealthy(t *testing.T) {
 	a := declusteredArray(t, 8, 4)
-	gen := workload.NewUniform(a.Mapping.DataUnits(), 0.5, 11)
+	gen := NewUniform(a.Mapping.DataUnits(), 0.5, 11)
 	res, err := a.ServeWorkload(gen, 500, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +195,7 @@ func TestServeWorkloadHealthy(t *testing.T) {
 
 func TestDegradedModeCostsMoreIO(t *testing.T) {
 	healthy := declusteredArray(t, 8, 4)
-	gen1 := workload.NewUniform(healthy.Mapping.DataUnits(), 0, 13)
+	gen1 := NewUniform(healthy.Mapping.DataUnits(), 0, 13)
 	hres, err := healthy.ServeWorkload(gen1, 2000, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +204,7 @@ func TestDegradedModeCostsMoreIO(t *testing.T) {
 	if err := degraded.Fail(3); err != nil {
 		t.Fatal(err)
 	}
-	gen2 := workload.NewUniform(degraded.Mapping.DataUnits(), 0, 13)
+	gen2 := NewUniform(degraded.Mapping.DataUnits(), 0, 13)
 	dres, err := degraded.ServeWorkload(gen2, 2000, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +242,7 @@ func TestDegradedModeSlowerUnderSaturation(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		gen := workload.NewUniform(a.Mapping.DataUnits(), 0, 13)
+		gen := NewUniform(a.Mapping.DataUnits(), 0, 13)
 		res, err := a.ServeWorkload(gen, 3000, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -259,7 +258,7 @@ func TestDegradedModeSlowerUnderSaturation(t *testing.T) {
 
 func TestRebuildOnline(t *testing.T) {
 	a := declusteredArray(t, 9, 3)
-	gen := workload.NewUniform(a.Mapping.DataUnits(), 0.3, 17)
+	gen := NewUniform(a.Mapping.DataUnits(), 0.3, 17)
 	cres, rres, err := a.RebuildOnline(gen, 300, 3, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -314,11 +313,11 @@ func TestParityContentionBalancedVsSkewed(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := 3000
-	maxB, meanB, err := ab.ParityContention(workload.NewUniform(ab.Mapping.DataUnits(), 1, 29), n)
+	maxB, meanB, err := ab.ParityContention(NewUniform(ab.Mapping.DataUnits(), 1, 29), n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	maxS, meanS, err := as.ParityContention(workload.NewUniform(as.Mapping.DataUnits(), 1, 29), n)
+	maxS, meanS, err := as.ParityContention(NewUniform(as.Mapping.DataUnits(), 1, 29), n)
 	if err != nil {
 		t.Fatal(err)
 	}

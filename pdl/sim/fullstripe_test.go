@@ -1,6 +1,10 @@
-package disksim
+package sim
 
-import "testing"
+import (
+	"testing"
+
+	"repro/pdl/layout"
+)
 
 func TestWriteFullStripeNoReads(t *testing.T) {
 	a := declusteredArray(t, 9, 3)
@@ -50,6 +54,11 @@ func TestWriteFullStripeCheaperThanSmallWrites(t *testing.T) {
 	}
 }
 
+// stripeOf returns the stripe covering a physical unit.
+func stripeOf(a *Array, u layout.Unit) *layout.Stripe {
+	return &a.L.Stripes[a.Mapping.StripeAt(u)]
+}
+
 func TestWriteFullStripeDegradedSkipsFailed(t *testing.T) {
 	a := declusteredArray(t, 9, 3)
 	if err := a.Fail(0); err != nil {
@@ -62,7 +71,7 @@ func TestWriteFullStripeDegradedSkipsFailed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := a.stripeOf(u)
+		s := stripeOf(a, u)
 		for _, su := range s.Units {
 			if su.Disk == 0 {
 				logical = i

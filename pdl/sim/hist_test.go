@@ -1,10 +1,8 @@
-package disksim
+package sim
 
 import (
 	"testing"
 	"testing/quick"
-
-	"repro/internal/workload"
 )
 
 func TestLatencyRecorderPercentiles(t *testing.T) {
@@ -82,7 +80,7 @@ func TestLatencyRecorderInterleavedRecordPercentile(t *testing.T) {
 
 func TestServeWorkloadRecordsLatencies(t *testing.T) {
 	a := declusteredArray(t, 8, 4)
-	gen := workload.NewUniform(a.Mapping.DataUnits(), 0.5, 21)
+	gen := NewUniform(a.Mapping.DataUnits(), 0.5, 21)
 	res, err := a.ServeWorkload(gen, 400, 2)
 	if err != nil {
 		t.Fatal(err)

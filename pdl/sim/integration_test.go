@@ -1,11 +1,10 @@
-package disksim
+package sim
 
 import (
 	"bytes"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/workload"
 	"repro/pdl/layout"
 )
 
@@ -27,13 +26,13 @@ func TestIntegrationTimingAndBytesAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := data.Mapping().DataUnits()
-	gen := workload.NewUniform(n, 0.4, 77)
+	gen := NewUniform(n, 0.4, 77)
 	mirror := make(map[int][]byte)
 	var tick int64
 	for i := 0; i < 800; i++ {
 		op := gen.Next()
 		switch op.Kind {
-		case workload.Read:
+		case Read:
 			if _, err := sim.ReadLogical(op.Logical, tick); err != nil {
 				t.Fatal(err)
 			}
@@ -48,7 +47,7 @@ func TestIntegrationTimingAndBytesAgree(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Fatalf("op %d: read mismatch at logical %d", i, op.Logical)
 			}
-		case workload.Write:
+		case Write:
 			if _, err := sim.WriteLogical(op.Logical, tick); err != nil {
 				t.Fatal(err)
 			}

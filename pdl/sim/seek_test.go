@@ -1,10 +1,9 @@
-package disksim
+package sim
 
 import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/workload"
 )
 
 func seekArray(t *testing.T, seek *SeekParams) *Array {
@@ -24,12 +23,12 @@ func TestSeekModelSequentialCheaperThanRandom(t *testing.T) {
 	seek := &SeekParams{Base: 2, PerUnit: 1}
 	seq := seekArray(t, seek)
 	n := seq.Mapping.DataUnits()
-	sres, err := seq.ServeWorkload(workload.NewSequential(n, workload.Read), 500, 1)
+	sres, err := seq.ServeWorkload(NewSequential(n, Read), 500, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rnd := seekArray(t, seek)
-	rres, err := rnd.ServeWorkload(workload.NewUniform(n, 0, 3), 500, 1)
+	rres, err := rnd.ServeWorkload(NewUniform(n, 0, 3), 500, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,11 +47,11 @@ func TestSeekModelSequentialCheaperThanRandom(t *testing.T) {
 func TestConstantModelIgnoresOffsets(t *testing.T) {
 	seq := seekArray(t, nil)
 	n := seq.Mapping.DataUnits()
-	if _, err := seq.ServeWorkload(workload.NewSequential(n, workload.Read), 300, 1); err != nil {
+	if _, err := seq.ServeWorkload(NewSequential(n, Read), 300, 1); err != nil {
 		t.Fatal(err)
 	}
 	rnd := seekArray(t, nil)
-	if _, err := rnd.ServeWorkload(workload.NewUniform(n, 0, 3), 300, 1); err != nil {
+	if _, err := rnd.ServeWorkload(NewUniform(n, 0, 3), 300, 1); err != nil {
 		t.Fatal(err)
 	}
 	var seqBusy, rndBusy int64
@@ -72,13 +71,13 @@ func TestSeekModelHeadTracking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f1 := a.issueAt(u.Disk, u.Offset, 0, false)
-	f2 := a.issueAt(u.Disk, u.Offset, f1, false)
+	f1 := a.Issue(u.Disk, u.Offset, 0, false)
+	f2 := a.Issue(u.Disk, u.Offset, f1, false)
 	if f2-f1 != 1 { // service only, no seek
 		t.Errorf("repeat access cost %d, want 1", f2-f1)
 	}
 	// A far access pays distance.
-	f3 := a.issueAt(u.Disk, u.Offset+10, f2, false)
+	f3 := a.Issue(u.Disk, u.Offset+10, f2, false)
 	if f3-f2 != 11 {
 		t.Errorf("far access cost %d, want 11", f3-f2)
 	}

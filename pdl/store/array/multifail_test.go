@@ -227,6 +227,68 @@ func TestManifestFormatCompat(t *testing.T) {
 		}
 	})
 
+	t.Run("RSOneParityShard", func(t *testing.T) {
+		// A format-2 manifest may pin "rs" on a single-parity array: same
+		// layout and plans as XOR, Cauchy coefficients instead of ones.
+		// Written by hand over a freshly created (all-zero, so consistent
+		// under any code) array.
+		dir := t.TempDir()
+		arr, err := array.Create(dir, array.CreateOptions{V: 7, K: 3, UnitSize: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		arr.Close()
+		path := filepath.Join(dir, array.ManifestName)
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b = bytes.Replace(b, []byte(`"version": 1,`), []byte(`"version": 2, "codec": "rs",`), 1)
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		arr, err = array.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer arr.Close()
+		s := arr.Store()
+		if s.Code().Name() != "rs" || s.Code().ParityShards() != 1 {
+			t.Fatalf("array runs %s/%d, want rs/1", s.Code().Name(), s.Code().ParityShards())
+		}
+		buf := make([]byte, 64)
+		for logical := 0; logical < s.Capacity(); logical++ {
+			if err := s.Write(logical, payload(buf, logical)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.VerifyParity(); err != nil {
+			t.Fatalf("after small writes: %v", err)
+		}
+		if err := arr.Fail(2); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Write(1, payload(buf, 99)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := arr.Rebuild(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.VerifyParity(); err != nil {
+			t.Fatalf("after rebuild: %v", err)
+		}
+		got := make([]byte, 64)
+		for logical := 0; logical < s.Capacity(); logical++ {
+			want := payload(buf, logical)
+			if logical == 1 {
+				want = payload(buf, 99)
+			}
+			if err := s.Read(logical, got); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("logical %d after rebuild: %x, want %x (%v)", logical, got, want, err)
+			}
+		}
+	})
+
 	t.Run("V1FixtureDecodes", func(t *testing.T) {
 		// The exact shape this package wrote before format 2 existed.
 		fixture := []byte(`{

@@ -2,13 +2,19 @@ package store_test
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
+	"os"
 	"runtime"
+	"slices"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/pdl"
+	"repro/pdl/code"
 	"repro/pdl/layout"
 	"repro/pdl/store"
 )
@@ -27,6 +33,52 @@ func mustRS2(t *testing.T, v, k, unitSize int) (*store.Store, *layout.Layout) {
 	}
 	if s.Code().Name() != "rs" || s.Code().ParityShards() != 2 {
 		t.Fatalf("store runs %s/%d, want rs/2", s.Code().Name(), s.Code().ParityShards())
+	}
+	return s, res.Layout
+}
+
+// codeRow is one (code, geometry) input of the tests that must hold for
+// every code the store accepts, not only the default for its m.
+type codeRow struct {
+	name string
+	k    int
+	code code.Code
+}
+
+// codeRows lists XOR, Reed–Solomon pinned at one parity shard (the same
+// layouts and plans as XOR, different coefficients) and the two-parity
+// default, all on v = 9.
+func codeRows(t *testing.T) []codeRow {
+	t.Helper()
+	rs1, err := code.New("rs", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []codeRow{
+		{"xor", 3, code.Default(1)},
+		{"rs1", 3, rs1},
+		{"rs2", 4, code.Default(2)},
+	}
+}
+
+// newStore builds the row's MemDisk store on one layout copy per disk.
+func (r codeRow) newStore(t *testing.T, unitSize int) (*store.Store, *layout.Layout) {
+	t.Helper()
+	res, err := pdl.Build(9, r.k, pdl.WithParityShards(r.code.ParityShards()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := res.NewMapper(res.Layout.Size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	disks := make([]store.Backend, m.Disks())
+	for d := range disks {
+		disks[d] = store.NewMemDisk(int64(res.Layout.Size) * int64(unitSize))
+	}
+	s, err := store.NewCode(m, unitSize, disks, r.code)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return s, res.Layout
 }
@@ -372,6 +424,210 @@ func TestMultiFailValidation(t *testing.T) {
 	st := s.Stats()
 	if st.Failed != 3 || len(st.FailedDisks) != 2 {
 		t.Errorf("Stats: Failed=%d FailedDisks=%v", st.Failed, st.FailedDisks)
+	}
+}
+
+// pacedDisk is a replacement disk that lets one foreground step (counted
+// in steps) pass before every write, stretching a Rebuild over many
+// foreground ops. The wait is a bounded spin: Rebuild holds the stripe's
+// lock here, and the step being waited for may itself want that lock.
+type pacedDisk struct {
+	store.Backend
+	steps *atomic.Int64
+}
+
+func (d pacedDisk) WriteAt(p []byte, off int64) (int, error) {
+	for seen, i := d.steps.Load(), 0; i < 512 && d.steps.Load() == seen; i++ {
+		runtime.Gosched()
+	}
+	return d.Backend.WriteAt(p, off)
+}
+
+// sweepSteps is the per-seed step budget of TestWriteSweep: def on a
+// normal run, PDL_SWEEP_STEPS when set (the nightly workflow raises it
+// tenfold).
+func sweepSteps(t *testing.T, def int) int {
+	t.Helper()
+	v := os.Getenv("PDL_SWEEP_STEPS")
+	if v == "" {
+		return def
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 1 {
+		t.Fatalf("PDL_SWEEP_STEPS=%q: want a positive integer", v)
+	}
+	return n
+}
+
+// TestWriteSweep is the seeded differential sweep of the write executor:
+// from one seed it samples, for every code row, a walk over (failed set
+// of size 0..m, rebuild in progress or not, op in {Write, partial-unit
+// WriteAt, WriteVec group}) and after EVERY step compares the store's
+// whole logical space with pdl/layout's Data model byte-for-byte; each
+// finished rebuild's replacement must equal the model's raw disk. The
+// comparison reads units in DEcreasing order and VerifyParity runs only
+// between rebuilds: a pass in stripe order queues behind the rebuilder at
+// every stripe and lets it finish inside a single step. The op sequence
+// is a function of the seed alone (only the rebuild's progress varies
+// between runs); failures name the seed.
+func TestWriteSweep(t *testing.T) {
+	steps := sweepSteps(t, 400)
+	for _, tc := range codeRows(t) {
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("%s/seed=%d", tc.name, seed), func(t *testing.T) {
+				writeSweep(t, tc, seed, steps)
+			})
+		}
+	}
+}
+
+func writeSweep(t *testing.T, tc codeRow, seed int64, steps int) {
+	const unitSize = 32
+	s, l := tc.newStore(t, unitSize)
+	model, err := layout.NewDataCode(l, unitSize, tc.code)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	diskBytes := int64(l.Size) * unitSize
+	var done atomic.Int64 // steps completed, for pacedDisk
+	step := 0
+	fatalf := func(format string, args ...any) {
+		t.Helper()
+		t.Fatalf("seed %d step %d: %s", seed, step, fmt.Sprintf(format, args...))
+	}
+
+	// modelWriteAt applies a byte-range write to the unit-granular model.
+	modelWriteAt := func(p []byte, off int64) {
+		for len(p) > 0 {
+			logical, within := int(off/unitSize), int(off%unitSize)
+			u, err := model.ReadLogical(logical)
+			if err != nil {
+				fatalf("%v", err)
+			}
+			n := copy(u[within:], p)
+			if err := model.WriteLogical(logical, u); err != nil {
+				fatalf("%v", err)
+			}
+			p, off = p[n:], off+int64(n)
+		}
+	}
+
+	// failed mirrors the store's failed set; the running rebuild (if any)
+	// reconstructs failed[0], which leaves the set when join collects it.
+	var failed []int
+	var rebuilding chan error
+	var replacement *store.MemDisk
+	join := func() {
+		if rebuilding == nil {
+			return
+		}
+		for pending := true; pending; {
+			select {
+			case err := <-rebuilding:
+				if err != nil {
+					fatalf("rebuild of disk %d: %v", failed[0], err)
+				}
+				pending = false
+			default:
+				done.Add(1) // wave the paced replacement on
+				runtime.Gosched()
+			}
+		}
+		got := make([]byte, diskBytes)
+		if _, err := replacement.ReadAt(got, 0); err != nil && err != io.EOF {
+			fatalf("%v", err)
+		}
+		if !bytes.Equal(got, model.DiskContents(failed[0])) {
+			fatalf("rebuilt disk %d differs from model contents (failed %v)", failed[0], failed)
+		}
+		failed, rebuilding = failed[1:], nil
+	}
+
+	got := make([]byte, unitSize)
+	for step = 0; step < steps; step++ {
+		switch r := rng.Intn(24); {
+		case r == 0:
+			join()
+			if len(failed) == tc.code.ParityShards() {
+				continue
+			}
+			d := rng.Intn(l.V)
+			if slices.Contains(failed, d) {
+				continue
+			}
+			if err := s.Fail(d); err != nil {
+				fatalf("%v", err)
+			}
+			failed = append(failed, d)
+			slices.Sort(failed)
+		case r == 1:
+			join()
+			if len(failed) == 0 {
+				continue
+			}
+			replacement = store.NewMemDisk(diskBytes)
+			rebuilding = make(chan error, 1)
+			go func(done chan<- error, dst store.Backend) { done <- s.Rebuild(dst) }(rebuilding, pacedDisk{replacement, &done})
+		case r%3 == 0:
+			buf := payload(make([]byte, unitSize), rng.Int())
+			logical := rng.Intn(s.Capacity())
+			if err := s.Write(logical, buf); err != nil {
+				fatalf("Write(%d): %v", logical, err)
+			}
+			modelWriteAt(buf, int64(logical)*unitSize)
+		case r%3 == 1:
+			// Mostly a few bytes inside or across units; now and then long
+			// enough to cover whole stripes.
+			n := 1 + rng.Intn(2*unitSize)
+			if rng.Intn(4) == 0 {
+				n = 1 + rng.Intn(3*tc.k*unitSize)
+			}
+			off := rng.Int63n(s.Size())
+			n = min(n, int(s.Size()-off))
+			buf := payload(make([]byte, n), rng.Int())
+			if _, err := s.WriteAt(buf, off); err != nil {
+				fatalf("WriteAt(%d bytes at %d): %v", n, off, err)
+			}
+			modelWriteAt(buf, off)
+		default:
+			// A run of neighbouring units (so stripes group and some get
+			// promoted to full-stripe writes) with a duplicate at the end.
+			base := rng.Intn(s.Capacity())
+			ops := make([]store.VecOp, 0, 2*tc.k+1)
+			for i := 0; i < 1+rng.Intn(2*tc.k) && base+i < s.Capacity(); i++ {
+				ops = append(ops, store.VecOp{Logical: base + i, Buf: payload(make([]byte, unitSize), rng.Int())})
+			}
+			ops = append(ops, store.VecOp{Logical: base, Buf: payload(make([]byte, unitSize), rng.Int())})
+			if err := s.WriteVec(ops); err != nil {
+				fatalf("WriteVec(%d ops from %d): %v", len(ops), base, err)
+			}
+			for _, op := range ops {
+				modelWriteAt(op.Buf, int64(op.Logical)*unitSize)
+			}
+		}
+
+		for logical := s.Capacity() - 1; logical >= 0; logical-- {
+			if err := s.Read(logical, got); err != nil {
+				fatalf("Read(%d): %v", logical, err)
+			}
+			if want, err := model.ReadLogical(logical); err != nil || !bytes.Equal(got, want) {
+				fatalf("failed %v rebuilding %v, logical %d: store %x != model %x (%v)", failed, rebuilding != nil, logical, got, want, err)
+			}
+		}
+		if rebuilding == nil {
+			if err := s.VerifyParity(); err != nil {
+				fatalf("failed %v: %v", failed, err)
+			}
+		}
+		done.Add(1)
+	}
+	join()
+	if err := s.VerifyParity(); err != nil {
+		fatalf("failed %v: %v", failed, err)
+	}
+	if err := model.VerifyParity(); err != nil {
+		fatalf("%v", err)
 	}
 }
 

@@ -5,12 +5,13 @@
 // writes, and an online Rebuild that streams survivor reconstruction
 // onto a replacement disk while foreground traffic continues.
 //
-// Redundancy is pluggable (repro/pdl/code): single-parity layouts run
-// the classic XOR arithmetic, byte-identical to what this engine always
-// did, while layouts carrying m parity units per stripe run an
-// m-failure-tolerant Reed–Solomon code — the store then serves degraded
-// reads and writes, and rebuilds online, with up to m disks down at
-// once.
+// Redundancy is pluggable (repro/pdl/code) and every code runs the same
+// executors: parity j is the Coef(j, i)-weighted sum of the stripe's data
+// units, XOR being the all-ones single-parity case (its bytes are what
+// this engine always wrote). Layouts carrying m parity units per stripe
+// run an m-failure-tolerant Reed–Solomon code — the store then serves
+// degraded reads and writes, and rebuilds online, with up to m disks down
+// at once.
 //
 // The engine is built for concurrency: plan compilation state lives in a
 // sync.Pool of per-request scratch (a plan.Planner, a reusable Plan, and
@@ -656,118 +657,6 @@ func (s *Store) writeUnit(sc *scratch, logical, within int, p []byte) error {
 	return s.execWriteLocked(sc, within, p)
 }
 
-// execWriteLocked executes the compiled write plan in sc.p against bytes
-// [within, within+len(p)) of the addressed unit, updating parity. The
-// caller holds the stripe's write lock and has compiled sc.p under the
-// current failure state. Single-parity arrays take the classic XOR
-// paths, byte-for-byte and I/O-for-I/O what this engine always issued;
-// multi-parity arrays run the generalized coefficient arithmetic.
-func (s *Store) execWriteLocked(sc *scratch, within int, p []byte) error {
-	if s.pm == 1 {
-		return s.execWriteXOR(sc, within, p)
-	}
-	return s.execWriteMulti(sc, within, p)
-}
-
-// execWriteXOR is the classic single-parity write executor.
-func (s *Store) execWriteXOR(sc *scratch, within int, p []byte) error {
-	stripe := sc.p.Stripe
-	switch sc.p.Kind {
-	case plan.SmallWrite:
-		// Figure 1 read-modify-write: parity ^= old data ^ new data. The
-		// stage 0 steps carry the Parity mark telling the payloads apart.
-		data, parity := sc.p.Steps[0].Unit, sc.p.Steps[1].Unit
-		if sc.p.Steps[0].Parity {
-			data, parity = parity, data
-		}
-		a, b := sc.a[:len(p)], sc.b[:len(p)]
-		if _, err := s.disks[data.Disk].ReadAt(a, s.byteOff(data, within)); err != nil {
-			return fmt.Errorf("store: small write read disk %d: %w", data.Disk, err)
-		}
-		if _, err := s.disks[parity.Disk].ReadAt(b, s.byteOff(parity, within)); err != nil {
-			return fmt.Errorf("store: small write read disk %d: %w", parity.Disk, err)
-		}
-		s.noteIO(data.Disk, false, false, len(a))
-		s.noteIO(parity.Disk, false, false, len(b))
-		subtle.XORBytes(b, b, a)
-		subtle.XORBytes(b, b, p)
-		if _, err := s.disks[data.Disk].WriteAt(p, s.byteOff(data, within)); err != nil {
-			return fmt.Errorf("store: small write disk %d: %w", data.Disk, err)
-		}
-		if _, err := s.disks[parity.Disk].WriteAt(b, s.byteOff(parity, within)); err != nil {
-			return fmt.Errorf("store: small write disk %d: %w", parity.Disk, err)
-		}
-		s.noteIO(data.Disk, true, false, len(p))
-		s.noteIO(parity.Disk, true, false, len(b))
-		return nil
-
-	case plan.ReconstructWrite:
-		// Data disk down: new parity range = payload ^ surviving data.
-		b := sc.b[:len(p)]
-		copy(b, p)
-		a := sc.a[:len(p)]
-		var parity layout.Unit
-		for _, st := range sc.p.Steps {
-			if st.Parity {
-				parity = st.Unit
-				continue
-			}
-			if _, err := s.disks[st.Disk].ReadAt(a, s.byteOff(st.Unit, within)); err != nil {
-				return fmt.Errorf("store: reconstruct write read disk %d: %w", st.Disk, err)
-			}
-			subtle.XORBytes(b, b, a)
-			s.noteIO(st.Disk, false, true, len(a))
-		}
-		if _, err := s.disks[parity.Disk].WriteAt(b, s.byteOff(parity, within)); err != nil {
-			return fmt.Errorf("store: reconstruct write disk %d: %w", parity.Disk, err)
-		}
-		s.noteIO(parity.Disk, true, true, len(b))
-		// The lost unit's new content is the payload itself; keep an
-		// already-rebuilt stripe current on the replacement.
-		if s.rebuildDst != nil && s.rebuilt[stripe] {
-			if _, err := s.rebuildDst.WriteAt(p, s.byteOff(sc.p.Target, within)); err != nil {
-				return fmt.Errorf("store: reconstruct write replacement: %w", err)
-			}
-			s.noteIO(sc.p.Target.Disk, true, true, len(p))
-		}
-		return nil
-
-	case plan.DataOnlyWrite:
-		// Parity disk down: write the data unit; if the stripe is already
-		// rebuilt, patch the replacement's parity (parity ^= old ^ new).
-		data := sc.p.Steps[0].Unit
-		patch := s.rebuildDst != nil && s.rebuilt[stripe]
-		a := sc.a[:len(p)]
-		if patch {
-			if _, err := s.disks[data.Disk].ReadAt(a, s.byteOff(data, within)); err != nil {
-				return fmt.Errorf("store: data-only write read disk %d: %w", data.Disk, err)
-			}
-			s.noteIO(data.Disk, false, true, len(a))
-		}
-		if _, err := s.disks[data.Disk].WriteAt(p, s.byteOff(data, within)); err != nil {
-			return fmt.Errorf("store: data-only write disk %d: %w", data.Disk, err)
-		}
-		s.noteIO(data.Disk, true, true, len(p))
-		if patch {
-			b := sc.b[:len(p)]
-			off := s.byteOff(sc.p.Target, within)
-			if _, err := s.rebuildDst.ReadAt(b, off); err != nil {
-				return fmt.Errorf("store: data-only write replacement read: %w", err)
-			}
-			subtle.XORBytes(b, b, a)
-			subtle.XORBytes(b, b, p)
-			if _, err := s.rebuildDst.WriteAt(b, off); err != nil {
-				return fmt.Errorf("store: data-only write replacement: %w", err)
-			}
-			s.noteIO(sc.p.Target.Disk, true, true, len(b))
-		}
-		return nil
-
-	default:
-		return fmt.Errorf("store: writeUnit: unexpected plan kind %v", sc.p.Kind)
-	}
-}
-
 // replacementUnit resolves the current stripe's unit on the disk being
 // rebuilt, when an already-rebuilt stripe must be kept current on the
 // replacement. ok is false when no rebuild is running, the stripe has
@@ -790,23 +679,38 @@ func (s *Store) replacementUnit(sc *scratch, stripe int) (u layout.Unit, shard i
 	return layout.Unit{}, 0, false
 }
 
-// execWriteMulti is the multi-parity write executor: the same plans, but
-// parity j absorbs Coef(j, i)-weighted deltas and any subset of the
-// stripe's units may be lost (up to m).
-func (s *Store) execWriteMulti(sc *scratch, within int, p []byte) error {
+// execWriteLocked executes the compiled write plan in sc.p against bytes
+// [within, within+len(p)) of the addressed unit, updating parity. The
+// caller holds the stripe's write lock and has compiled sc.p under the
+// current failure state. One executor serves every code: parity j absorbs
+// Coef(j, i)-weighted deltas and any subset of the stripe's units may be
+// lost (up to m); XOR is the all-ones, m = 1 case, kept fast by the
+// code's own kernels (UpdateParity, MulAdd's c == 1 path).
+func (s *Store) execWriteLocked(sc *scratch, within int, p []byte) error {
 	stripe := sc.p.Stripe
 	k := sc.p.DataShards
 	a, b := sc.a[:len(p)], sc.b[:len(p)]
 	switch sc.p.Kind {
 	case plan.SmallWrite:
-		// Read-modify-write against every surviving parity unit: each
-		// absorbs its coefficient-weighted delta.
+		// Read-modify-write (Figure 1) against every surviving parity
+		// unit, in the plan's stage order: every stage 0 read lands before
+		// the first write, so a read error leaves the stripe untouched.
 		home := sc.p.Steps[0].Unit
 		homeShard := s.mapper.ShardAt(home)
 		if _, err := s.disks[home.Disk].ReadAt(a, s.byteOff(home, within)); err != nil {
 			return fmt.Errorf("store: small write read disk %d: %w", home.Disk, err)
 		}
 		s.noteIO(home.Disk, false, false, len(a))
+		for _, st := range sc.p.Steps[1:] {
+			if st.Write {
+				break
+			}
+			pj := sc.par[s.mapper.ShardAt(st.Unit)-k][:len(p)]
+			if _, err := s.disks[st.Disk].ReadAt(pj, s.byteOff(st.Unit, within)); err != nil {
+				return fmt.Errorf("store: small write read disk %d: %w", st.Disk, err)
+			}
+			s.noteIO(st.Disk, false, false, len(pj))
+		}
 		subtle.XORBytes(a, a, p) // a = delta
 		if _, err := s.disks[home.Disk].WriteAt(p, s.byteOff(home, within)); err != nil {
 			return fmt.Errorf("store: small write disk %d: %w", home.Disk, err)
@@ -817,15 +721,12 @@ func (s *Store) execWriteMulti(sc *scratch, within int, p []byte) error {
 				continue
 			}
 			j := s.mapper.ShardAt(st.Unit) - k
-			if _, err := s.disks[st.Disk].ReadAt(b, s.byteOff(st.Unit, within)); err != nil {
-				return fmt.Errorf("store: small write read disk %d: %w", st.Disk, err)
-			}
-			s.noteIO(st.Disk, false, false, len(b))
-			s.codec.UpdateParity(j, homeShard, b, a)
-			if _, err := s.disks[st.Disk].WriteAt(b, s.byteOff(st.Unit, within)); err != nil {
+			pj := sc.par[j][:len(p)]
+			s.codec.UpdateParity(j, homeShard, pj, a)
+			if _, err := s.disks[st.Disk].WriteAt(pj, s.byteOff(st.Unit, within)); err != nil {
 				return fmt.Errorf("store: small write disk %d: %w", st.Disk, err)
 			}
-			s.noteIO(st.Disk, true, false, len(b))
+			s.noteIO(st.Disk, true, false, len(pj))
 		}
 		return s.patchReplacement(sc, stripe, homeShard, p, a, within)
 

@@ -39,19 +39,19 @@ func payload(buf []byte, seed int) []byte {
 // TestStoreMatchesDataModel is the reference-model property test: the
 // concurrent store, driven sequentially, must agree byte-for-byte with
 // pdl/layout's single-threaded Data engine — on healthy reads, degraded
-// reads for every failed disk, and the rebuilt disk contents.
+// reads for every failed disk, and the rebuilt disk contents — under
+// every code the store accepts at the layout's parity count, not just the
+// default one (rs at m = 1 shares XOR's plans but not its coefficients).
 func TestStoreMatchesDataModel(t *testing.T) {
+	for _, tc := range codeRows(t) {
+		t.Run(tc.name, func(t *testing.T) { testStoreMatchesDataModel(t, tc) })
+	}
+}
+
+func testStoreMatchesDataModel(t *testing.T, tc codeRow) {
 	const unitSize = 16
-	res, err := pdl.Build(9, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := res.Layout
-	s, err := store.Open(res, l.Size, unitSize, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model, err := layout.NewData(l, unitSize)
+	s, l := tc.newStore(t, unitSize)
+	model, err := layout.NewDataCode(l, unitSize, tc.code)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -225,6 +225,7 @@ func serveAdmin(addr string, front *serve.Frontend, srv *serve.Server) (net.List
 			"failed_disks":    st.FailedDisks,
 			"rebuilding":      st.Rebuilding,
 			"rebuilt_stripes": st.RebuiltStripes,
+			"rebuild_workers": st.RebuildWorkers,
 			"total_stripes":   st.TotalStripes,
 		}
 	})

@@ -244,14 +244,24 @@ func cmdRebuild(args []string) error {
 	}
 	defer arr.Close()
 	failed := arr.Store().Failed()
+	// Sample how wide the rebuild runs (it fans out while nothing else
+	// reads or writes the array, which here nothing does).
+	widest, done := 0, make(chan struct{})
+	go func() {
+		defer close(done)
+		for tick := time.NewTicker(time.Millisecond); arr.Store().Failed() == failed; <-tick.C {
+			widest = max(widest, arr.Store().Stats().RebuildWorkers)
+		}
+	}()
 	elapsed, err := arr.Rebuild()
 	if err != nil {
 		return err
 	}
+	<-done
 	m := arr.Manifest()
 	diskBytes := int64(m.DiskUnits) * int64(m.UnitSize)
-	fmt.Printf("rebuilt disk %d: %d bytes in %v (%s)\n",
-		failed, diskBytes, elapsed.Round(time.Millisecond), units.FormatMBPerSec(diskBytes, elapsed))
+	fmt.Printf("rebuilt disk %d: %d bytes in %v (%s, up to %d workers)\n",
+		failed, diskBytes, elapsed.Round(time.Millisecond), units.FormatMBPerSec(diskBytes, elapsed), widest)
 	return nil
 }
 

@@ -178,7 +178,7 @@ func RingAxioms(r Ring, exhaustiveMax int) error {
 			add(n - 1 - i)
 		}
 		for i := 0; i < 16; i++ {
-			add((i*2654435761 + 12345) % n)
+			add(int((uint64(i)*2654435761 + 12345) % uint64(n)))
 		}
 	}
 	zero, one := r.Zero(), r.One()

@@ -332,7 +332,7 @@ func (c *Client) handshake() error {
 			return err
 		}
 		var in wire.Info
-		v, feats, err := wire.DecodeInfoAny(raw, &in)
+		v, feats, err := decodeGeometry(raw, &in)
 		if err != nil {
 			return err
 		}
@@ -352,6 +352,17 @@ func (c *Client) handshake() error {
 	return nil
 }
 
+// decodeGeometry is wire.DecodeInfoAny plus the check that the answer is
+// a geometry the client can address: ReadAt and WriteAt divide by the unit
+// size, and a server is not trusted to send a usable one.
+func decodeGeometry(raw []byte, in *wire.Info) (version uint8, features uint64, err error) {
+	version, features, err = wire.DecodeInfoAny(raw, in)
+	if err == nil && (in.UnitSize < 1 || in.Capacity < 0) {
+		err = fmt.Errorf("serve: server reports unit size %d, capacity %d units: not a usable geometry", in.UnitSize, in.Capacity)
+	}
+	return version, features, err
+}
+
 // ProtocolVersion returns the wire version negotiated at dial time
 // (wire.Version1 against an old server).
 func (c *Client) ProtocolVersion() uint8 { return c.version }
@@ -369,7 +380,7 @@ func (c *Client) RefreshInfo() error {
 		return err
 	}
 	var in wire.Info
-	if _, _, err := wire.DecodeInfoAny(raw, &in); err != nil {
+	if _, _, err := decodeGeometry(raw, &in); err != nil {
 		return err
 	}
 	c.infoMu.Lock()

@@ -155,6 +155,10 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if v, ok := metricValue(t, midText, "pdl_store_disk_degraded_total", `disk="1"`); !ok || v <= 0 {
 		t.Errorf("pdl_store_disk_degraded_total{disk=1} = %v, want > 0", v)
 	}
+	// The rebuild is running on at least its first worker.
+	if v, ok := metricValue(t, midText, "pdl_store_rebuild_workers", ""); !ok || v < 1 {
+		t.Errorf("pdl_store_rebuild_workers = %v mid-rebuild, want >= 1", v)
+	}
 	// Foreground latency histogram: buckets present and counting.
 	if !strings.Contains(midText, `pdl_serve_latency_seconds_bucket{class="foreground",le="`) {
 		t.Error("no foreground latency buckets in mid-rebuild exposition")
@@ -169,6 +173,9 @@ func TestMetricsEndToEnd(t *testing.T) {
 	text, _ := get("/metrics")
 	if v, _ := metricValue(t, text, "pdl_store_rebuilding", ""); v != 0 {
 		t.Errorf("pdl_store_rebuilding = %v after rebuild, want 0", v)
+	}
+	if v, _ := metricValue(t, text, "pdl_store_rebuild_workers", ""); v != 0 {
+		t.Errorf("pdl_store_rebuild_workers = %v after rebuild, want 0", v)
 	}
 	if v, _ := metricValue(t, text, "pdl_store_failed_disk", ""); v != -1 {
 		t.Errorf("pdl_store_failed_disk = %v after rebuild, want -1", v)

@@ -5,7 +5,9 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/pdl/serve"
@@ -101,6 +103,13 @@ func TestInteropV1ClientAgainstV2Server(t *testing.T) {
 // parity_shards). Unit payloads and the failed disk are guarded by mu.
 func startV1Server(t *testing.T, unitSize, capacity int) (addr string) {
 	t.Helper()
+	return startV1ServerGeom(t, func() (int, int) { return unitSize, capacity })
+}
+
+// startV1ServerGeom is startV1Server answering every Info with the unit
+// size and capacity geom returns at that moment, whatever they are.
+func startV1ServerGeom(t *testing.T, geom func() (unitSize, capacity int)) (addr string) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -133,6 +142,7 @@ func startV1Server(t *testing.T, unitSize, capacity int) (addr string) {
 					switch req.Op {
 					case wire.OpInfo:
 						// A v1 server ignores Arg: always the plain payload.
+						unitSize, capacity := geom()
 						mu.Lock()
 						resp.Payload = wire.AppendInfo(nil, &wire.Info{
 							UnitSize: unitSize, Capacity: capacity, Disks: 13, Failed: failed,
@@ -143,6 +153,7 @@ func startV1Server(t *testing.T, unitSize, capacity int) (addr string) {
 						b, ok := units[int(req.Arg)]
 						mu.Unlock()
 						if !ok {
+							unitSize, _ := geom()
 							b = make([]byte, unitSize)
 						}
 						resp.Payload = b
@@ -233,5 +244,50 @@ func TestInteropV2ClientAgainstV1Server(t *testing.T) {
 	}
 	if !bytes.Equal(back, span) {
 		t.Fatal("span round trip diverges through the v1 fallback")
+	}
+}
+
+// TestClientRejectsUnusableGeometry pins that a server answering Info
+// with a unit size of zero, or a capacity that decodes negative, is
+// refused — by the handshake, and by RefreshInfo, which then keeps the
+// geometry it had — instead of making ReadAt and WriteAt divide by zero.
+func TestClientRejectsUnusableGeometry(t *testing.T) {
+	var unitSize, capacity atomic.Int64
+	addr := startV1ServerGeom(t, func() (int, int) { return int(unitSize.Load()), int(capacity.Load()) })
+	for _, g := range [][2]int64{{0, 256}, {64, -1}} {
+		unitSize.Store(g[0])
+		capacity.Store(g[1])
+		c, err := serve.Dial(addr, serve.WithConns(1))
+		if err == nil {
+			c.Close()
+			t.Fatalf("Dial accepted unit size %d, capacity %d", g[0], g[1])
+		}
+		if !strings.Contains(err.Error(), "not a usable geometry") {
+			t.Fatalf("Dial against unit size %d, capacity %d: %v", g[0], g[1], err)
+		}
+	}
+
+	unitSize.Store(64)
+	capacity.Store(256)
+	c, err := serve.Dial(addr, serve.WithConns(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	unitSize.Store(0)
+	if err := c.RefreshInfo(); err == nil || !strings.Contains(err.Error(), "not a usable geometry") {
+		t.Fatalf("RefreshInfo against unit size 0: %v", err)
+	}
+	if c.UnitSize() != 64 || c.Size() != 64*256 {
+		t.Fatalf("geometry after the refused refresh: unit %d, size %d", c.UnitSize(), c.Size())
+	}
+	unitSize.Store(64) // the stub sizes its own read answers by it
+	span := payload(make([]byte, 3*64+5), 4)
+	if n, err := c.WriteAt(span, 70); err != nil || n != len(span) {
+		t.Fatalf("WriteAt after the refused refresh: n=%d err=%v", n, err)
+	}
+	back := make([]byte, len(span))
+	if n, err := c.ReadAt(back, 70); err != nil || n != len(span) || !bytes.Equal(back, span) {
+		t.Fatalf("ReadAt after the refused refresh: n=%d err=%v", n, err)
 	}
 }

@@ -11,6 +11,7 @@ package store_test
 import (
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/pdl"
@@ -108,45 +109,65 @@ func TestMmapHotPathAllocs(t *testing.T) {
 }
 
 // TestRebuildAllocs pins that Rebuild streams its per-stripe plans
-// through the pooled scratch instead of materialising them: a Fail +
-// Rebuild cycle costs the same handful of allocations (the failed-set
-// snapshots and the completion closure) on a 1-copy and an 8-copy
-// array — eight times the stripes — for XOR and for Reed–Solomon with
-// a second disk down.
+// through pooled scratch instead of materialising them: a Fail + Rebuild
+// cycle costs the same handful of allocations (the failed-set snapshots,
+// the fan-out's shared state) on a 1-copy and an 8-copy array — eight
+// times the stripes — for XOR and for Reed–Solomon with a second disk
+// down, with one worker and with four. testing.AllocsPerRun pins
+// GOMAXPROCS to 1, which is the one-worker row; the four-worker row counts
+// mallocs itself and takes the cheapest of its cycles, the one where no
+// worker found the scratch pool empty.
 func TestRebuildAllocs(t *testing.T) {
 	const unitSize = 512
 	for _, m := range []int{1, 2} {
-		var perCopies [2]float64
-		for i, copies := range []int{1, 8} {
-			res, err := pdl.Build(17, 5, pdl.WithParityShards(m))
-			if err != nil {
-				t.Fatal(err)
-			}
-			s, err := store.Open(res, copies*res.Layout.Size, unitSize, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if m == 2 {
-				if err := s.Fail(9); err != nil {
+		for _, workers := range []int{1, 4} {
+			setProcs(t, workers)
+			var perCopies [2]float64
+			for i, copies := range []int{1, 8} {
+				res, err := pdl.Build(17, 5, pdl.WithParityShards(m))
+				if err != nil {
 					t.Fatal(err)
 				}
-			}
-			var spare store.Backend = store.NewMemDisk(int64(s.Mapper().DiskUnits()) * unitSize)
-			cycle := func() {
-				if err := s.Fail(3); err != nil {
+				s, err := store.Open(res, copies*res.Layout.Size, unitSize, nil)
+				if err != nil {
 					t.Fatal(err)
 				}
-				old := s.DiskBackend(3)
-				if err := s.Rebuild(spare); err != nil {
-					t.Fatal(err)
+				if m == 2 {
+					if err := s.Fail(9); err != nil {
+						t.Fatal(err)
+					}
 				}
-				spare = old
+				var spare store.Backend = store.NewMemDisk(int64(s.Mapper().DiskUnits()) * unitSize)
+				cycle := func() {
+					if err := s.Fail(3); err != nil {
+						t.Fatal(err)
+					}
+					old := s.DiskBackend(3)
+					if err := s.Rebuild(spare); err != nil {
+						t.Fatal(err)
+					}
+					spare = old
+				}
+				if workers == 1 {
+					cycle() // warm the pooled planner and plan storage
+					perCopies[i] = testing.AllocsPerRun(20, cycle)
+					continue
+				}
+				var ms runtime.MemStats
+				for run := 0; run < 40; run++ {
+					runtime.ReadMemStats(&ms)
+					before := ms.Mallocs
+					cycle()
+					runtime.ReadMemStats(&ms)
+					if n := float64(ms.Mallocs - before); run == 0 || n < perCopies[i] {
+						perCopies[i] = n
+					}
+				}
 			}
-			cycle() // warm the pooled planner and plan storage
-			perCopies[i] = testing.AllocsPerRun(20, cycle)
-		}
-		if perCopies[0] != perCopies[1] || perCopies[1] > 16 {
-			t.Errorf("m=%d: Fail+Rebuild allocates %v on 1 copy, %v on 8 copies; want equal and <= 16", m, perCopies[0], perCopies[1])
+			if limit := float64(8 + 2*workers); perCopies[0] != perCopies[1] || perCopies[1] > limit {
+				t.Errorf("m=%d, %d workers: Fail+Rebuild allocates %v on 1 copy, %v on 8 copies; want equal and <= %v",
+					m, workers, perCopies[0], perCopies[1], limit)
+			}
 		}
 	}
 }

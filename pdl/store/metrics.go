@@ -48,6 +48,9 @@ func (s *Store) RegisterMetrics(r *obs.Registry) {
 	r.GaugeFunc("pdl_store_rebuilt_stripes",
 		"Stripes the in-progress rebuild has copied onto the replacement.",
 		s.rebuiltStripes.Load)
+	r.GaugeFunc("pdl_store_rebuild_workers",
+		"Goroutines of the in-progress rebuild reconstructing stripes right now: 1 under foreground traffic, more on an idle store, 0 when no rebuild runs.",
+		s.rebuildWorkers.Load)
 	r.GaugeFunc("pdl_store_stripes",
 		"Total parity stripes in the array layout.",
 		func() int64 { return int64(s.mapper.Stripes()) })

@@ -471,6 +471,7 @@ func sweepSteps(t *testing.T, def int) int {
 // is a function of the seed alone (only the rebuild's progress varies
 // between runs); failures name the seed.
 func TestWriteSweep(t *testing.T) {
+	setProcs(t, 4) // rebuilds fan out even on a one-CPU runner
 	steps := sweepSteps(t, 400)
 	for _, tc := range codeRows(t) {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -656,6 +657,7 @@ func TestTwoDownRebuildUnderConcurrentLoad(t *testing.T) {
 		workers  = 2
 		cycles   = 30
 	)
+	setProcs(t, 4) // rebuilds fan out even on a one-CPU runner
 	s, l := mustRS2(t, 17, 5, unitSize)
 	model, err := layout.NewData(l, unitSize)
 	if err != nil {

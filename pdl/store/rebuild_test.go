@@ -2,12 +2,18 @@ package store_test
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/pdl"
+	"repro/pdl/layout"
 	"repro/pdl/store"
 )
 
@@ -118,5 +124,290 @@ func TestRebuildUnderLoad(t *testing.T) {
 	}
 	if subject.DiskBackend(failDisk) != store.Backend(replacement) {
 		t.Error("replacement backend did not take the failed disk's slot")
+	}
+}
+
+// setProcs sets GOMAXPROCS — which, with the surviving disk count, sets
+// Rebuild's worker count — for the rest of the test.
+func setProcs(t *testing.T, n int) {
+	t.Helper()
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
+// diskReads is the per-disk physical read count so far.
+func diskReads(s *store.Store) []int64 {
+	st := s.Stats()
+	reads := make([]int64, len(st.Disks))
+	for d := range reads {
+		reads[d] = st.Disks[d].Reads
+	}
+	return reads
+}
+
+// TestRebuildFanOutMatchesModel pins that the worker count changes
+// nothing but the wall time: for every code row (rs m=2 with a second
+// disk down) and GOMAXPROCS 1, 2 and 8, the rebuilt replacement equals
+// pdl/layout's Data model byte-for-byte, and each survivor serves exactly
+// the reads it serves a single worker — the layout's rebuild read
+// balance belongs to the layout, not to the schedule.
+func TestRebuildFanOutMatchesModel(t *testing.T) {
+	const unitSize, target = 32, 2
+	for _, tc := range codeRows(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			var want []int64
+			for _, procs := range []int{1, 2, 8} {
+				setProcs(t, procs)
+				s, l := tc.newStore(t, unitSize)
+				model, err := layout.NewDataCode(l, unitSize, tc.code)
+				if err != nil {
+					t.Fatal(err)
+				}
+				buf := make([]byte, unitSize)
+				for logical := 0; logical < s.Capacity(); logical++ {
+					payload(buf, logical+procs)
+					if err := s.Write(logical, buf); err != nil {
+						t.Fatal(err)
+					}
+					if err := model.WriteLogical(logical, buf); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, d := range []int{target, 6}[:tc.code.ParityShards()] {
+					if err := s.Fail(d); err != nil {
+						t.Fatal(err)
+					}
+				}
+				before := diskReads(s)
+				replacement := store.NewMemDisk(int64(l.Size) * unitSize)
+				if err := s.Rebuild(replacement); err != nil {
+					t.Fatal(err)
+				}
+				got := make([]byte, replacement.Size())
+				if _, err := replacement.ReadAt(got, 0); err != nil && err != io.EOF {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, model.DiskContents(target)) {
+					t.Fatalf("GOMAXPROCS=%d: rebuilt disk %d differs from model contents", procs, target)
+				}
+				reads := diskReads(s)
+				for d := range reads {
+					reads[d] -= before[d]
+				}
+				if want == nil {
+					want = reads
+				} else if !slices.Equal(reads, want) {
+					t.Fatalf("GOMAXPROCS=%d: survivor reads %v, single worker %v", procs, reads, want)
+				}
+				if st := s.Stats(); st.Rebuilding || st.RebuildWorkers != 0 {
+					t.Fatalf("GOMAXPROCS=%d: after Rebuild: Rebuilding=%v RebuildWorkers=%d", procs, st.Rebuilding, st.RebuildWorkers)
+				}
+			}
+		})
+	}
+}
+
+// faultyDisk fails the read that brings the shared countdown to zero,
+// and only that one.
+type faultyDisk struct {
+	store.Backend
+	countdown *atomic.Int64
+}
+
+var errInjected = errors.New("injected read fault")
+
+func (d faultyDisk) ReadAt(p []byte, off int64) (int, error) {
+	if d.countdown.Add(-1) == 0 {
+		return 0, errInjected
+	}
+	return d.Backend.ReadAt(p, off)
+}
+
+// TestRebuildReadErrorLeavesStoreDegraded is the fan-out's error path: a
+// survivor read failing mid-rebuild makes Rebuild return that error from
+// whichever worker hit it, every worker stops, and the store is exactly
+// as degraded as before — same failed set, no rebuild in progress, reads
+// still right — so a second Rebuild succeeds.
+func TestRebuildReadErrorLeavesStoreDegraded(t *testing.T) {
+	const unitSize = 32
+	setProcs(t, 4)
+	res, err := pdl.Build(17, 5, pdl.WithParityShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var countdown atomic.Int64
+	disks := make([]store.Backend, res.Layout.V)
+	for d := range disks {
+		disks[d] = faultyDisk{store.NewMemDisk(int64(res.Layout.Size) * unitSize), &countdown}
+	}
+	s, err := store.Open(res, res.Layout.Size, unitSize, disks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mirror := payload(make([]byte, s.Size()), 11)
+	if _, err := s.WriteAt(mirror, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []int{3, 9} {
+		if err := s.Fail(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkReads := func(tag string) {
+		t.Helper()
+		got := make([]byte, len(mirror))
+		if _, err := s.ReadAt(got, 0); err != nil {
+			t.Fatalf("%s: %v", tag, err)
+		}
+		if !bytes.Equal(got, mirror) {
+			t.Fatalf("%s: store diverges from mirror", tag)
+		}
+	}
+
+	diskBytes := int64(res.Layout.Size) * unitSize
+	countdown.Store(137) // some survivor read in the middle of the rebuild
+	if err := s.Rebuild(store.NewMemDisk(diskBytes)); !errors.Is(err, errInjected) {
+		t.Fatalf("Rebuild with a failing survivor read returned %v, want the injected fault", err)
+	}
+	if countdown.Load() > 0 {
+		t.Fatal("the injected fault never fired")
+	}
+	st := s.Stats()
+	if !slices.Equal(st.FailedDisks, []int{3, 9}) || st.Rebuilding || st.RebuildWorkers != 0 || st.RebuiltStripes != 0 {
+		t.Fatalf("after the failed Rebuild: %+v", st)
+	}
+	checkReads("after the failed Rebuild")
+
+	for range 2 {
+		if err := s.Rebuild(store.NewMemDisk(diskBytes)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if failed := s.FailedDisks(); len(failed) != 0 {
+		t.Fatalf("FailedDisks() = %v after both rebuilds", failed)
+	}
+	if err := s.VerifyParity(); err != nil {
+		t.Fatal(err)
+	}
+	checkReads("rebuilt")
+}
+
+// gaugeDisk is a replacement disk that, before every write, yields the
+// processor (so the other workers run between stripes even on one CPU)
+// and samples Stats().RebuildWorkers into the range [lo, hi].
+type gaugeDisk struct {
+	store.Backend
+	s      *store.Store
+	lo, hi *atomic.Int64
+}
+
+func (d gaugeDisk) WriteAt(p []byte, off int64) (int, error) {
+	runtime.Gosched()
+	n := int64(d.s.Stats().RebuildWorkers)
+	for lo := d.lo.Load(); n < lo && !d.lo.CompareAndSwap(lo, n); lo = d.lo.Load() {
+	}
+	for hi := d.hi.Load(); n > hi && !d.hi.CompareAndSwap(hi, n); hi = d.hi.Load() {
+	}
+	return d.Backend.WriteAt(p, off)
+}
+
+// steppedDisk is a replacement disk that lets a foreground op complete
+// (counted in steps) before every write. It waits asleep, so that a lone
+// CPU goes to the foreground goroutine, and gives up after a while — the
+// op it waits for may be queued on the stripe lock its caller holds —
+// but well inside the quiet interval a stood-down helper waits for.
+type steppedDisk struct {
+	store.Backend
+	steps *atomic.Int64
+}
+
+func (d steppedDisk) WriteAt(p []byte, off int64) (int, error) {
+	for seen, t0 := d.steps.Load(), time.Now(); d.steps.Load() == seen && time.Since(t0) < time.Millisecond; {
+		time.Sleep(20 * time.Microsecond)
+	}
+	return d.Backend.WriteAt(p, off)
+}
+
+// TestRebuildHelpersStandDown pins the foreground-idle rule. On an idle
+// store the helpers take part: they claim chunks, and a worker writing
+// the replacement sees itself and others in Stats().RebuildWorkers. With
+// a foreground goroutine reading for the whole rebuild — a reader, so
+// that the replacement can hold every rebuild write until one more
+// foreground op is through without ever holding up the foreground itself
+// — no chunk goes by without an op, so the helpers claim their first
+// chunk and then (almost) nothing and the first worker carries the
+// rebuild alone.
+func TestRebuildHelpersStandDown(t *testing.T) {
+	const unitSize, copies, failDisk, procs = 32, 8, 5, 4
+	setProcs(t, procs)
+	s := mustStore(t, 17, 5, copies, unitSize)
+	chunks := int64(s.Mapper().Stripes()+store.RebuildChunk-1) / store.RebuildChunk
+	mirror := payload(make([]byte, s.Size()), 5)
+	if _, err := s.WriteAt(mirror, 0); err != nil {
+		t.Fatal(err)
+	}
+	diskBytes := int64(s.Mapper().DiskUnits()) * unitSize
+	// rebuild fails the disk, rebuilds it onto wrap's disk and returns the
+	// chunks helpers claimed.
+	rebuild := func(wrap func(store.Backend) store.Backend) int64 {
+		t.Helper()
+		if err := s.Fail(failDisk); err != nil {
+			t.Fatal(err)
+		}
+		before := s.HelperChunks()
+		if err := s.Rebuild(wrap(store.NewMemDisk(diskBytes))); err != nil {
+			t.Fatal(err)
+		}
+		if n := s.Stats().RebuildWorkers; n != 0 {
+			t.Errorf("RebuildWorkers = %d after the rebuild", n)
+		}
+		return s.HelperChunks() - before
+	}
+
+	var lo, hi atomic.Int64
+	lo.Store(procs)
+	helped := rebuild(func(b store.Backend) store.Backend { return gaugeDisk{b, s, &lo, &hi} })
+	if helped == 0 || lo.Load() < 1 || hi.Load() < 2 || hi.Load() > procs {
+		t.Errorf("idle rebuild: helpers claimed %d of %d chunks, RebuildWorkers ranged %d..%d; want helpers taking part, 1..%d workers",
+			helped, chunks, lo.Load(), hi.Load(), procs)
+	}
+
+	var steps atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(6))
+		got := make([]byte, unitSize)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			logical := rng.Intn(s.Capacity())
+			if err := s.Read(logical, got); err != nil {
+				t.Error(err)
+				return
+			}
+			if !bytes.Equal(got, mirror[logical*unitSize:(logical+1)*unitSize]) {
+				t.Errorf("logical %d read during the rebuild diverges from mirror", logical)
+				return
+			}
+			steps.Add(1)
+		}
+	}()
+	helped = rebuild(func(b store.Backend) store.Backend { return steppedDisk{b, &steps} })
+	close(stop)
+	wg.Wait()
+	// Ungated, three helpers beside one worker claim three chunks in four;
+	// gated, a handful (more only when the host stalls the reader for
+	// longer than the helpers' quiet interval).
+	if helped*2 > chunks {
+		t.Errorf("rebuild under a looping reader: helpers claimed %d of %d chunks, want almost none", helped, chunks)
+	}
+	if err := s.VerifyParity(); err != nil {
+		t.Fatal(err)
 	}
 }

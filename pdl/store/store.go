@@ -31,6 +31,7 @@ import (
 	"crypto/subtle"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,6 +47,18 @@ import (
 // concurrent writers on distinct stripes rarely collide, small enough to
 // make the rebuild/fail all-locks barrier cheap.
 const maxLockStripes = 256
+
+const (
+	// rebuildChunk is how many consecutive stripes a rebuild worker claims
+	// at once: few enough that the workers finish together and a helper
+	// notices foreground traffic within a few stripes' work, enough that
+	// each walks a run of neighbouring units on every survivor.
+	rebuildChunk = 16
+
+	// rebuildIdleWait is how long the store must go without a foreground
+	// read or write before a stood-down rebuild helper rejoins.
+	rebuildIdleWait = 5 * time.Millisecond
+)
 
 // DiskStats is one disk's operation counters.
 type DiskStats struct {
@@ -79,6 +92,12 @@ type Stats struct {
 	// copied onto the replacement (0 when no rebuild is running);
 	// TotalStripes is the stripe count it is working through.
 	RebuiltStripes, TotalStripes int
+
+	// RebuildWorkers is how many goroutines of the in-progress Rebuild
+	// are reconstructing stripes right now: one while foreground reads
+	// and writes keep arriving, up to min(GOMAXPROCS, surviving disks) on
+	// an idle store, 0 when no rebuild is running.
+	RebuildWorkers int
 
 	// Disks holds per-disk counters, indexed by disk.
 	Disks []DiskStats
@@ -198,6 +217,11 @@ type Store struct {
 	rebuilding     atomic.Bool
 	rebuiltStripes atomic.Int64
 	admin          sync.Mutex
+	// rebuildWorkers is Stats.RebuildWorkers; helperChunks counts the
+	// chunks of stripes that rebuild helpers (every worker but the first)
+	// have claimed over the store's life.
+	rebuildWorkers atomic.Int64
+	helperChunks   atomic.Int64
 
 	disks []Backend
 	// fails is the current failed-disk set (immutable snapshot; see
@@ -386,6 +410,7 @@ func (s *Store) Stats() Stats {
 		Rebuilding:     s.rebuilding.Load(),
 		RebuiltStripes: int(s.rebuiltStripes.Load()),
 		TotalStripes:   s.mapper.Stripes(),
+		RebuildWorkers: int(s.rebuildWorkers.Load()),
 		Disks:          make([]DiskStats, len(s.counters)),
 	}
 	for d := range s.counters {
@@ -983,6 +1008,17 @@ func (s *Store) writeStripeLocked(sc *scratch, stripe int, units []layout.Unit, 
 // leaves the failed set. With several disks down (multi-parity codes),
 // each Rebuild call reconstructs one disk — call it once per failure.
 // The replaced backend is not closed; the caller owns it.
+//
+// The layout spreads a lost disk's stripes over every survivor so that
+// they can be read side by side, and Rebuild does: up to min(GOMAXPROCS,
+// surviving disks) workers take chunks of consecutive stripes. Rebuild is
+// background work, though, so all but the first worker run only while the
+// store is foreground-idle: one that sees a public read or write complete
+// stands down until rebuildIdleWait passes without another, and under
+// steady load the rebuild proceeds on the caller's goroutine alone
+// (Stats.RebuildWorkers says how wide it is running). Any worker's error
+// stops them all; Rebuild returns the first, leaving the store as
+// degraded as it was.
 func (s *Store) Rebuild(replacement Backend) error {
 	s.admin.Lock()
 	if s.rebuilding.Load() {
@@ -1010,39 +1046,90 @@ func (s *Store) Rebuild(replacement Backend) error {
 	s.unlockAll()
 	s.admin.Unlock()
 
-	finish := func(swap bool) {
-		s.admin.Lock()
-		s.lockAll()
-		if swap {
-			s.disks[target] = replacement
-			s.fails.Store(s.fails.Load().without(target))
-		}
-		s.rebuildDst = nil
-		s.rebuildDisk = -1
-		clear(s.rebuilt)
-		s.rebuiltStripes.Store(0)
-		s.rebuilding.Store(false)
-		s.unlockAll()
-		s.admin.Unlock()
+	// Fan the schedule out: workers claim chunks of consecutive stripes
+	// from fan.next, each streaming its stripes' plans through its own pooled
+	// scratch (compile one, execute it, compile the next), so a rebuild
+	// allocates a few objects per worker whatever the array's size. The
+	// first error parks the cursor past the last stripe, which stops every
+	// worker at its next claim. Worker 0, on the caller's goroutine, never
+	// stands down; stop wakes the helpers that have once it is through.
+	stripes := int64(s.mapper.Stripes())
+	var fan struct { // one allocation for what the workers share
+		next atomic.Int64
+		wg   sync.WaitGroup
+		once sync.Once
+		err  error
 	}
+	stop := make(chan struct{})
+	work := func(helper bool) {
+		defer fan.wg.Done()
+		defer s.rebuildWorkers.Add(-1)
+		sc := s.pool.Get().(*scratch)
+		defer s.pool.Put(sc)
+		seen := s.foregroundOps()
+		for fan.next.Load() < stripes {
+			if helper && s.foregroundOps() != seen {
+				// Foreground traffic since the last look: stand down, and
+				// come back only once a whole wait has passed without an op.
+				seen = s.foregroundOps()
+				s.rebuildWorkers.Add(-1)
+				select {
+				case <-stop:
+				case <-time.After(rebuildIdleWait):
+				}
+				s.rebuildWorkers.Add(1)
+				continue
+			}
+			lo := fan.next.Add(rebuildChunk) - rebuildChunk
+			if helper && lo < stripes {
+				s.helperChunks.Add(1)
+			}
+			for stripe := lo; stripe < min(lo+rebuildChunk, stripes); stripe++ {
+				crosses, err := sc.pln.RebuildStripe(int(stripe), target, fs.disks, &sc.p)
+				if err == nil && crosses {
+					err = s.rebuildStripe(sc, &sc.p)
+				}
+				if err != nil {
+					fan.once.Do(func() { fan.err = err })
+					fan.next.Store(stripes)
+					return
+				}
+			}
+		}
+	}
+	workers := min(runtime.GOMAXPROCS(0), len(s.disks)-len(fs.disks))
+	fan.wg.Add(workers)
+	s.rebuildWorkers.Add(int64(workers))
+	for w := 1; w < workers; w++ {
+		go work(true)
+	}
+	work(false)
+	close(stop)
+	fan.wg.Wait()
 
-	// Stream the schedule: each crossing stripe's plan is compiled into
-	// the pooled scratch plan and executed before the next, so a rebuild
-	// allocates the same few objects whatever the array's size.
-	sc := s.pool.Get().(*scratch)
-	defer s.pool.Put(sc)
-	for stripe := 0; stripe < s.mapper.Stripes(); stripe++ {
-		crosses, err := sc.pln.RebuildStripe(stripe, target, fs.disks, &sc.p)
-		if err == nil && crosses {
-			err = s.rebuildStripe(sc, &sc.p)
-		}
-		if err != nil {
-			finish(false)
-			return err
-		}
+	// Every worker has joined: swap the replacement in if they all
+	// succeeded, and leave rebuild state either way.
+	s.admin.Lock()
+	s.lockAll()
+	if fan.err == nil {
+		s.disks[target] = replacement
+		s.fails.Store(s.fails.Load().without(target))
 	}
-	finish(true)
-	return nil
+	s.rebuildDst = nil
+	s.rebuildDisk = -1
+	clear(s.rebuilt)
+	s.rebuiltStripes.Store(0)
+	s.rebuilding.Store(false)
+	s.unlockAll()
+	s.admin.Unlock()
+	return fan.err
+}
+
+// foregroundOps is the number of public reads and writes completed so
+// far: what the rebuild helpers watch to tell an idle store from a busy
+// one, at no cost to those reads and writes.
+func (s *Store) foregroundOps() int64 {
+	return s.opHist[histRead].Count() + s.opHist[histWrite].Count()
 }
 
 // rebuildStripe reconstructs one stripe's lost unit onto the replacement

@@ -13,9 +13,10 @@ import (
 	"repro/pdl/sim"
 )
 
-// One benchmark per experiment id in DESIGN.md's per-experiment index.
-// Each regenerates the corresponding figure/table; `go test -bench .`
-// therefore re-runs the paper's whole evaluation.
+// One benchmark per experiment id `pdlexp -only <id>` prints (F1..F7,
+// T1..T7, S1, S2, E1..E5; see internal/experiments). Each regenerates
+// the corresponding figure/table; `go test -bench .` therefore re-runs
+// the paper's whole evaluation.
 
 func benchExperiment(b *testing.B, run func(bool) (*experiments.Table, error)) {
 	b.Helper()
@@ -48,7 +49,8 @@ func BenchmarkE3Conditions56(b *testing.B)    { benchExperiment(b, experiments.E
 func BenchmarkE4Sparing(b *testing.B)         { benchExperiment(b, experiments.E4DistributedSparing) }
 func BenchmarkE5Reliability(b *testing.B)     { benchExperiment(b, experiments.E5Reliability) }
 
-// Ablation benches for the design choices DESIGN.md calls out.
+// Ablation benches for the design choices behind those experiments
+// (internal/experiments).
 
 // BenchmarkAblationFieldMulTables measures table-driven GF multiplication.
 func BenchmarkAblationFieldMulTables(b *testing.B) {

@@ -1,55 +1,55 @@
 // Command pdlcluster drives a sharded byte namespace over many pdlserve
 // endpoints: init writes the cluster.json manifest from live shard
-// geometry, status reports per-shard health, and bench/loadgen drive
-// striped span traffic through the cluster client, reporting aggregate
-// throughput plus per-shard latency percentiles.
+// geometry, status reports per-shard health, and loadgen drives a seeded
+// workload of striped spans through the cluster client on the
+// pdl/scenario engine, ending with per-shard latency percentiles.
 //
 // Usage:
 //
 //	pdlcluster init -manifest cluster.json -unit 65536 host1:9911 host2:9911 host3:9911
 //	pdlcluster status -manifest cluster.json -sync
-//	pdlcluster bench -manifest cluster.json -clients 32 -span 65536
-//	pdlcluster bench -selfhost 3 -clients 32            # in-process shards
 //	pdlcluster loadgen -manifest cluster.json -ops 100000 -write-frac 0.3
+//	pdlcluster loadgen -selfhost 3 -clients 32 -duration 2s   # in-process shards
 //	pdlcluster loadgen -selfhost 3 -fail 1              # degrade shard 1 mid-run
 //	pdlcluster scenario -f sched.json -selfhost 3       # scripted fault schedule
 //
+// loadgen is a one-phase scenario built from its flags (see
+// cmd/internal/loadgen; pdlstore and pdlserve take the same ones);
 // scenario runs a versioned JSON fault schedule (see pdl/scenario)
 // against the cluster: phased workloads with scripted per-shard disk
-// failures and rebuilds, per-phase latency windows, and SLO judgment;
-// the process exits nonzero when a declared SLO is violated. The same
+// failures and rebuilds, per-phase latency windows, and SLO judgment.
+// Either exits nonzero on an op error or a violated SLO. The same
 // schedule file a pdlserve scenario run uses works here unchanged —
-// its events address shard 0 unless they name another shard.
+// its events address shard 0 unless they name another shard. What they
+// print is a smoke check; quotable numbers come from the repository
+// benchmark (bash bench/run.sh).
 //
 // All rates are decimal MB/s (1 MB = 1e6 bytes), matching `go test
-// -bench` and the repository benchmark (go run ./bench).
+// -bench` and the repository benchmark.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"math/rand"
 	"net"
 	"net/http"
 	"os"
-	"sync"
-	"sync/atomic"
 	"time"
 
+	"repro/cmd/internal/loadgen"
+	"repro/cmd/internal/selfhost"
 	"repro/cmd/internal/units"
-	"repro/pdl"
 	"repro/pdl/cluster"
 	"repro/pdl/code"
 	"repro/pdl/obs"
 	"repro/pdl/scenario"
 	"repro/pdl/serve"
-	"repro/pdl/store"
 )
 
 func main() {
 	if len(os.Args) < 2 {
-		die(fmt.Errorf("usage: pdlcluster <init|status|bench|loadgen|scenario> [flags]"))
+		die(fmt.Errorf("usage: pdlcluster <init|status|loadgen|scenario> [flags]"))
 	}
 	cmd, args := os.Args[1], os.Args[2:]
 	var err error
@@ -58,8 +58,6 @@ func main() {
 		err = cmdInit(args)
 	case "status":
 		err = cmdStatus(args)
-	case "bench":
-		err = cmdBench(args)
 	case "loadgen":
 		err = cmdLoadgen(args)
 	case "scenario":
@@ -213,34 +211,24 @@ func cmdStatus(args []string) error {
 	return nil
 }
 
-// clusterFlags is the flag set shared by bench and loadgen: either a
+// clusterFlags is the flag set shared by loadgen and scenario: either a
 // manifest for a live cluster, or -selfhost N in-process MemDisk shards.
 type clusterFlags struct {
-	manifest         string
-	selfhost         int
-	unit             int64
-	v, k, copies     int
-	parity           int
-	storeUnit, depth int
-	flush            time.Duration
-	retries          int
-	backoff          time.Duration
-	conns            int
-	httpAddr         string
+	manifest string
+	selfhost int
+	unit     int64
+	array    *selfhost.Flags
+	retries  int
+	backoff  time.Duration
+	conns    int
+	httpAddr string
 }
 
 func addClusterFlags(fs *flag.FlagSet) *clusterFlags {
-	cf := &clusterFlags{}
+	cf := &clusterFlags{array: selfhost.AddFlags(fs, "store-unit")}
 	fs.StringVar(&cf.manifest, "manifest", cluster.ManifestName, "manifest path")
 	fs.IntVar(&cf.selfhost, "selfhost", 0, "host N in-process shards instead of reading -manifest")
 	fs.Int64Var(&cf.unit, "unit", 65536, "shard-unit size for -selfhost")
-	fs.IntVar(&cf.v, "v", 17, "disks per self-hosted shard")
-	fs.IntVar(&cf.k, "k", 4, "parity stripe size per self-hosted shard")
-	fs.IntVar(&cf.copies, "copies", 4, "layout copies per disk for -selfhost")
-	fs.IntVar(&cf.parity, "parity", 1, "parity shards per stripe for -selfhost (1 = XOR, >1 = Reed-Solomon)")
-	fs.IntVar(&cf.storeUnit, "store-unit", 4096, "array stripe-unit size for -selfhost")
-	fs.IntVar(&cf.depth, "depth", serve.DefaultQueueDepth, "queue depth for -selfhost")
-	fs.DurationVar(&cf.flush, "flush", serve.DefaultFlushDelay, "batch flush deadline for -selfhost")
 	fs.IntVar(&cf.retries, "retries", cluster.DefaultRetries, "per-shard reconnect budget")
 	fs.DurationVar(&cf.backoff, "backoff", cluster.DefaultRetryBackoff, "initial retry backoff")
 	fs.IntVar(&cf.conns, "conns", 0, "TCP connections per shard (0 = CPU-aware default)")
@@ -317,59 +305,40 @@ func serveAdmin(addr string, c *cluster.Client) (net.Listener, error) {
 	return hln, nil
 }
 
-// selfHost stands up cf.selfhost MemDisk shards behind real TCP servers
-// and a capacity manifest over them.
+// selfHost stands up cf.selfhost MemDisk shards (each the array the
+// -v -k -parity -copies -store-unit -depth -flush flags describe)
+// behind real TCP servers and a capacity manifest over them.
 func selfHost(cf *clusterFlags) (*cluster.Manifest, func(), error) {
-	if cf.unit%int64(cf.storeUnit) != 0 {
-		return nil, nil, fmt.Errorf("selfhost: shard-unit %d is not a multiple of store unit %d", cf.unit, cf.storeUnit)
+	if cf.unit%int64(cf.array.Unit) != 0 {
+		return nil, nil, fmt.Errorf("selfhost: shard-unit %d is not a multiple of store unit %d", cf.unit, cf.array.Unit)
 	}
 	man := &cluster.Manifest{Version: cluster.FormatVersion, UnitBytes: cf.unit, Policy: cluster.ByCapacity}
-	var closers []func()
+	var stops []func()
 	cleanup := func() {
-		for i := len(closers) - 1; i >= 0; i-- {
-			closers[i]()
+		for _, stop := range stops {
+			stop()
 		}
 	}
 	for i := 0; i < cf.selfhost; i++ {
-		var opts []pdl.Option
-		if cf.parity > 1 {
-			opts = append(opts, pdl.WithParityShards(cf.parity))
-		}
-		res, err := pdl.Build(cf.v, cf.k, opts...)
+		front, addr, stop, err := cf.array.Serve()
 		if err != nil {
 			cleanup()
 			return nil, nil, err
 		}
-		s, err := store.Open(res, cf.copies*res.Layout.Size, cf.storeUnit, nil)
-		if err != nil {
-			cleanup()
-			return nil, nil, err
-		}
-		front := serve.New(s, serve.Config{QueueDepth: cf.depth, FlushDelay: cf.flush})
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			front.Close()
-			s.Close()
-			cleanup()
-			return nil, nil, err
-		}
-		srv := serve.NewServer(front)
-		go srv.Serve(ln)
-		closers = append(closers, func() { srv.Close(); front.Close(); s.Close() })
+		stops = append(stops, stop)
+		s := front.Store()
 		n := s.Size() / cf.unit
 		if n < 1 {
 			cleanup()
 			return nil, nil, fmt.Errorf("selfhost: shard holds %d B, less than one %d B shard-unit", s.Size(), cf.unit)
 		}
-		sh := cluster.ShardInfo{Addr: ln.Addr().String(), Units: n, State: cluster.ShardHealthy}
-		if cf.parity > 1 {
+		sh := cluster.ShardInfo{Addr: addr, Units: n, State: cluster.ShardHealthy}
+		if cf.array.Parity > 1 {
 			sh.Codec = s.Code().Name()
 			sh.ParityShards = s.Code().ParityShards()
 		}
 		man.Shards = append(man.Shards, sh)
 	}
-	fmt.Printf("self-hosted %d shards (v=%d k=%d, %s each)\n",
-		cf.selfhost, cf.v, cf.k, fmtBytes(man.Shards[0].Units*cf.unit))
 	return man, cleanup, nil
 }
 
@@ -380,8 +349,18 @@ func fmtBytes(n int64) string {
 	return fmt.Sprintf("%.1f MB", float64(n)/units.BytesPerMB)
 }
 
-// printShardStats renders the per-shard table bench and loadgen share.
-func printShardStats(c *cluster.Client) {
+// run opens the cluster and runs sc through it at opBytes per op (0 =
+// one shard-unit), ending with the per-shard table: client-side ops,
+// retries and latency percentiles of every shard.
+func (cf *clusterFlags) run(sc *scenario.Scenario, opBytes int64) error {
+	c, cleanup, err := cf.open()
+	if err != nil {
+		return err
+	}
+	defer cleanup()
+	tgt := scenario.NewClusterTarget(c, opBytes)
+	defer tgt.Close()
+	err = loadgen.Run(sc, tgt)
 	fmt.Printf("%-5s %-24s %-11s %8s %8s %9s %9s %9s %9s\n",
 		"shard", "addr", "state", "ops", "retries", "p50", "p95", "p99", "mean")
 	for s, st := range c.Stats() {
@@ -390,176 +369,29 @@ func printShardStats(c *cluster.Client) {
 			st.P50.Round(time.Microsecond), st.P95.Round(time.Microsecond),
 			st.P99.Round(time.Microsecond), st.Mean.Round(time.Microsecond))
 	}
+	return err
 }
 
-func cmdBench(args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	clients := fs.Int("clients", 32, "concurrent client goroutines")
-	span := fs.Int64("span", 65536, "bytes per operation")
-	secs := fs.Float64("seconds", 2, "seconds per measurement")
-	seed := fs.Int64("seed", 1, "bench seed (offsets every client's span stream)")
-	cf := addClusterFlags(fs)
-	fs.Parse(args)
-	c, cleanup, err := cf.open()
-	if err != nil {
-		return err
-	}
-	defer cleanup()
-	size := c.Size()
-	unit := c.UnitBytes()
-	if *span > size {
-		return fmt.Errorf("bench: span %d exceeds namespace %d", *span, size)
-	}
-	spanSlots := (size - *span) / unit
-	fmt.Printf("seed %d\n", *seed)
-
-	run := func(name string, op func(p []byte, off int64) (int, error)) error {
-		deadline := time.Now().Add(time.Duration(*secs * float64(time.Second)))
-		var ops atomic.Int64
-		var wg sync.WaitGroup
-		errs := make(chan error, *clients)
-		start := time.Now()
-		for g := 0; g < *clients; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(*seed + int64(g)*7919 + 1))
-				buf := make([]byte, *span)
-				rng.Read(buf)
-				for time.Now().Before(deadline) {
-					off := rng.Int63n(spanSlots+1) * unit
-					if _, err := op(buf, off); err != nil {
-						errs <- err
-						return
-					}
-					ops.Add(1)
-				}
-			}(g)
-		}
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			return err
-		}
-		el := time.Since(start)
-		fmt.Printf("%-8s %d clients x %s spans: %10.0f ops/s  %12s\n",
-			name, *clients, fmtBytes(*span), float64(ops.Load())/el.Seconds(),
-			units.FormatMBPerSec(ops.Load()**span, el))
-		return nil
-	}
-	if err := run("write", c.WriteAt); err != nil {
-		return err
-	}
-	if err := run("read", c.ReadAt); err != nil {
-		return err
-	}
-	printShardStats(c)
-	return nil
-}
-
+// cmdLoadgen drives one seeded workload of -span-byte ops at
+// -span-aligned offsets through the cluster client on the scenario
+// engine; flags and output are those of cmd/internal/loadgen, shared
+// with pdlstore and pdlserve. A -span that is not a multiple of the
+// shard-unit makes ops cross shard boundaries (see
+// scenario.ClusterTarget for what concurrent workers then require).
 func cmdLoadgen(args []string) error {
 	fs := flag.NewFlagSet("loadgen", flag.ExitOnError)
-	clients := fs.Int("clients", 16, "concurrent client goroutines")
-	ops := fs.Int("ops", 50000, "total operations to replay")
-	span := fs.Int64("span", 65536, "max bytes per operation (spans are 1..span, unaligned)")
-	writeFrac := fs.Float64("write-frac", 0.3, "write fraction")
-	seed := fs.Int64("seed", 1, "workload seed")
-	failShard := fs.Int("fail", -1, "mid-run: fail a disk on this shard and keep going")
+	span := fs.Int64("span", 0, "bytes per operation (0 = one shard-unit)")
+	failShard := fs.Int("fail", -1, "a third of the way in: fail disk 0 on this shard and keep going")
+	lf := loadgen.AddFlags(fs)
 	cf := addClusterFlags(fs)
 	fs.Parse(args)
-	c, cleanup, err := cf.open()
+	// Mid-run shard degradation: the cluster keeps serving — that shard
+	// reconstructs through parity; the rest are unaffected.
+	sc, err := lf.Scenario(lf.FailEvents(*failShard, 0, 1.0/3)...)
 	if err != nil {
 		return err
 	}
-	defer cleanup()
-	size := c.Size()
-	if *span > size {
-		return fmt.Errorf("loadgen: span %d exceeds namespace %d", *span, size)
-	}
-
-	// Mid-run shard degradation: after ~1/3 of the ops, fail one disk on
-	// the victim shard over the wire. The cluster keeps serving — that
-	// shard reconstructs through parity; the rest are unaffected.
-	var failAt int64 = -1
-	if *failShard >= 0 {
-		if *failShard >= c.Shards() {
-			return fmt.Errorf("loadgen: -fail %d out of range (%d shards)", *failShard, c.Shards())
-		}
-		failAt = int64(*ops) / 3
-	}
-	var done atomic.Int64
-	failOnce := sync.OnceFunc(func() {
-		addr := c.Manifest().Shards[*failShard].Addr
-		sc, err := dialTimeout(addr, 5*time.Second)
-		if err != nil {
-			fmt.Printf("fail shard %d: %v\n", *failShard, err)
-			return
-		}
-		defer sc.Close()
-		if err := sc.Fail(0); err != nil {
-			fmt.Printf("fail shard %d: %v\n", *failShard, err)
-			return
-		}
-		fmt.Printf("shard %d: disk 0 failed mid-run; serving degraded\n", *failShard)
-	})
-
-	perClient := *ops / *clients
-	fmt.Printf("replaying %d ops over %d clients (seed %d)\n", *ops, *clients, *seed)
-	var wg sync.WaitGroup
-	errs := make(chan error, *clients)
-	// One shared lock-free histogram replaces the per-client sample
-	// slices: every goroutine records into it directly.
-	var hist obs.Hist
-	var reads, writes atomic.Int64
-	start := time.Now()
-	for g := 0; g < *clients; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(*seed + int64(g)*0x9E37))
-			buf := make([]byte, *span)
-			rng.Read(buf)
-			for i := 0; i < perClient; i++ {
-				if d := done.Add(1); failAt >= 0 && d >= failAt {
-					failOnce()
-				}
-				n := 1 + rng.Int63n(*span)
-				off := rng.Int63n(size - n + 1)
-				t0 := time.Now()
-				var err error
-				if rng.Float64() < *writeFrac {
-					_, err = c.WriteAt(buf[:n], off)
-					writes.Add(1)
-				} else {
-					_, err = c.ReadAt(buf[:n], off)
-					reads.Add(1)
-				}
-				if err != nil {
-					errs <- err
-					return
-				}
-				hist.Record(time.Since(t0))
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		return err
-	}
-	el := time.Since(start)
-
-	sum := hist.Summary()
-	total := reads.Load() + writes.Load()
-	bytesMoved := total * (*span + 1) / 2 // spans are uniform on [1,span]
-	fmt.Printf("%d ops (%d reads, %d writes) in %v: %10.0f ops/s  ~%s\n",
-		total, reads.Load(), writes.Load(), el.Round(time.Millisecond),
-		float64(total)/el.Seconds(), units.FormatMBPerSec(bytesMoved, el))
-	fmt.Printf("span latency: p50 %v  p95 %v  p99 %v  mean %v\n",
-		sum.P50.Round(time.Microsecond), sum.P95.Round(time.Microsecond),
-		sum.P99.Round(time.Microsecond), sum.Mean.Round(time.Microsecond))
-	printShardStats(c)
-	return nil
+	return cf.run(sc, *span)
 }
 
 // cmdScenario runs a versioned JSON fault schedule against the cluster
@@ -570,33 +402,13 @@ func cmdLoadgen(args []string) error {
 // tests for those).
 func cmdScenario(args []string) error {
 	fs := flag.NewFlagSet("scenario", flag.ExitOnError)
-	file := fs.String("f", "", "schedule file (JSON, see pdl/scenario)")
-	seed := fs.Uint64("seed", 0, "override the schedule's seed (0 = keep the file's)")
 	opUnit := fs.Int64("op-unit", 0, "bytes per scenario op (0 = one shard-unit)")
+	schedule := loadgen.ScheduleFlags(fs)
 	cf := addClusterFlags(fs)
 	fs.Parse(args)
-	if *file == "" {
-		return fmt.Errorf("scenario: -f schedule.json required")
-	}
-	sc, err := scenario.ReadScheduleFile(*file)
+	sc, err := schedule()
 	if err != nil {
 		return err
 	}
-	if *seed != 0 {
-		sc.Seed = *seed
-	}
-	c, cleanup, err := cf.open()
-	if err != nil {
-		return err
-	}
-	defer cleanup()
-	tgt := scenario.NewClusterTarget(c, *opUnit)
-	defer tgt.Close()
-	fmt.Printf("running scenario %q (%d phases, seed %d, %s per op)\n",
-		sc.Name, len(sc.Phases), sc.Seed, fmtBytes(tgt.Unit))
-	rep, err := scenario.Run(sc, tgt)
-	if rep != nil {
-		rep.WriteText(os.Stdout)
-	}
-	return err
+	return cf.run(sc, *opUnit)
 }

@@ -2,8 +2,11 @@
 // over a durable file-backed disk array (see pdl/store/array): create an
 // array, write and read bytes, fail a disk (really scrubbing its file,
 // with the failure persisted in the array manifest), serve degraded,
-// rebuild the lost disk from survivor XOR, verify parity, and
-// micro-benchmark throughput.
+// rebuild the lost disk from survivor XOR, verify parity, and drive a
+// seeded workload at it (loadgen: a one-phase pdl/scenario run built
+// from the flags pdlserve and pdlcluster also take, see
+// cmd/internal/loadgen; it restores the array's contents afterwards, and
+// what it prints is a smoke check, not a benchmark).
 //
 // Usage:
 //
@@ -14,7 +17,7 @@
 //	pdlstore read -dir a17 -at 0 -n 23        # served degraded
 //	pdlstore rebuild -dir a17
 //	pdlstore verify -dir a17
-//	pdlstore bench -dir a17 -backend mmap
+//	pdlstore loadgen -dir a17 -backend mmap -duration 1s
 //
 // Every subcommand takes -backend file|mmap to pick the per-disk
 // Backend; the array directory format is backend-agnostic, so the same
@@ -28,15 +31,17 @@ import (
 	"os"
 	"time"
 
+	"repro/cmd/internal/loadgen"
 	"repro/cmd/internal/units"
 	"repro/pdl/code"
+	"repro/pdl/scenario"
 	"repro/pdl/store"
 	"repro/pdl/store/array"
 )
 
 func main() {
 	if len(os.Args) < 2 {
-		die(fmt.Errorf("usage: pdlstore <init|write|read|fail|rebuild|verify|bench> [flags]"))
+		die(fmt.Errorf("usage: pdlstore <init|write|read|fail|rebuild|verify|loadgen> [flags]"))
 	}
 	cmd, args := os.Args[1], os.Args[2:]
 	var err error
@@ -53,8 +58,8 @@ func main() {
 		err = cmdRebuild(args)
 	case "verify":
 		err = cmdVerify(args)
-	case "bench":
-		err = cmdBench(args)
+	case "loadgen":
+		err = cmdLoadgen(args)
 	default:
 		err = fmt.Errorf("unknown subcommand %q", cmd)
 	}
@@ -286,51 +291,36 @@ func cmdVerify(args []string) error {
 	return nil
 }
 
-func cmdBench(args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
+// cmdLoadgen drives one seeded workload straight at the opened array
+// on the scenario engine; flags and output are those of
+// cmd/internal/loadgen, shared with pdlserve and pdlcluster.
+func cmdLoadgen(args []string) error {
+	fs := flag.NewFlagSet("loadgen", flag.ExitOnError)
 	dir := fs.String("dir", "", "array directory")
-	secs := fs.Float64("seconds", 1, "seconds per measurement")
 	backend := addBackendFlag(fs)
+	lf := loadgen.AddFlags(fs)
 	fs.Parse(args)
+	sc, err := lf.Scenario()
+	if err != nil {
+		return err
+	}
 	arr, err := openArray(*dir, *backend)
 	if err != nil {
 		return err
 	}
 	defer arr.Close()
 	s := arr.Store()
-	unit := s.UnitSize()
-	buf := make([]byte, unit)
-	// The write phase scribbles over the array; snapshot the logical
-	// contents first and restore them after, so bench is non-destructive.
+	// The writes scribble over the array; snapshot the logical contents
+	// first and restore them after, so loadgen is non-destructive.
 	saved := make([]byte, s.Size())
 	if _, err := s.ReadAt(saved, 0); err != nil {
 		return err
 	}
 	defer func() {
 		if _, err := s.WriteAt(saved, 0); err != nil {
-			fmt.Fprintln(os.Stderr, "pdlstore: bench: restoring contents:", err)
+			fmt.Fprintln(os.Stderr, "pdlstore: loadgen: restoring contents:", err)
 		}
 	}()
-	fmt.Printf("codec %s/%d, kernel %s, %d B units\n", s.Code().Name(), s.Code().ParityShards(), code.Kernel(), unit)
-	// Rates are decimal MB/s (1 MB = 1e6 B), matching `go test -bench`
-	// and the repository benchmark (go run ./bench); see
-	// repro/cmd/internal/units.
-	run := func(name string, op func(i int) error) error {
-		deadline := time.Now().Add(time.Duration(*secs * float64(time.Second)))
-		var ops int64
-		start := time.Now()
-		for i := 0; time.Now().Before(deadline); i++ {
-			if err := op(i % s.Capacity()); err != nil {
-				return err
-			}
-			ops++
-		}
-		el := time.Since(start)
-		fmt.Printf("%-16s %10.0f ops/s  %12s\n", name, float64(ops)/el.Seconds(), units.FormatMBPerSec(ops*int64(unit), el))
-		return nil
-	}
-	if err := run("read", func(i int) error { return s.Read(i, buf) }); err != nil {
-		return err
-	}
-	return run("write", func(i int) error { return s.Write(i, buf) })
+	fmt.Printf("codec %s/%d, kernel %s, %d B units\n", s.Code().Name(), s.Code().ParityShards(), code.Kernel(), s.UnitSize())
+	return loadgen.Run(sc, &scenario.StoreTarget{S: s})
 }

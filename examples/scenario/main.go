@@ -172,7 +172,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("replayed the trace against the cluster: %d ops, %d errors\n", rr.Ops, rr.Errors)
+	fmt.Printf("replayed the trace against the cluster: %d ops, %d errors\n", rr.Phases[0].Ops, rr.Phases[0].Errors)
 
 	for i, s := range stores {
 		if err := s.VerifyParity(); err != nil {

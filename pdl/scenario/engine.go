@@ -34,6 +34,10 @@ func Run(sc *Scenario, tgt Target) (*Report, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
+	if tgt.Capacity() < 1 || tgt.UnitSize() < 1 {
+		return nil, fmt.Errorf("scenario: target %s has nothing to address: %d units of %d B (op size beyond the namespace?)",
+			tgt.Name(), tgt.Capacity(), tgt.UnitSize())
+	}
 	e := &engine{sc: sc, tgt: tgt, p99: make(map[string]time.Duration)}
 	if sc.Verify {
 		if err := e.initVerify(); err != nil {
@@ -109,7 +113,7 @@ func (e *engine) initVerify() error {
 }
 
 func (e *engine) run() (*Report, error) {
-	rep := &Report{Scenario: e.sc.Name, Target: e.tgt.Name(), Seed: e.sc.Seed}
+	rep := &Report{Scenario: e.sc.Name, Target: e.tgt.Name(), Seed: e.sc.Seed, UnitSize: e.tgt.UnitSize()}
 	e.startBackground()
 	for i := range e.sc.Phases {
 		rep.Phases = append(rep.Phases, e.runPhase(i))

@@ -2,6 +2,7 @@ package scenario_test
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -245,5 +246,32 @@ func TestRunEventFailureIsViolation(t *testing.T) {
 	}
 	if len(rep.Phases[0].Events) != 1 || rep.Phases[0].Events[0].Err == "" {
 		t.Fatalf("event record = %+v, want recorded failure", rep.Phases[0].Events)
+	}
+}
+
+// emptyTarget is a target with nothing to address — what a cluster
+// target becomes when its op size exceeds the namespace.
+type emptyTarget struct{ capacity, unit int }
+
+func (t emptyTarget) Name() string                  { return "empty" }
+func (t emptyTarget) UnitSize() int                 { return t.unit }
+func (t emptyTarget) Capacity() int                 { return t.capacity }
+func (t emptyTarget) Read(int, []byte, bool) error  { return nil }
+func (t emptyTarget) Write(int, []byte, bool) error { return nil }
+
+// TestRunRejectsEmptyTarget pins that a target of zero units (or
+// zero-byte units) is an error from Run, not a panic in a worker
+// goroutine's generator.
+func TestRunRejectsEmptyTarget(t *testing.T) {
+	sc := &scenario.Scenario{
+		Name:   "empty",
+		Seed:   1,
+		Phases: []scenario.Phase{{Name: "only", Load: scenario.Load{Workers: 2, Ops: 10}}},
+	}
+	for _, tgt := range []emptyTarget{{capacity: 0, unit: 64}, {capacity: 8, unit: 0}} {
+		rep, err := scenario.Run(sc, tgt)
+		if err == nil || rep != nil || !strings.Contains(err.Error(), "empty") {
+			t.Errorf("Run(%+v) = %v, %v; want an error naming the target", tgt, rep, err)
+		}
 	}
 }

@@ -8,18 +8,6 @@ import (
 	"repro/pdl/sim"
 )
 
-// ReplayReport is what a trace replay measured.
-type ReplayReport struct {
-	Ops    int64         `json:"ops"`
-	Errors int64         `json:"errors"`
-	Took   time.Duration `json:"took_ns"`
-
-	// Foreground and Background summarize replayed latency by the
-	// class each op was recorded on.
-	Foreground obs.Summary `json:"foreground"`
-	Background obs.Summary `json:"background"`
-}
-
 // ReplayTrace replays a recorded request stream (see sim.DecodeTrace
 // and serve's Frontend.RecordTrace) against the target. speed scales
 // the recorded inter-arrival gaps: 1 replays with original timing, 2
@@ -27,8 +15,10 @@ type ReplayReport struct {
 // recorded beyond the target's capacity wrap modulo capacity, so a
 // trace from a big deployment still drives a small test array — the
 // report is only a faithful reproduction when the geometries match
-// (compare tr.UnitSize with the target's).
-func ReplayTrace(tgt Target, tr *sim.Trace, speed float64) (*ReplayReport, error) {
+// (compare tr.UnitSize with the target's). The report has one phase,
+// "replay", whose Foreground and Background windows split the latency
+// by the class each op was recorded on.
+func ReplayTrace(tgt Target, tr *sim.Trace, speed float64) (*Report, error) {
 	if len(tr.Ops) == 0 {
 		return nil, fmt.Errorf("scenario: replay: empty trace")
 	}
@@ -37,7 +27,7 @@ func ReplayTrace(tgt Target, tr *sim.Trace, speed float64) (*ReplayReport, error
 		return nil, fmt.Errorf("scenario: replay: target has no capacity")
 	}
 	var fg, bg obs.Hist
-	rep := &ReplayReport{}
+	rep := PhaseReport{Name: "replay"}
 	buf := make([]byte, tgt.UnitSize())
 	start := time.Now()
 	var elapsed time.Duration
@@ -75,5 +65,5 @@ func ReplayTrace(tgt Target, tr *sim.Trace, speed float64) (*ReplayReport, error
 	rep.Took = time.Since(start)
 	rep.Foreground = fg.Summary()
 	rep.Background = bg.Summary()
-	return rep, nil
+	return &Report{Scenario: "replay", Target: tgt.Name(), UnitSize: tgt.UnitSize(), Phases: []PhaseReport{rep}}, nil
 }

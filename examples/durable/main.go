@@ -2,7 +2,7 @@
 // pdl/store/array, write through the store, then prove durability the
 // hard way: reopen after an unclean stop, scrub-fail a disk, reopen
 // again (the manifest remembers the failure), serve degraded from
-// survivor XOR, rebuild online onto a staging file, and verify parity on
+// survivor XOR, rebuild the disk online in place, and verify parity on
 // the healthy result. The same directory works with the FileDisk and
 // MmapDisk backends and with `pdlstore` / `pdlserve serve -dir`.
 package main
@@ -66,8 +66,8 @@ func main() {
 	}
 	fmt.Printf("degraded read via survivor XOR: %q (intact: %v)\n", got, bytes.Equal(got, msg))
 
-	// Rebuild online: reconstruction streams onto disk02.dat.rebuild,
-	// then renames over the scrubbed file and syncs the manifest.
+	// Rebuild online: reconstruction streams into the scrubbed
+	// disk02.dat itself, which is synced before the manifest records it.
 	if _, err := arr.Rebuild(); err != nil {
 		log.Fatal(err)
 	}

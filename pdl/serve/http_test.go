@@ -9,6 +9,8 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,16 +19,21 @@ import (
 	"repro/pdl/store"
 )
 
-// slowDisk throttles WriteAt so an online rebuild onto it stays
-// observable: the mid-rebuild scrape below needs a window where
-// 0 < rebuilt_stripes < total.
-type slowDisk struct {
+// heldDisk lets its first WriteAt through and holds every later one
+// until open is closed, so an online rebuild onto it stays observable:
+// the mid-rebuild scrape below needs a window where
+// 0 < rebuilt_stripes < total, and the rebuild writes its replacement in
+// a few long runs.
+type heldDisk struct {
 	store.Backend
-	delay time.Duration
+	writes atomic.Int64
+	open   chan struct{}
 }
 
-func (d *slowDisk) WriteAt(p []byte, off int64) (int, error) {
-	time.Sleep(d.delay)
+func (d *heldDisk) WriteAt(p []byte, off int64) (int, error) {
+	if d.writes.Add(1) > 1 {
+		<-d.open
+	}
 	return d.Backend.WriteAt(p, off)
 }
 
@@ -105,12 +112,15 @@ func TestMetricsEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Rebuild onto a throttled replacement so the scrape below lands
+	// Rebuild onto a held replacement so the scrape below lands
 	// mid-rebuild, with foreground load still running.
 	need := int64(s.Mapper().DiskUnits()) * unitSize
+	gate := &heldDisk{Backend: store.NewMemDisk(need), open: make(chan struct{})}
+	var release sync.Once
+	defer release.Do(func() { close(gate.open) })
 	rebuilt := make(chan error, 1)
 	go func() {
-		rebuilt <- s.Rebuild(&slowDisk{Backend: store.NewMemDisk(need), delay: time.Millisecond})
+		rebuilt <- s.Rebuild(gate)
 	}()
 	stopLoad := make(chan struct{})
 	loadDone := make(chan struct{})
@@ -148,6 +158,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+	release.Do(func() { close(gate.open) })
 	close(stopLoad)
 	<-loadDone
 

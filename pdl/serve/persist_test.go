@@ -112,7 +112,7 @@ func TestServePersistenceAcrossRestart(t *testing.T) {
 			}
 
 			// More writes while degraded, then rebuild over the wire (the
-			// RebuildDisk hook renames the reconstruction into place and
+			// RebuildDisk hook rebuilds the disk file in place, syncs it and
 			// records it), and kill again.
 			if _, err := c2.WriteAt(patch, size-int64(len(patch))); err != nil {
 				t.Fatal(err)

@@ -10,12 +10,15 @@
 //
 // Crash ordering: every state transition orders its steps so a crash
 // between any two of them reopens safely. Rebuild writes the
-// reconstructed bytes first and flips the manifest last (a
-// rebuilt-but-not-recorded disk is served degraded — correct, just
-// slower — until the next Rebuild). Fail records the failure first and
-// scrubs last (a recorded-but-unscrubbed disk is served degraded with
-// its bytes intact; the reverse order could serve scrubbed zeros as
-// healthy data after a restart).
+// reconstructed bytes in place into the failed disk's own file, syncs
+// that file, and flips the manifest last: a crash mid-rebuild leaves a
+// file of partly rebuilt bytes that the manifest still calls failed, so
+// a restart serves it degraded — correct, just slower — until the next
+// Rebuild rewrites it. Fail records the failure first and scrubs last (a
+// recorded-but-unscrubbed disk is served degraded with its bytes intact;
+// the reverse order could serve scrubbed zeros as healthy data after a
+// restart), and Open re-sizes a failed disk's file that a crash inside
+// the scrub left short.
 //
 // The directory format belongs to this package: tools use DiskPath and
 // the manifest instead of deriving file names, so a future format bump
@@ -116,9 +119,15 @@ type Array struct {
 // trusts the manifest, not this pattern: renaming here is a format bump.
 func diskFileName(d int) string { return fmt.Sprintf("disk%02d.dat", d) }
 
-// rebuildSuffix marks the staging file a rebuild streams onto before the
-// atomic rename over the failed disk's file.
+// rebuildSuffix marks the staging file that older builds streamed a
+// rebuild onto before renaming it over the failed disk's file. Rebuild
+// now writes in place; Open still removes a leftover one.
 const rebuildSuffix = ".rebuild"
+
+// writebackEvery is how often Rebuild starts writeback of the disk it is
+// rebuilding, so that the closing sync overlaps the reconstruction
+// instead of following it.
+const writebackEvery = 5 * time.Millisecond
 
 // Create provisions dir as a fresh array: build the layout, write
 // layout.json and the zeroed disk files, commit the manifest, and open
@@ -201,8 +210,10 @@ func Create(dir string, opts CreateOptions) (*Array, error) {
 
 // Open reopens the array in dir: manifest, layout, one Backend per disk
 // file, and the persisted failure state applied to the Store. Crash
-// leftovers (a torn manifest staging file, an unfinished rebuild staging
-// file) are removed.
+// leftovers are repaired: a torn manifest staging file and an older
+// build's rebuild staging file are removed, and a failed disk's file is
+// re-sized to the disk size (its bytes are scrubbed by definition, but a
+// crash inside Fail's scrub can leave it short).
 func Open(dir string, opts ...OpenOption) (*Array, error) {
 	cfg := openConfig{backend: File}
 	for _, o := range opts {
@@ -216,12 +227,18 @@ func Open(dir string, opts ...OpenOption) (*Array, error) {
 		return nil, err
 	}
 	// A leftover staging manifest lost the race to the rename; the real
-	// array.json just decoded is authoritative. Same for rebuild staging
-	// files: an interrupted rebuild never renamed over the scrubbed disk,
-	// so the manifest still says failed and the staging bytes are stale.
+	// array.json just decoded is authoritative. Same for an older build's
+	// rebuild staging files: an interrupted rebuild never renamed over the
+	// scrubbed disk, so the manifest still says failed and the staging
+	// bytes are stale.
 	os.Remove(filepath.Join(dir, manifestTmp))
 	for d := range man.Disks {
 		os.Remove(filepath.Join(dir, man.Disks[d].File+rebuildSuffix))
+	}
+	for _, d := range man.FailedDisks() {
+		if err := os.Truncate(filepath.Join(dir, man.Disks[d].File), int64(man.DiskUnits)*int64(man.UnitSize)); err != nil {
+			return nil, fmt.Errorf("array: Open: re-size failed disk %d: %w", d, err)
+		}
 	}
 	lf, err := os.Open(filepath.Join(dir, LayoutName))
 	if err != nil {
@@ -343,7 +360,7 @@ func (a *Array) Fail(d int) error {
 	}
 	// The store has quiesced the disk: no plan reads or writes it now, so
 	// truncating the file under the still-open backend is safe (the
-	// backend is only closed, never used, after this point).
+	// backend is next written by Rebuild, which rewrites it in place).
 	path := filepath.Join(a.dir, a.man.Disks[d].File)
 	st, err := os.Stat(path)
 	if err != nil {
@@ -357,11 +374,14 @@ func (a *Array) Fail(d int) error {
 }
 
 // Rebuild reconstructs the lowest-numbered failed disk from the
-// survivors onto a staging file, atomically renames it over the scrubbed
-// disk file, and records the disk rebuilt — all while foreground traffic
-// continues degraded (the store's online rebuild). With several disks
-// down, call it once per failure. It returns the reconstruction
-// duration.
+// survivors in place — into the disk's own scrubbed file, through the
+// backend already open on it — syncs the file, and only then records the
+// disk rebuilt, all while foreground traffic continues degraded (the
+// store's online rebuild). Writeback of the file starts while the
+// reconstruction runs, so the sync mostly waits on what is left. On a
+// rebuild or sync error the manifest still says failed. With several
+// disks down, call it once per failure. It returns the duration of the
+// reconstruction and the sync.
 func (a *Array) Rebuild() (time.Duration, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -369,34 +389,42 @@ func (a *Array) Rebuild() (time.Duration, error) {
 	if failed < 0 {
 		return 0, fmt.Errorf("array: Rebuild: no failed disk")
 	}
-	path := filepath.Join(a.dir, a.man.Disks[failed].File)
-	staging := path + rebuildSuffix
-	diskBytes := int64(a.man.DiskUnits) * int64(a.man.UnitSize)
-	var replacement store.Backend
-	var err error
-	switch a.backend {
-	case Mmap:
-		replacement, err = store.CreateMmapDisk(staging, diskBytes)
+	disk := a.s.DiskBackend(failed)
+	var fd uintptr
+	var flush func() error
+	switch d := disk.(type) {
+	case *store.FileDisk:
+		fd, flush = d.File().Fd(), d.File().Sync
+	case *store.MmapDisk:
+		fd, flush = d.File().Fd(), d.Flush
 	default:
-		replacement, err = store.CreateFileDisk(staging, diskBytes)
+		return 0, fmt.Errorf("array: Rebuild: disk %d is served by a %T, not a disk file", failed, disk)
 	}
+	start := time.Now()
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		tick := time.NewTicker(writebackEvery)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				startWriteback(fd)
+			}
+		}
+	}()
+	err := a.s.Rebuild(disk)
+	close(stop)
+	<-stopped
 	if err != nil {
 		return 0, err
 	}
-	old := a.s.DiskBackend(failed)
-	start := time.Now()
-	if err := a.s.Rebuild(replacement); err != nil {
-		replacement.Close()
-		os.Remove(staging)
-		return 0, err
+	if err := flush(); err != nil {
+		return time.Since(start), fmt.Errorf("array: Rebuild: sync disk %d: %w", failed, err)
 	}
 	elapsed := time.Since(start)
-	// The replacement backend keeps serving across the rename (it holds
-	// the inode); the scrubbed file's inode is freed when old closes.
-	if err := os.Rename(staging, path); err != nil {
-		return elapsed, err
-	}
-	old.Close()
 	a.man.Disks[failed].State = DiskRebuilt
 	return elapsed, writeManifest(a.dir, a.man)
 }

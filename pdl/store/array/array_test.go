@@ -237,9 +237,10 @@ func TestArrayFailPersistsAcrossCrash(t *testing.T) {
 
 // TestTornManifestAndStaleStaging proves the atomic-rename protocol: a
 // crash mid-Sync leaves array.json.tmp (possibly garbage) next to a good
-// array.json, and a crash mid-Rebuild leaves a stale .rebuild staging
-// file — Open must use the committed manifest, ignore and remove both
-// leftovers, and serve the committed bytes.
+// array.json, and an older build that crashed mid-Rebuild leaves a stale
+// .rebuild staging file (Rebuild now writes in place) — Open must use
+// the committed manifest, ignore and remove both leftovers, and serve
+// the committed bytes.
 func TestTornManifestAndStaleStaging(t *testing.T) {
 	const unitSize = 64
 	dir := t.TempDir()
@@ -379,5 +380,205 @@ func TestDiskPath(t *testing.T) {
 	}
 	if _, err := arr.DiskPath(5); err == nil {
 		t.Error("out-of-range DiskPath accepted")
+	}
+}
+
+// TestOpenResizesShortFailedDisk is the crash inside Fail's scrub: the
+// scrub truncates the disk file and then re-sizes it, and a crash
+// between the two leaves a failed disk holding 0 bytes. Open must
+// re-size it (its bytes are scrubbed by definition) and serve the array
+// degraded, and Rebuild must restore it — while a short healthy disk is
+// still refused (TestOpenErrors/TruncatedDisk).
+func TestOpenResizesShortFailedDisk(t *testing.T) {
+	for _, kind := range backends {
+		t.Run(string(kind), func(t *testing.T) {
+			const unitSize = 512
+			dir := t.TempDir()
+			arr, err := array.Create(dir, array.CreateOptions{V: 7, K: 3, Copies: 2, UnitSize: unitSize, Backend: kind})
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, unitSize)
+			for i := 0; i < arr.Store().Capacity(); i++ {
+				if err := arr.Store().Write(i, payload(buf, i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := arr.Fail(2); err != nil {
+				t.Fatal(err)
+			}
+			path, err := arr.DiskPath(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := arr.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(path, 0); err != nil {
+				t.Fatal(err)
+			}
+
+			arr, err = array.Open(dir, array.WithBackend(kind))
+			if err != nil {
+				t.Fatalf("Open with a failed disk cut short by a crash mid-scrub: %v", err)
+			}
+			defer func() { arr.Close() }()
+			if got := arr.Store().Failed(); got != 2 {
+				t.Fatalf("Failed() = %d after reopen, want 2", got)
+			}
+			checkPayloads := func(tag string) {
+				t.Helper()
+				got := make([]byte, unitSize)
+				for i := 0; i < arr.Store().Capacity(); i++ {
+					if err := arr.Store().Read(i, got); err != nil {
+						t.Fatalf("%s: read %d: %v", tag, i, err)
+					}
+					if !bytes.Equal(got, payload(buf, i)) {
+						t.Fatalf("%s: read %d diverges", tag, i)
+					}
+				}
+			}
+			checkPayloads("degraded")
+			if _, err := arr.Rebuild(); err != nil {
+				t.Fatal(err)
+			}
+			if err := arr.Store().VerifyParity(); err != nil {
+				t.Fatal(err)
+			}
+			checkPayloads("rebuilt")
+		})
+	}
+}
+
+// TestInPlaceRebuildCrash is the crash story of the in-place rebuild: a
+// crash mid-rebuild leaves the failed disk's own file holding arbitrary
+// bytes while the manifest still says failed. Reopened, the array must
+// serve every unit right (degraded, never reading that file); Rebuild
+// must rewrite the same file — no staging file, no rename — and after
+// VerifyParity and another reopen the array must still equal the model.
+func TestInPlaceRebuildCrash(t *testing.T) {
+	for _, kind := range backends {
+		t.Run(string(kind), func(t *testing.T) {
+			const (
+				v, k     = 9, 3
+				unitSize = 256
+				failDisk = 4
+			)
+			dir := t.TempDir()
+			arr, err := array.Create(dir, array.CreateOptions{V: v, K: k, UnitSize: unitSize, Backend: kind})
+			if err != nil {
+				t.Fatal(err)
+			}
+			model := refModel(t, v, k, unitSize)
+			buf := make([]byte, unitSize)
+			for i := 0; i < arr.Store().Capacity(); i++ {
+				payload(buf, i+3)
+				if err := arr.Store().Write(i, buf); err != nil {
+					t.Fatal(err)
+				}
+				if err := model.WriteLogical(i, buf); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := arr.Fail(failDisk); err != nil {
+				t.Fatal(err)
+			}
+			path, err := arr.DiskPath(failDisk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := arr.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			garbage := make([]byte, st.Size())
+			rand.New(rand.NewSource(1)).Read(garbage)
+			if err := os.WriteFile(path, garbage, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			got := make([]byte, unitSize)
+			checkModel := func(tag string) {
+				t.Helper()
+				for i := 0; i < arr.Store().Capacity(); i++ {
+					want, err := model.ReadLogical(i)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := arr.Store().Read(i, got); err != nil {
+						t.Fatalf("%s: read %d: %v", tag, i, err)
+					}
+					if !bytes.Equal(got, want) {
+						t.Fatalf("%s: logical %d: array %x != model %x", tag, i, got, want)
+					}
+				}
+			}
+			arr, err = array.Open(dir, array.WithBackend(kind))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := arr.Store().Failed(); got != failDisk {
+				t.Fatalf("Failed() = %d after reopen, want %d", got, failDisk)
+			}
+			checkModel("degraded over a garbage disk file")
+
+			// Watch the directory for a staging file while Rebuild runs.
+			staged := make(chan string, 1)
+			stop := make(chan struct{})
+			go func() {
+				defer close(staged)
+				for {
+					if m, _ := filepath.Glob(filepath.Join(dir, "*.rebuild")); len(m) > 0 {
+						staged <- m[0]
+						return
+					}
+					select {
+					case <-stop:
+						return
+					default:
+					}
+				}
+			}()
+			if _, err := arr.Rebuild(); err != nil {
+				t.Fatal(err)
+			}
+			close(stop)
+			if name, ok := <-staged; ok {
+				t.Errorf("Rebuild staged %s; want the failed disk rebuilt in place", filepath.Base(name))
+			}
+			after, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !os.SameFile(st, after) {
+				t.Error("Rebuild replaced the disk file; want it rewritten in place")
+			}
+			if m := arr.Manifest(); m.Disks[failDisk].State != array.DiskRebuilt {
+				t.Fatalf("disk %d state %q after Rebuild, want %q", failDisk, m.Disks[failDisk].State, array.DiskRebuilt)
+			}
+			if err := arr.Store().VerifyParity(); err != nil {
+				t.Fatal(err)
+			}
+			checkModel("rebuilt")
+
+			if err := arr.Close(); err != nil {
+				t.Fatal(err)
+			}
+			arr, err = array.Open(dir, array.WithBackend(kind))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer arr.Close()
+			if got := arr.Store().Failed(); got != -1 {
+				t.Fatalf("Failed() = %d after the rebuilt array reopened, want -1", got)
+			}
+			checkModel("reopened")
+			if err := arr.Store().VerifyParity(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

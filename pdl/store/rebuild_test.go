@@ -3,6 +3,7 @@ package store_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"runtime"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"repro/pdl"
+	"repro/pdl/code"
 	"repro/pdl/layout"
 	"repro/pdl/store"
 )
@@ -409,5 +411,160 @@ func TestRebuildHelpersStandDown(t *testing.T) {
 	}
 	if err := s.VerifyParity(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// countingDisk counts the WriteAt calls reaching a replacement disk.
+type countingDisk struct {
+	store.Backend
+	writes *atomic.Int64
+}
+
+func (d countingDisk) WriteAt(p []byte, off int64) (int, error) {
+	d.writes.Add(1)
+	return d.Backend.WriteAt(p, off)
+}
+
+// TestRebuildWritesRuns pins the run writer: Rebuild hands the
+// replacement one WriteAt per run of consecutive lost units rather than
+// one per unit — on G17 at most one write per eight disk units, for XOR,
+// Reed–Solomon at one parity shard and at two (with a second disk down),
+// on one layout copy and on eight — and the replacement's bytes equal
+// pdl/layout's Data model, one model per copy.
+func TestRebuildWritesRuns(t *testing.T) {
+	const unitSize, target = 32, 2
+	setProcs(t, 4)
+	rs1, err := code.New("rs", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []code.Code{code.Default(1), rs1, code.Default(2)} {
+		for _, copies := range []int{1, 8} {
+			t.Run(fmt.Sprintf("%s_m%d_copies%d", c.Name(), c.ParityShards(), copies), func(t *testing.T) {
+				res, err := pdl.Build(17, 5, pdl.WithParityShards(c.ParityShards()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				diskUnits := copies * res.Layout.Size
+				m, err := res.NewMapper(diskUnits)
+				if err != nil {
+					t.Fatal(err)
+				}
+				disks := make([]store.Backend, m.Disks())
+				for d := range disks {
+					disks[d] = store.NewMemDisk(int64(diskUnits) * unitSize)
+				}
+				s, err := store.NewCode(m, unitSize, disks, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The mapper stacks copy i at disk offset i*Layout.Size and
+				// logical address i*perCopy: one model per copy.
+				perCopy := s.Capacity() / copies
+				var want []byte
+				buf := make([]byte, unitSize)
+				for cp := 0; cp < copies; cp++ {
+					model, err := layout.NewDataCode(res.Layout, unitSize, c)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := 0; i < perCopy; i++ {
+						payload(buf, cp*perCopy+i)
+						if err := s.Write(cp*perCopy+i, buf); err != nil {
+							t.Fatal(err)
+						}
+						if err := model.WriteLogical(i, buf); err != nil {
+							t.Fatal(err)
+						}
+					}
+					want = append(want, model.DiskContents(target)...)
+				}
+				for _, d := range []int{target, 9}[:c.ParityShards()] {
+					if err := s.Fail(d); err != nil {
+						t.Fatal(err)
+					}
+				}
+				before := s.Stats().Disks[target].Writes
+				var writes atomic.Int64
+				replacement := store.NewMemDisk(int64(diskUnits) * unitSize)
+				if err := s.Rebuild(countingDisk{replacement, &writes}); err != nil {
+					t.Fatal(err)
+				}
+				t.Logf("%d WriteAt calls for %d units", writes.Load(), diskUnits)
+				if n := writes.Load(); n > int64(diskUnits/8) {
+					t.Errorf("replacement took %d WriteAt calls for %d units, want <= %d", n, diskUnits, diskUnits/8)
+				}
+				got := make([]byte, replacement.Size())
+				if _, err := replacement.ReadAt(got, 0); err != nil && err != io.EOF {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("rebuilt disk %d differs from the model's contents", target)
+				}
+				if w := s.Stats().Disks[target].Writes - before; w != int64(diskUnits) {
+					t.Errorf("Stats counts %d writes to disk %d, want one per unit (%d)", w, target, diskUnits)
+				}
+			})
+		}
+	}
+}
+
+// TestRebuildSplitsRuns is the run writer on a layout whose stripe order
+// runs against disk order: with G17's stripes listed backwards, each
+// lost unit's offset is below the previous one's, so every run is one
+// unit long — one WriteAt per unit — and the bytes must still land where
+// pdl/layout's Data model puts them.
+func TestRebuildSplitsRuns(t *testing.T) {
+	const unitSize, target = 32, 2
+	res, err := pdl.Build(17, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := *res.Layout
+	l.Stripes = slices.Clone(l.Stripes)
+	slices.Reverse(l.Stripes)
+	m, err := pdl.NewMapper(&l, l.Size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	disks := make([]store.Backend, m.Disks())
+	for d := range disks {
+		disks[d] = store.NewMemDisk(int64(l.Size) * unitSize)
+	}
+	s, err := store.New(m, unitSize, disks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := layout.NewData(&l, unitSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, unitSize)
+	for logical := 0; logical < s.Capacity(); logical++ {
+		payload(buf, logical)
+		if err := s.Write(logical, buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := model.WriteLogical(logical, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Fail(target); err != nil {
+		t.Fatal(err)
+	}
+	var writes atomic.Int64
+	replacement := store.NewMemDisk(int64(l.Size) * unitSize)
+	if err := s.Rebuild(countingDisk{replacement, &writes}); err != nil {
+		t.Fatal(err)
+	}
+	if n := writes.Load(); n != int64(l.Size) {
+		t.Errorf("replacement took %d WriteAt calls for %d units laid out backwards, want one per unit", n, l.Size)
+	}
+	got := make([]byte, replacement.Size())
+	if _, err := replacement.ReadAt(got, 0); err != nil && err != io.EOF {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, model.DiskContents(target)) {
+		t.Fatalf("rebuilt disk %d differs from the model's contents", target)
 	}
 }

@@ -50,10 +50,10 @@ const maxLockStripes = 256
 
 const (
 	// rebuildChunk is how many consecutive stripes a rebuild worker claims
-	// at once: few enough that the workers finish together and a helper
-	// notices foreground traffic within a few stripes' work, enough that
-	// each walks a run of neighbouring units on every survivor.
-	rebuildChunk = 16
+	// at once: few enough that the workers finish together and foreground
+	// ops queue behind a chunk's locks only briefly, enough that the lost
+	// units of a chunk land on the replacement as one long write.
+	rebuildChunk = 64
 
 	// rebuildIdleWait is how long the store must go without a foreground
 	// read or write before a stood-down rebuild helper rejoins.
@@ -188,6 +188,15 @@ type scratch struct {
 	order   []int32
 }
 
+// rebuildBuf is one rebuild worker's chunk: the lost units of the chunk's
+// crossing stripes, reconstructed and packed in stripe order, with each
+// unit's stripe and offset on the rebuilt disk.
+type rebuildBuf struct {
+	data    []byte
+	stripes []int
+	offs    []int
+}
+
 // Store serves reads and writes against real bytes under a
 // parity-declustered layout. All methods are safe for concurrent use.
 type Store struct {
@@ -235,6 +244,9 @@ type Store struct {
 	// it is read and written only under stripe s's lock, so degraded
 	// writes keep already-rebuilt stripes current on the replacement.
 	rebuilt []bool
+	// rebuildBufs holds one chunk buffer per rebuild worker index, grown
+	// by the first Rebuild that runs that many workers and reused after.
+	rebuildBufs []*rebuildBuf
 
 	counters []diskCounters
 	// opHist records per-operation wall latency of the public I/O entry
@@ -451,6 +463,28 @@ func (s *Store) lockAll() {
 func (s *Store) unlockAll() {
 	for i := len(s.locks) - 1; i >= 0; i-- {
 		s.locks[i].Unlock()
+	}
+}
+
+// chunkLocks write-locks (or, with unlock set, releases) the distinct
+// locks of stripes [lo, hi) in ascending lock index. The stripes' indexes
+// form one range of the lock table, possibly wrapping past its end; taken
+// low to high — lockAll's order — a chunk holder cannot deadlock against
+// lockAll, another chunk holder, or a caller holding one lock.
+func (s *Store) chunkLocks(lo, hi int, unlock bool) {
+	first, last := lo&s.lockMask, (hi-1)&s.lockMask
+	if hi-lo >= len(s.locks) {
+		first, last = 0, s.lockMask
+	}
+	for i := range s.locks {
+		if (first <= last && (i < first || i > last)) || (first > last && i > last && i < first) {
+			continue
+		}
+		if unlock {
+			s.locks[i].Unlock()
+		} else {
+			s.locks[i].Lock()
+		}
 	}
 }
 
@@ -1002,16 +1036,24 @@ func (s *Store) writeStripeLocked(sc *scratch, stripe int, units []layout.Unit, 
 }
 
 // Rebuild reconstructs the lowest-numbered failed disk's bytes onto
-// replacement, stripe by stripe under the per-stripe locks, while
-// foreground reads and writes continue degraded; when every stripe is
-// copied, the replacement atomically takes that disk's slot and the disk
-// leaves the failed set. With several disks down (multi-parity codes),
-// each Rebuild call reconstructs one disk — call it once per failure.
-// The replaced backend is not closed; the caller owns it.
+// replacement, under the per-stripe locks, while foreground reads and
+// writes continue degraded; when every stripe is copied, the replacement
+// atomically takes that disk's slot and the disk leaves the failed set.
+// The replacement may be the failed disk's own backend (no plan reads a
+// failed disk), which rebuilds it in place. With several disks down
+// (multi-parity codes), each Rebuild call reconstructs one disk — call it
+// once per failure. A replaced backend is not closed; the caller owns it.
 //
 // The layout spreads a lost disk's stripes over every survivor so that
 // they can be read side by side, and Rebuild does: up to min(GOMAXPROCS,
-// surviving disks) workers take chunks of consecutive stripes. Rebuild is
+// surviving disks) workers claim chunks of rebuildChunk consecutive
+// stripes. A worker write-locks its chunk's stripes in ascending lock
+// index (see chunkLocks), reconstructs every stripe crossing the lost
+// disk into its own chunk buffer, writes the buffer to the replacement
+// with one WriteAt per run of consecutive disk offsets — on a declustered
+// layout about one per chunk, where a write per unit would cost the
+// replacement a syscall per unit — and only then marks those stripes
+// rebuilt and unlocks. Stats still counts one write per unit. Rebuild is
 // background work, though, so all but the first worker run only while the
 // store is foreground-idle: one that sees a public read or write complete
 // stands down until rebuildIdleWait passes without another, and under
@@ -1044,15 +1086,24 @@ func (s *Store) Rebuild(replacement Backend) error {
 	s.rebuildDisk = target
 	s.rebuilding.Store(true)
 	s.unlockAll()
+	workers := min(runtime.GOMAXPROCS(0), len(s.disks)-len(fs.disks))
+	for len(s.rebuildBufs) < workers {
+		s.rebuildBufs = append(s.rebuildBufs, &rebuildBuf{
+			data:    make([]byte, rebuildChunk*s.unitSize),
+			stripes: make([]int, 0, rebuildChunk),
+			offs:    make([]int, 0, rebuildChunk),
+		})
+	}
 	s.admin.Unlock()
 
 	// Fan the schedule out: workers claim chunks of consecutive stripes
 	// from fan.next, each streaming its stripes' plans through its own pooled
-	// scratch (compile one, execute it, compile the next), so a rebuild
-	// allocates a few objects per worker whatever the array's size. The
-	// first error parks the cursor past the last stripe, which stops every
-	// worker at its next claim. Worker 0, on the caller's goroutine, never
-	// stands down; stop wakes the helpers that have once it is through.
+	// scratch (compile one, execute it, compile the next) into its own
+	// chunk buffer, so a rebuild allocates a few objects per worker whatever
+	// the array's size. The first error parks the cursor past the last
+	// stripe, which stops every worker at its next claim. Worker 0, on the
+	// caller's goroutine, never stands down; stop wakes the helpers that
+	// have once it is through.
 	stripes := int64(s.mapper.Stripes())
 	var fan struct { // one allocation for what the workers share
 		next atomic.Int64
@@ -1061,7 +1112,7 @@ func (s *Store) Rebuild(replacement Backend) error {
 		err  error
 	}
 	stop := make(chan struct{})
-	work := func(helper bool) {
+	work := func(rb *rebuildBuf, helper bool) {
 		defer fan.wg.Done()
 		defer s.rebuildWorkers.Add(-1)
 		sc := s.pool.Get().(*scratch)
@@ -1081,29 +1132,25 @@ func (s *Store) Rebuild(replacement Backend) error {
 				continue
 			}
 			lo := fan.next.Add(rebuildChunk) - rebuildChunk
-			if helper && lo < stripes {
+			if lo >= stripes {
+				return
+			}
+			if helper {
 				s.helperChunks.Add(1)
 			}
-			for stripe := lo; stripe < min(lo+rebuildChunk, stripes); stripe++ {
-				crosses, err := sc.pln.RebuildStripe(int(stripe), target, fs.disks, &sc.p)
-				if err == nil && crosses {
-					err = s.rebuildStripe(sc, &sc.p)
-				}
-				if err != nil {
-					fan.once.Do(func() { fan.err = err })
-					fan.next.Store(stripes)
-					return
-				}
+			if err := s.rebuildStripes(sc, rb, int(lo), int(min(lo+rebuildChunk, stripes)), target, fs.disks); err != nil {
+				fan.once.Do(func() { fan.err = err })
+				fan.next.Store(stripes)
+				return
 			}
 		}
 	}
-	workers := min(runtime.GOMAXPROCS(0), len(s.disks)-len(fs.disks))
 	fan.wg.Add(workers)
 	s.rebuildWorkers.Add(int64(workers))
 	for w := 1; w < workers; w++ {
-		go work(true)
+		go work(s.rebuildBufs[w], true)
 	}
-	work(false)
+	work(s.rebuildBufs[0], false)
 	close(stop)
 	fan.wg.Wait()
 
@@ -1132,35 +1179,61 @@ func (s *Store) foregroundOps() int64 {
 	return s.opHist[histRead].Count() + s.opHist[histWrite].Count()
 }
 
-// rebuildStripe reconstructs one stripe's lost unit onto the replacement
-// under the stripe's write lock.
-func (s *Store) rebuildStripe(sc *scratch, pl *plan.Plan) error {
-	lk := s.lockFor(pl.Stripe)
-	lk.Lock()
-	defer lk.Unlock()
-	coef := sc.coef[:pl.DataShards+s.pm]
-	if err := s.codec.PlanReconstruct(pl.DataShards, pl.Missing, pl.TargetShard, coef); err != nil {
-		return fmt.Errorf("store: rebuild stripe %d: %w", pl.Stripe, err)
-	}
-	a, b := sc.a[:s.unitSize], sc.b[:s.unitSize]
-	clear(b)
-	for _, st := range pl.Steps {
-		w := coef[s.mapper.ShardAt(st.Unit)]
-		if w == 0 {
+// rebuildStripes rebuilds one chunk, stripes [lo, hi), holding every
+// lock of the chunk: each stripe crossing the target disk is
+// reconstructed into the next unit of rb, then each run of units with
+// consecutive target offsets goes to the replacement in one WriteAt, and
+// only a written unit's stripe is marked rebuilt.
+func (s *Store) rebuildStripes(sc *scratch, rb *rebuildBuf, lo, hi, target int, failed []int) error {
+	s.chunkLocks(lo, hi, false)
+	defer s.chunkLocks(lo, hi, true)
+	rb.stripes, rb.offs = rb.stripes[:0], rb.offs[:0]
+	a := sc.a[:s.unitSize]
+	for stripe := lo; stripe < hi; stripe++ {
+		pl := &sc.p
+		crosses, err := sc.pln.RebuildStripe(stripe, target, failed, pl)
+		if err != nil {
+			return err
+		}
+		if !crosses {
 			continue
 		}
-		if _, err := s.disks[st.Disk].ReadAt(a, s.byteOff(st.Unit, 0)); err != nil {
-			return fmt.Errorf("store: rebuild read disk %d: %w", st.Disk, err)
+		coef := sc.coef[:pl.DataShards+s.pm]
+		if err := s.codec.PlanReconstruct(pl.DataShards, pl.Missing, pl.TargetShard, coef); err != nil {
+			return fmt.Errorf("store: rebuild stripe %d: %w", stripe, err)
 		}
-		code.MulAdd(b, a, w)
-		s.noteIO(st.Disk, false, true, len(a))
+		n := len(rb.offs)
+		b := rb.data[n*s.unitSize : (n+1)*s.unitSize]
+		clear(b)
+		for _, st := range pl.Steps {
+			w := coef[s.mapper.ShardAt(st.Unit)]
+			if w == 0 {
+				continue
+			}
+			if _, err := s.disks[st.Disk].ReadAt(a, s.byteOff(st.Unit, 0)); err != nil {
+				return fmt.Errorf("store: rebuild read disk %d: %w", st.Disk, err)
+			}
+			code.MulAdd(b, a, w)
+			s.noteIO(st.Disk, false, true, len(a))
+		}
+		rb.stripes = append(rb.stripes, stripe)
+		rb.offs = append(rb.offs, pl.Target.Offset)
 	}
-	if _, err := s.rebuildDst.WriteAt(b, s.byteOff(pl.Target, 0)); err != nil {
-		return fmt.Errorf("store: rebuild write replacement: %w", err)
+	for i := 0; i < len(rb.offs); {
+		j := i + 1
+		for j < len(rb.offs) && rb.offs[j] == rb.offs[j-1]+1 {
+			j++
+		}
+		if _, err := s.rebuildDst.WriteAt(rb.data[i*s.unitSize:j*s.unitSize], int64(rb.offs[i])*int64(s.unitSize)); err != nil {
+			return fmt.Errorf("store: rebuild write replacement: %w", err)
+		}
+		for _, stripe := range rb.stripes[i:j] {
+			s.noteIO(target, true, true, s.unitSize)
+			s.rebuilt[stripe] = true
+		}
+		s.rebuiltStripes.Add(int64(j - i))
+		i = j
 	}
-	s.noteIO(pl.Target.Disk, true, true, len(b))
-	s.rebuilt[pl.Stripe] = true
-	s.rebuiltStripes.Add(1)
 	return nil
 }
 

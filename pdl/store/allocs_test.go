@@ -64,8 +64,9 @@ func TestVecHotPathAllocs(t *testing.T) {
 }
 
 // TestMmapHotPathAllocs pins the acceptance criterion for the mmap
-// backend: a healthy Read against MmapDisk disks is a lock, a plan
-// lookup, and a memory copy — 0 allocs/op, like MemDisk.
+// backend: a healthy Read or Write against MmapDisk disks is locks, a
+// plan lookup, and memory copies — 0 allocs/op, like MemDisk — and a
+// bulk WriteAt, a pwrite, allocates nothing either.
 func TestMmapHotPathAllocs(t *testing.T) {
 	const unitSize = 4096
 	res, err := pdl.Build(17, 4)
@@ -105,6 +106,23 @@ func TestMmapHotPathAllocs(t *testing.T) {
 		i++
 	}); n != 0 {
 		t.Errorf("healthy MmapDisk Read allocates %v/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if err := s.Write(i%s.Capacity(), src); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); n != 0 {
+		t.Errorf("healthy MmapDisk Write allocates %v/op, want 0", n)
+	}
+	// A rebuild-run-sized write goes through the file, not the mapping.
+	bulk := make([]byte, 64*unitSize)
+	if n := testing.AllocsPerRun(50, func() {
+		if _, err := backends[0].WriteAt(bulk, 0); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("bulk MmapDisk.WriteAt allocates %v/op, want 0", n)
 	}
 }
 

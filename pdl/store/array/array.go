@@ -129,6 +129,10 @@ const rebuildSuffix = ".rebuild"
 // instead of following it.
 const writebackEvery = 5 * time.Millisecond
 
+// syncResult passes on the error of a rebuilt disk's sync; the package's
+// tests replace it to make the sync fail.
+var syncResult = func(err error) error { return err }
+
 // Create provisions dir as a fresh array: build the layout, write
 // layout.json and the zeroed disk files, commit the manifest, and open
 // the result. It refuses a directory that already holds an array.
@@ -379,9 +383,10 @@ func (a *Array) Fail(d int) error {
 // disk rebuilt, all while foreground traffic continues degraded (the
 // store's online rebuild). Writeback of the file starts while the
 // reconstruction runs, so the sync mostly waits on what is left. On a
-// rebuild or sync error the manifest still says failed. With several
-// disks down, call it once per failure. It returns the duration of the
-// reconstruction and the sync.
+// rebuild or sync error the manifest still says failed and the store
+// still serves the disk degraded, so the next Rebuild retries it. With
+// several disks down, call it once per failure. It returns the duration
+// of the reconstruction and the sync.
 func (a *Array) Rebuild() (time.Duration, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -421,8 +426,12 @@ func (a *Array) Rebuild() (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := flush(); err != nil {
-		return time.Since(start), fmt.Errorf("array: Rebuild: sync disk %d: %w", failed, err)
+	if err := syncResult(flush()); err != nil {
+		// The store already serves the disk as healthy, but its bytes are
+		// not durable and the manifest still says failed: fail it in the
+		// store again so the two agree, and the next Rebuild rewrites it.
+		err = fmt.Errorf("array: Rebuild: sync disk %d: %w", failed, err)
+		return time.Since(start), errors.Join(err, a.s.Fail(failed))
 	}
 	elapsed := time.Since(start)
 	a.man.Disks[failed].State = DiskRebuilt

@@ -450,6 +450,89 @@ func TestOpenResizesShortFailedDisk(t *testing.T) {
 	}
 }
 
+// TestRebuildSyncErrorKeepsDiskFailed pins that a Rebuild whose closing
+// sync fails leaves the store and the manifest agreeing that the disk is
+// still failed: the array serves it degraded, a second failure on a
+// single-parity array is refused instead of being recorded beside it,
+// the next Rebuild rewrites the disk, and the array reopens healthy.
+func TestRebuildSyncErrorKeepsDiskFailed(t *testing.T) {
+	for _, kind := range backends {
+		t.Run(string(kind), func(t *testing.T) {
+			const unitSize = 256
+			dir := t.TempDir()
+			arr, err := array.Create(dir, array.CreateOptions{V: 7, K: 3, Copies: 2, UnitSize: unitSize, Backend: kind})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { arr.Close() }()
+			buf := make([]byte, unitSize)
+			got := make([]byte, unitSize)
+			checkPayloads := func(tag string) {
+				t.Helper()
+				for i := 0; i < arr.Store().Capacity(); i++ {
+					if err := arr.Store().Read(i, got); err != nil {
+						t.Fatalf("%s: read %d: %v", tag, i, err)
+					}
+					if !bytes.Equal(got, payload(buf, i)) {
+						t.Fatalf("%s: read %d diverges", tag, i)
+					}
+				}
+			}
+			for i := 0; i < arr.Store().Capacity(); i++ {
+				if err := arr.Store().Write(i, payload(buf, i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := arr.Fail(2); err != nil {
+				t.Fatal(err)
+			}
+
+			injected := errors.New("injected sync failure")
+			restore := array.FailSync(injected)
+			_, err = arr.Rebuild()
+			restore()
+			if !errors.Is(err, injected) {
+				t.Fatalf("Rebuild with a failing sync: %v, want the sync error", err)
+			}
+			if got := arr.Store().Failed(); got != 2 {
+				t.Fatalf("store Failed() = %d after the failed sync, want 2 (the manifest's)", got)
+			}
+			if m := arr.Manifest(); m.Disks[2].State != array.DiskFailed {
+				t.Fatalf("manifest says disk 2 is %q after the failed sync, want %q", m.Disks[2].State, array.DiskFailed)
+			}
+			checkPayloads("degraded after the failed sync")
+			if err := arr.Fail(4); err == nil {
+				t.Fatal("Fail(4) accepted with disk 2 still down on a single-parity array")
+			}
+			if m := arr.Manifest(); len(m.FailedDisks()) != 1 {
+				t.Fatalf("manifest failed disks %v, want [2]", m.FailedDisks())
+			}
+
+			if _, err := arr.Rebuild(); err != nil {
+				t.Fatalf("Rebuild after the failed sync: %v", err)
+			}
+			if m := arr.Manifest(); m.Disks[2].State != array.DiskRebuilt {
+				t.Fatalf("disk 2 state %q after Rebuild, want %q", m.Disks[2].State, array.DiskRebuilt)
+			}
+			if err := arr.Store().VerifyParity(); err != nil {
+				t.Fatal(err)
+			}
+			checkPayloads("rebuilt")
+			if err := arr.Close(); err != nil {
+				t.Fatal(err)
+			}
+			arr, err = array.Open(dir, array.WithBackend(kind))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := arr.Store().Failed(); got != -1 {
+				t.Fatalf("Failed() = %d after reopen, want -1", got)
+			}
+			checkPayloads("reopened")
+		})
+	}
+}
+
 // TestInPlaceRebuildCrash is the crash story of the in-place rebuild: a
 // crash mid-rebuild leaves the failed disk's own file holding arbitrary
 // bytes while the manifest still says failed. Reopened, the array must

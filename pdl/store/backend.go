@@ -20,6 +20,8 @@ import (
 //     returns the available prefix and io.EOF.
 //   - WriteAt never grows the disk: a write extending past Size fails
 //     without writing anything.
+//   - A ReadAt sees every write that returned before it started, short
+//     or bulk alike, even where a backend writes the two differently.
 //   - Negative offsets are errors.
 type Backend interface {
 	io.ReaderAt

@@ -9,12 +9,17 @@ import (
 	"syscall"
 )
 
-// MmapDisk is a Backend over a memory-mapped file: reads and writes are
-// plain memory copies against the shared mapping (no syscalls on the hot
-// path, zero allocations), and the kernel's page cache carries the bytes
-// back to the file. Flush forces dirty pages out; Close flushes, unmaps,
-// and closes the file. Like the other backends it supports concurrent
-// ReadAt/WriteAt on disjoint ranges.
+// MmapDisk is a Backend over a memory-mapped file: reads and unit-sized
+// writes are plain memory copies against the shared mapping (no syscalls
+// on the hot path, zero allocations), and the kernel's page cache carries
+// the bytes back to the file. A write longer than bulkWrite — in the
+// Store, only a rebuild's runs — goes through the file descriptor
+// (pwrite) instead: a rebuild writes a disk Fail truncated, and a copy
+// into those holes would take a page fault per page. Linux and macOS
+// share one page cache between the mapping and the file, so reads
+// through the mapping and Flush see both kinds of write. Flush forces
+// dirty pages out; Close flushes, unmaps, and closes the file. Like the
+// other backends it supports concurrent ReadAt/WriteAt on disjoint ranges.
 //
 // On platforms without mmap support the same type falls back to FileDisk
 // semantics (positioned file I/O) so callers build unconditionally.
@@ -26,6 +31,16 @@ type MmapDisk struct {
 // mmapSupported reports whether this build uses a real memory mapping
 // (false on the FileDisk-fallback platforms).
 const mmapSupported = true
+
+// bulkWrite is the longest write WriteAt copies into the mapping; longer
+// ones are a pwrite. Writing pages the mapping has resident and dirty, a
+// copy is cheaper at every size; writing holes, pwrite is, because the
+// copy faults on every page. Per write on 2-vCPU Xeon ext4 (copy vs
+// pwrite, µs): dirty 0.26/0.75 at 4 KiB, 1.07/1.86 at 16 KiB, 4.2/6.4 at
+// 64 KiB; holes 1.74/1.23, 7.3/2.9, 30.2/9.5. The risks balance at one
+// 4 KiB unit, which therefore stays a copy; past 16 KiB a pwrite into
+// holes saves more than five times what one into dirty pages can lose.
+const bulkWrite = 16 << 10
 
 // CreateMmapDisk creates (or truncates) a file of size bytes and maps it.
 func CreateMmapDisk(path string, size int64) (*MmapDisk, error) {
@@ -89,8 +104,9 @@ func (d *MmapDisk) ReadAt(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
-// WriteAt implements io.WriterAt over the mapping. Writes past the fixed
-// size fail: the mapping does not grow.
+// WriteAt implements io.WriterAt: a copy into the mapping, or a pwrite
+// when p is longer than bulkWrite. Writes past the fixed size fail before
+// either: neither the mapping nor the file grows.
 func (d *MmapDisk) WriteAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("store: MmapDisk.WriteAt: negative offset %d", off)
@@ -98,6 +114,9 @@ func (d *MmapDisk) WriteAt(p []byte, off int64) (int, error) {
 	// Overflow-safe: off+len(p) could wrap for offsets near MaxInt64.
 	if off > int64(len(d.data)) || int64(len(p)) > int64(len(d.data))-off {
 		return 0, fmt.Errorf("store: MmapDisk.WriteAt: [%d,%d+%d) outside disk of %d bytes", off, off, len(p), len(d.data))
+	}
+	if len(p) > bulkWrite {
+		return d.f.WriteAt(p, off)
 	}
 	return copy(d.data[off:], p), nil
 }

@@ -54,9 +54,8 @@ func (a Array) withDefaults() Array {
 	return a
 }
 
-// build provisions the MemDisk-backed store and returns it with the
-// per-disk byte size (what a replacement disk must hold).
-func (a Array) build(tb testing.TB) (*store.Store, int64) {
+// build provisions the MemDisk-backed store.
+func (a Array) build(tb testing.TB) *store.Store {
 	tb.Helper()
 	a = a.withDefaults()
 	var opts []pdl.Option
@@ -67,12 +66,11 @@ func (a Array) build(tb testing.TB) (*store.Store, int64) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	diskUnits := a.Copies * res.Layout.Size
-	s, err := store.Open(res, diskUnits, a.UnitSize, nil)
+	s, err := store.Open(res, a.Copies*res.Layout.Size, a.UnitSize, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return s, int64(diskUnits) * int64(a.UnitSize)
+	return s
 }
 
 // auditParity registers a cleanup that verifies s's parity once the
@@ -92,7 +90,7 @@ func auditParity(tb testing.TB, s *store.Store) {
 // NewStore builds a bare in-process array target.
 func NewStore(tb testing.TB, a Array) *scenario.StoreTarget {
 	tb.Helper()
-	s, _ := a.build(tb)
+	s := a.build(tb)
 	tb.Cleanup(func() { s.Close() })
 	auditParity(tb, s)
 	return &scenario.StoreTarget{S: s}
@@ -101,7 +99,7 @@ func NewStore(tb testing.TB, a Array) *scenario.StoreTarget {
 // NewFrontend builds a batching-frontend target over a fresh array.
 func NewFrontend(tb testing.TB, a Array, cfg serve.Config) *scenario.FrontendTarget {
 	tb.Helper()
-	s, _ := a.build(tb)
+	s := a.build(tb)
 	f := serve.New(s, cfg)
 	tb.Cleanup(func() {
 		f.Close()
@@ -116,11 +114,10 @@ func NewFrontend(tb testing.TB, a Array, cfg serve.Config) *scenario.FrontendTar
 // outlive server restarts, so Kill and Restart model a crashed and
 // revived pdlserve whose data survives.
 type Shard struct {
-	tb        testing.TB
-	Store     *store.Store
-	Front     *serve.Frontend
-	Addr      string
-	diskBytes int64
+	tb    testing.TB
+	Store *store.Store
+	Front *serve.Frontend
+	Addr  string
 
 	mu   sync.Mutex
 	srv  *serve.Server
@@ -130,8 +127,8 @@ type Shard struct {
 // StartShard provisions one shard and starts serving.
 func StartShard(tb testing.TB, a Array, cfg serve.Config) *Shard {
 	tb.Helper()
-	s, diskBytes := a.build(tb)
-	sh := &Shard{tb: tb, Store: s, Front: serve.New(s, cfg), diskBytes: diskBytes}
+	s := a.build(tb)
+	sh := &Shard{tb: tb, Store: s, Front: serve.New(s, cfg)}
 	tb.Cleanup(func() {
 		sh.Kill()
 		sh.Front.Close()
@@ -142,16 +139,6 @@ func StartShard(tb testing.TB, a Array, cfg serve.Config) *Shard {
 	return sh
 }
 
-// newServer builds the shard's wire face with a rebuild spare hook, so
-// schedules can rebuild over the admin opcodes.
-func (sh *Shard) newServer() *serve.Server {
-	srv := serve.NewServer(sh.Front)
-	srv.Replacement = func() (store.Backend, error) {
-		return store.NewMemDisk(sh.diskBytes), nil
-	}
-	return srv
-}
-
 func (sh *Shard) listen(addr string) {
 	sh.tb.Helper()
 	ln, err := net.Listen("tcp", addr)
@@ -159,7 +146,7 @@ func (sh *Shard) listen(addr string) {
 		sh.tb.Fatal(err)
 	}
 	sh.Addr = ln.Addr().String()
-	srv := sh.newServer()
+	srv := serve.NewServer(sh.Front)
 	done := make(chan error, 1)
 	sh.mu.Lock()
 	sh.srv, sh.done = srv, done
@@ -201,7 +188,7 @@ func (sh *Shard) Restart() error {
 	if err != nil {
 		return err
 	}
-	srv := sh.newServer()
+	srv := serve.NewServer(sh.Front)
 	done := make(chan error, 1)
 	sh.mu.Lock()
 	sh.srv, sh.done = srv, done

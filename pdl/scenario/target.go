@@ -148,8 +148,7 @@ func (t *FrontendTarget) FailedDisks() (int, error) {
 
 // ClientTarget runs scenarios against a pdlserve TCP endpoint through
 // a serve.Client: the full wire path. Fail and rebuild ride the admin
-// opcodes, so the server must have a Replacement (or RebuildDisk) hook
-// for rebuild events to succeed.
+// opcodes.
 type ClientTarget struct {
 	C *serve.Client
 }

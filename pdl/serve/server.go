@@ -82,20 +82,16 @@ const (
 // payloads go out as header+payload iovec pairs via net.Buffers
 // (writev), recycling only after the gather write lands.
 type Server struct {
-	// Replacement provisions the spare backend a wire.OpRebuild rebuilds
-	// onto. Nil defaults to a fresh MemDisk sized for the geometry.
-	// Ignored when RebuildDisk is set.
-	Replacement func() (store.Backend, error)
-
 	// FailDisk, when non-nil, handles wire.OpFail instead of the store's
 	// in-memory Fail. Durable servers point it at array.Fail so the
 	// scrub and the persisted failure state survive a restart.
 	FailDisk func(disk int) error
 
 	// RebuildDisk, when non-nil, handles wire.OpRebuild instead of the
-	// default rebuild-onto-Replacement. Durable servers point it at
-	// array.Rebuild so the reconstructed bytes and the manifest state
-	// land on disk. The server still serializes rebuild requests.
+	// default rebuild onto a fresh MemDisk sized for the geometry.
+	// Durable servers point it at array.Rebuild so the reconstructed
+	// bytes and the manifest state land on disk. The server still
+	// serializes rebuild requests.
 	RebuildDisk func() error
 
 	// NoDelay is applied (explicitly) to every accepted TCP connection.
@@ -837,16 +833,7 @@ func (s *Server) rebuild() error {
 	if s.RebuildDisk != nil {
 		return s.RebuildDisk()
 	}
-	var rep store.Backend
-	var err error
-	if s.Replacement != nil {
-		rep, err = s.Replacement()
-	} else {
-		rep = store.NewMemDisk(int64(st.Mapper().DiskUnits()) * int64(st.UnitSize()))
-	}
-	if err != nil {
-		return err
-	}
+	rep := store.NewMemDisk(int64(st.Mapper().DiskUnits()) * int64(st.UnitSize()))
 	if err := st.Rebuild(rep); err != nil {
 		rep.Close()
 		return err

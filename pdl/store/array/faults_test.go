@@ -29,10 +29,11 @@ func minorFaults(t *testing.T) int64 {
 // writes the lost disk through its file, not through the mapping: Fail
 // truncates the disk's file, and runs copied into those holes would take
 // a minor fault on almost every page (≈ 2 200 of G17's 2 560 at 32
-// copies). Each of three Fail+Rebuild cycles must take fewer than one
-// fault per eight pages of the rebuilt disk and leave it equal to the
-// layout.Data model, read back through the mapping. Linux only: that is
-// where the fault count is pinned.
+// copies). After one warm-up cycle, each of three Fail+Rebuild cycles
+// must take fewer than one fault per eight pages of the rebuilt disk, and
+// every cycle must leave it equal to the layout.Data model, read back
+// through the mapping. Linux only: that is where the fault count is
+// pinned.
 func TestMmapRebuildTakesNoFaultPerPage(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("minor-fault counts are pinned on Linux only")
@@ -77,7 +78,11 @@ func TestMmapRebuildTakesNoFaultPerPage(t *testing.T) {
 
 	pages := int64(len(want) / os.Getpagesize())
 	got := make([]byte, len(want))
-	for cycle := 0; cycle < 3; cycle++ {
+	// Cycle 0 is an uncounted warm-up: a process's first rebuild also
+	// faults in memory of its own — the rebuild buffers and, under -race,
+	// the detector's shadow of them — a few hundred faults that have
+	// nothing to do with the mapping.
+	for cycle := 0; cycle <= 3; cycle++ {
 		if err := arr.Fail(target); err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +92,7 @@ func TestMmapRebuildTakesNoFaultPerPage(t *testing.T) {
 		}
 		faults := minorFaults(t) - before
 		t.Logf("cycle %d: %d minor faults rebuilding %d pages", cycle, faults, pages)
-		if faults >= pages/8 {
+		if cycle > 0 && faults >= pages/8 {
 			t.Errorf("cycle %d: Rebuild took %d minor faults for a %d-page disk, want < %d", cycle, faults, pages, pages/8)
 		}
 		if err := s.VerifyParity(); err != nil {

@@ -206,8 +206,8 @@ func TestStoreTwoFailureMatchesDataModel(t *testing.T) {
 // down while a writer keeps mutating it in lockstep with a never-failed
 // control store: after both rebuilds the subject must match the control
 // byte-for-byte, including both replacement disks' raw contents. This
-// exercises the degraded write paths and the rebuilt-stripe patching
-// that keeps the replacement current under foreground traffic.
+// exercises the degraded write paths and the rebuilt stripes that
+// foreground writes reach on the replacement.
 func TestTwoFailureRebuildUnderLoad(t *testing.T) {
 	const (
 		unitSize = 48

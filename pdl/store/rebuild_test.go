@@ -278,6 +278,11 @@ func TestRebuildReadErrorLeavesStoreDegraded(t *testing.T) {
 	if !slices.Equal(st.FailedDisks, []int{3, 9}) || st.Rebuilding || st.RebuildWorkers != 0 || st.RebuiltStripes != 0 {
 		t.Fatalf("after the failed Rebuild: %+v", st)
 	}
+	// Rebuild put its replacement in disk 3's slot when it started; the
+	// failure must have put the original back.
+	if s.DiskBackend(3) != disks[3] {
+		t.Fatal("after the failed Rebuild, disk 3 is not served by its original backend")
+	}
 	checkReads("after the failed Rebuild")
 
 	for range 2 {
@@ -292,6 +297,127 @@ func TestRebuildReadErrorLeavesStoreDegraded(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkReads("rebuilt")
+}
+
+// heldDisk lets its first WriteAt through and holds every later one until
+// open is closed, closing holding when the second arrives: a one-worker
+// rebuild onto it stops with its first chunk on the replacement and the
+// stripes after it not yet rebuilt.
+type heldDisk struct {
+	store.Backend
+	writes        atomic.Int64
+	holding, open chan struct{}
+}
+
+func (d *heldDisk) WriteAt(p []byte, off int64) (int, error) {
+	if n := d.writes.Add(1); n > 1 {
+		if n == 2 {
+			close(d.holding)
+		}
+		<-d.open
+	}
+	return d.Backend.WriteAt(p, off)
+}
+
+// TestRebuiltStripeReadsReplacement pins that a rebuilt stripe is a
+// healthy stripe. A one-worker rebuild of G17 is held after its first
+// chunk. A unit of that chunk whose home is the rebuilt disk then reads
+// from the replacement: one read, on that disk, none degraded. A unit of
+// a stripe two chunks on, not yet rebuilt, still reconstructs from the
+// other k − 1 units of its stripe, every read degraded.
+func TestRebuiltStripeReadsReplacement(t *testing.T) {
+	const unitSize, copies, k, target = 32, 8, 5, 0
+	setProcs(t, 1)
+	s := mustStore(t, 17, k, copies, unitSize)
+	m := s.Mapper()
+	mirror := payload(make([]byte, s.Size()), 3)
+	if _, err := s.WriteAt(mirror, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Fail(target); err != nil {
+		t.Fatal(err)
+	}
+	// onTarget lists the logical units of stripes [lo, hi) whose home is
+	// the target and counts the stripes that cross it.
+	onTarget := func(lo, hi int) (homes []int, crossing int) {
+		t.Helper()
+		for stripe := lo; stripe < hi; stripe++ {
+			units, err := m.AppendStripeUnits(nil, stripe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, u := range units {
+				if u.Disk != target {
+					continue
+				}
+				crossing++
+				if logical, ok := m.Logical(u); ok {
+					homes = append(homes, logical)
+				}
+			}
+		}
+		return homes, crossing
+	}
+	chunk := store.RebuildChunk
+	rebuilt, crossing := onTarget(0, chunk)
+	// Chunk 1 is the one the worker holds, locks and all; chunk 2 is free.
+	unrebuilt, _ := onTarget(2*chunk, 3*chunk)
+	if len(rebuilt) == 0 || len(unrebuilt) == 0 {
+		t.Fatalf("G17 x%d: no unit homed on disk %d in chunk 0 or chunk 2", copies, target)
+	}
+
+	held := &heldDisk{
+		Backend: store.NewMemDisk(int64(m.DiskUnits()) * unitSize),
+		holding: make(chan struct{}),
+		open:    make(chan struct{}),
+	}
+	var release sync.Once
+	defer release.Do(func() { close(held.open) })
+	done := make(chan error, 1)
+	go func() { done <- s.Rebuild(held) }()
+	select {
+	case <-held.holding:
+	case err := <-done:
+		t.Fatalf("the rebuild finished (%v) without a second write", err)
+	}
+	if n := s.Stats().RebuiltStripes; n != crossing {
+		t.Fatalf("rebuild held with %d stripes rebuilt, want chunk 0's %d in its first write", n, crossing)
+	}
+
+	got := make([]byte, unitSize)
+	// read reads one unit, checks it against the mirror, and returns the
+	// physical reads it took, those on the target, and the degraded ones.
+	read := func(logical int) (reads, onTgt, degraded int64) {
+		t.Helper()
+		before := s.Stats()
+		if err := s.Read(logical, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, mirror[logical*unitSize:(logical+1)*unitSize]) {
+			t.Fatalf("logical %d read during the rebuild diverges from mirror", logical)
+		}
+		after := s.Stats()
+		for d := range after.Disks {
+			reads += after.Disks[d].Reads - before.Disks[d].Reads
+			degraded += after.Disks[d].Degraded - before.Disks[d].Degraded
+		}
+		return reads, after.Disks[target].Reads - before.Disks[target].Reads, degraded
+	}
+	if r, on, dg := read(rebuilt[0]); r != 1 || on != 1 || dg != 0 {
+		t.Errorf("rebuilt stripe, logical %d: %d reads (%d on disk %d), %d degraded; want one read of the replacement, none degraded",
+			rebuilt[0], r, on, target, dg)
+	}
+	if r, on, dg := read(unrebuilt[0]); r != k-1 || on != 0 || dg != k-1 {
+		t.Errorf("unrebuilt stripe, logical %d: %d reads (%d on disk %d), %d degraded; want %d survivor reads, all degraded",
+			unrebuilt[0], r, on, target, dg, k-1)
+	}
+	release.Do(func() { close(held.open) })
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if err := s.VerifyParity(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // gaugeDisk is a replacement disk that, before every write, yields the

@@ -70,7 +70,10 @@ type DiskStats struct {
 
 	// Degraded counts the physical operations issued on behalf of
 	// degraded-mode plans (survivor reconstruction reads,
-	// reconstruct-writes, rebuild traffic).
+	// reconstruct-writes, rebuild traffic). Ops on a stripe an
+	// in-progress Rebuild has already rebuilt are served from the
+	// replacement and count as degraded only if another disk of the
+	// stripe is still down.
 	Degraded int64
 }
 
@@ -214,9 +217,9 @@ type Store struct {
 	minSpan int
 
 	// locks are the striped per-stripe RW locks: stripe s is guarded by
-	// locks[s&lockMask]. fails, disks, rebuildDst, rebuildDisk, and
-	// rebuilt change only while holding every lock, so holding any one of
-	// them (even shared) gives a consistent view of all of them.
+	// locks[s&lockMask]. fails, disks, and rebuiltFails change only while
+	// holding every lock, so holding any one of them (even shared) gives a
+	// consistent view of all of them.
 	locks    []sync.RWMutex
 	lockMask int
 
@@ -235,15 +238,14 @@ type Store struct {
 	disks []Backend
 	// fails is the current failed-disk set (immutable snapshot; see
 	// failSet). It is swapped only while holding every lock.
-	fails      atomic.Pointer[failSet]
-	rebuildDst Backend
-	// rebuildDisk is the disk the in-progress Rebuild reconstructs (the
-	// lowest failed disk at rebuild start), -1 otherwise.
-	rebuildDisk int
-	// rebuilt[s] records that stripe s has been copied onto rebuildDst;
-	// it is read and written only under stripe s's lock, so degraded
-	// writes keep already-rebuilt stripes current on the replacement.
-	rebuilt []bool
+	fails atomic.Pointer[failSet]
+	// rebuiltFails is the failed set without the disk the in-progress
+	// Rebuild reconstructs, nil otherwise. rebuilt[s] records that stripe
+	// s is already on the replacement; it is read and written only under
+	// stripe s's lock, and such a stripe is served against rebuiltFails
+	// (see failsFor).
+	rebuiltFails *failSet
+	rebuilt      []bool
 	// rebuildBufs holds one chunk buffer per rebuild worker index, grown
 	// by the first Rebuild that runs that many workers and reused after.
 	rebuildBufs []*rebuildBuf
@@ -310,18 +312,17 @@ func NewCode(mapper pdl.Mapper, unitSize int, disks []Backend, c code.Code) (*St
 	}
 	pm := c.ParityShards()
 	s := &Store{
-		mapper:      mapper,
-		unitSize:    unitSize,
-		capacity:    mapper.DataUnits(),
-		size:        int64(mapper.DataUnits()) * int64(unitSize),
-		codec:       c,
-		pm:          pm,
-		locks:       make([]sync.RWMutex, n),
-		lockMask:    n - 1,
-		disks:       append([]Backend(nil), disks...),
-		rebuildDisk: -1,
-		rebuilt:     make([]bool, mapper.Stripes()),
-		counters:    make([]diskCounters, mapper.Disks()),
+		mapper:   mapper,
+		unitSize: unitSize,
+		capacity: mapper.DataUnits(),
+		size:     int64(mapper.DataUnits()) * int64(unitSize),
+		codec:    c,
+		pm:       pm,
+		locks:    make([]sync.RWMutex, n),
+		lockMask: n - 1,
+		disks:    append([]Backend(nil), disks...),
+		rebuilt:  make([]bool, mapper.Stripes()),
+		counters: make([]diskCounters, mapper.Disks()),
 	}
 	s.fails.Store(healthyFails)
 	var units []layout.Unit
@@ -406,8 +407,9 @@ func (s *Store) FailedDisks() []int {
 }
 
 // DiskBackend returns the Backend currently serving disk d, for tools
-// and tests inspecting a quiesced store; the store may swap it during
-// Rebuild.
+// and tests inspecting a quiesced store. Rebuild puts its replacement in
+// the rebuilt disk's slot when it starts, and puts the old backend back
+// only if it fails.
 func (s *Store) DiskBackend(d int) Backend {
 	s.locks[0].RLock()
 	defer s.locks[0].RUnlock()
@@ -533,8 +535,6 @@ func (s *Store) Fail(disk int) error {
 		return fmt.Errorf("store: Fail(%d): disk %d already failed; code %q tolerates %d simultaneous failures", disk, cur.first(), s.codec.Name(), s.pm)
 	}
 	s.fails.Store(cur.with(disk))
-	clear(s.rebuilt)
-	s.rebuiltStripes.Store(0)
 	return nil
 }
 
@@ -640,11 +640,22 @@ func (s *Store) WriteAt(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
+// failsFor returns the failed set a stripe's plans compile against: the
+// set without the disk being rebuilt once the in-progress Rebuild has put
+// the stripe on the replacement, the store's failed set otherwise. The
+// caller holds the stripe's lock.
+func (s *Store) failsFor(stripe int) *failSet {
+	if s.rebuiltFails != nil && s.rebuilt[stripe] {
+		return s.rebuiltFails
+	}
+	return s.fails.Load()
+}
+
 // readUnit serves bytes [within, within+len(p)) of one logical unit. The
 // plan is compiled against a pre-lock snapshot of the failed-disk set
-// and revalidated once the stripe lock is held (the stripe itself never
-// depends on the failure state), so the hot path resolves the stripe
-// tables exactly once.
+// and revalidated against failsFor once the stripe lock is held (the
+// stripe itself never depends on the failure state), so the hot path
+// resolves the stripe tables exactly once.
 func (s *Store) readUnit(sc *scratch, logical, within int, p []byte) error {
 	fs := s.fails.Load()
 	if err := sc.pln.ReadM(logical, fs.disks, &sc.p); err != nil {
@@ -653,7 +664,7 @@ func (s *Store) readUnit(sc *scratch, logical, within int, p []byte) error {
 	lk := s.lockFor(sc.p.Stripe)
 	lk.RLock()
 	defer lk.RUnlock()
-	if cur := s.fails.Load(); cur != fs {
+	if cur := s.failsFor(sc.p.Stripe); cur != fs {
 		if err := sc.pln.ReadM(logical, cur.disks, &sc.p); err != nil {
 			return err
 		}
@@ -708,7 +719,7 @@ func (s *Store) writeUnit(sc *scratch, logical, within int, p []byte) error {
 	lk := s.lockFor(sc.p.Stripe)
 	lk.Lock()
 	defer lk.Unlock()
-	if cur := s.fails.Load(); cur != fs {
+	if cur := s.failsFor(sc.p.Stripe); cur != fs {
 		if err := sc.pln.WriteM(logical, cur.disks, &sc.p); err != nil {
 			return err
 		}
@@ -716,37 +727,14 @@ func (s *Store) writeUnit(sc *scratch, logical, within int, p []byte) error {
 	return s.execWriteLocked(sc, within, p)
 }
 
-// replacementUnit resolves the current stripe's unit on the disk being
-// rebuilt, when an already-rebuilt stripe must be kept current on the
-// replacement. ok is false when no rebuild is running, the stripe has
-// not been rebuilt yet, or the stripe does not cross the rebuild disk.
-// The caller holds the stripe's write lock.
-func (s *Store) replacementUnit(sc *scratch, stripe int) (u layout.Unit, shard int, ok bool) {
-	if s.rebuildDst == nil || !s.rebuilt[stripe] {
-		return layout.Unit{}, 0, false
-	}
-	units, err := s.mapper.AppendStripeUnits(sc.units[:0], stripe)
-	sc.units = units[:0]
-	if err != nil {
-		return layout.Unit{}, 0, false
-	}
-	for _, su := range units {
-		if su.Disk == s.rebuildDisk {
-			return su, s.mapper.ShardAt(su), true
-		}
-	}
-	return layout.Unit{}, 0, false
-}
-
 // execWriteLocked executes the compiled write plan in sc.p against bytes
 // [within, within+len(p)) of the addressed unit, updating parity. The
-// caller holds the stripe's write lock and has compiled sc.p under the
-// current failure state. One executor serves every code: parity j absorbs
+// caller holds the stripe's write lock and has compiled sc.p against
+// failsFor(stripe). One executor serves every code: parity j absorbs
 // Coef(j, i)-weighted deltas and any subset of the stripe's units may be
 // lost (up to m); XOR is the all-ones, m = 1 case, kept fast by the
 // code's own kernels (UpdateParity, MulAdd's c == 1 path).
 func (s *Store) execWriteLocked(sc *scratch, within int, p []byte) error {
-	stripe := sc.p.Stripe
 	k := sc.p.DataShards
 	a, b := sc.a[:len(p)], sc.b[:len(p)]
 	switch sc.p.Kind {
@@ -787,36 +775,15 @@ func (s *Store) execWriteLocked(sc *scratch, within int, p []byte) error {
 			}
 			s.noteIO(st.Disk, true, false, len(pj))
 		}
-		return s.patchReplacement(sc, stripe, homeShard, p, a, within)
+		return nil
 
 	case plan.DataOnlyWrite:
-		// Every parity unit is down: write the data unit; keep a rebuilt
-		// stripe's replacement parity current via the delta.
+		// Every parity unit is down: write the data unit alone.
 		home := sc.p.Steps[0].Unit
-		homeShard := s.mapper.ShardAt(home)
-		ru, rs, patch := s.replacementUnit(sc, stripe)
-		if patch && rs >= k {
-			if _, err := s.disks[home.Disk].ReadAt(a, s.byteOff(home, within)); err != nil {
-				return fmt.Errorf("store: data-only write read disk %d: %w", home.Disk, err)
-			}
-			s.noteIO(home.Disk, false, true, len(a))
-			subtle.XORBytes(a, a, p) // a = delta
-		}
 		if _, err := s.disks[home.Disk].WriteAt(p, s.byteOff(home, within)); err != nil {
 			return fmt.Errorf("store: data-only write disk %d: %w", home.Disk, err)
 		}
 		s.noteIO(home.Disk, true, true, len(p))
-		if patch && rs >= k {
-			off := s.byteOff(ru, within)
-			if _, err := s.rebuildDst.ReadAt(b, off); err != nil {
-				return fmt.Errorf("store: data-only write replacement read: %w", err)
-			}
-			s.codec.UpdateParity(rs-k, homeShard, b, a)
-			if _, err := s.rebuildDst.WriteAt(b, off); err != nil {
-				return fmt.Errorf("store: data-only write replacement: %w", err)
-			}
-			s.noteIO(ru.Disk, true, true, len(b))
-		}
 		return nil
 
 	case plan.ReconstructWrite:
@@ -851,22 +818,6 @@ func (s *Store) execWriteLocked(sc *scratch, within int, p []byte) error {
 				return fmt.Errorf("store: reconstruct write disk %d: %w", st.Disk, err)
 			}
 			s.noteIO(st.Disk, true, true, len(p))
-		}
-		// Keep a rebuilt stripe current on the replacement: the home
-		// payload directly, or the from-scratch parity value.
-		if ru, rs, ok := s.replacementUnit(sc, stripe); ok {
-			switch {
-			case rs == homeShard:
-				if _, err := s.rebuildDst.WriteAt(p, s.byteOff(ru, within)); err != nil {
-					return fmt.Errorf("store: reconstruct write replacement: %w", err)
-				}
-				s.noteIO(ru.Disk, true, true, len(p))
-			case rs >= k:
-				if _, err := s.rebuildDst.WriteAt(sc.par[rs-k][:len(p)], s.byteOff(ru, within)); err != nil {
-					return fmt.Errorf("store: reconstruct write replacement: %w", err)
-				}
-				s.noteIO(ru.Disk, true, true, len(p))
-			}
 		}
 		return nil
 
@@ -910,41 +861,11 @@ func (s *Store) execWriteLocked(sc *scratch, within int, p []byte) error {
 			}
 			s.noteIO(st.Disk, true, true, len(pj))
 		}
-		return s.patchReplacement(sc, stripe, homeShard, p, b, within)
+		return nil
 
 	default:
 		return fmt.Errorf("store: writeUnit: unexpected plan kind %v", sc.p.Kind)
 	}
-}
-
-// patchReplacement keeps an already-rebuilt stripe current on the
-// replacement after a delta-style write of payload p to data shard
-// homeShard: a parity unit on the rebuild disk absorbs the weighted
-// delta; the home unit itself, when it is the lost unit on the rebuild
-// disk (DegradedWrite), takes the payload — no delta would ever reach
-// it; any other data unit is untouched by the write and needs nothing.
-func (s *Store) patchReplacement(sc *scratch, stripe, homeShard int, p, delta []byte, within int) error {
-	ru, rs, ok := s.replacementUnit(sc, stripe)
-	if !ok || (rs < sc.p.DataShards && rs != homeShard) {
-		return nil
-	}
-	off := s.byteOff(ru, within)
-	b := p
-	if rs != homeShard {
-		b = sc.b[:len(delta)]
-		if &b[0] == &delta[0] {
-			b = sc.a[:len(delta)]
-		}
-		if _, err := s.rebuildDst.ReadAt(b, off); err != nil {
-			return fmt.Errorf("store: write replacement read: %w", err)
-		}
-		s.codec.UpdateParity(rs-sc.p.DataShards, homeShard, b, delta)
-	}
-	if _, err := s.rebuildDst.WriteAt(b, off); err != nil {
-		return fmt.Errorf("store: write replacement: %w", err)
-	}
-	s.noteIO(ru.Disk, true, true, len(b))
-	return nil
 }
 
 // tryFullStripe writes p's prefix through the Condition 5 full-stripe
@@ -1006,8 +927,7 @@ func (s *Store) writeStripeLocked(sc *scratch, stripe int, units []layout.Unit, 
 			code.MulAdd(pj, data(i), s.codec.Coef(j, i))
 		}
 	}
-	fs := s.fails.Load()
-	redirect := s.rebuildDst != nil && s.rebuilt[stripe]
+	fs := s.failsFor(stripe)
 	idx := 0
 	for _, u := range units {
 		var payload []byte
@@ -1017,30 +937,29 @@ func (s *Store) writeStripeLocked(sc *scratch, stripe int, units []layout.Unit, 
 			payload = data(idx)
 			idx++
 		}
-		switch {
-		case !fs.has(u.Disk):
-			if _, err := s.disks[u.Disk].WriteAt(payload, s.byteOff(u, 0)); err != nil {
-				return fmt.Errorf("store: full-stripe write disk %d: %w", u.Disk, err)
-			}
-			s.noteIO(u.Disk, true, false, len(payload))
-		case redirect && u.Disk == s.rebuildDisk:
-			if _, err := s.rebuildDst.WriteAt(payload, s.byteOff(u, 0)); err != nil {
-				return fmt.Errorf("store: full-stripe write replacement: %w", err)
-			}
-			s.noteIO(u.Disk, true, true, len(payload))
+		// A unit on a failed disk is simply skipped: Rebuild reconstructs
+		// it from the survivors just written.
+		if fs.has(u.Disk) {
+			continue
 		}
-		// A not-yet-rebuilt unit on a failed disk is simply skipped:
-		// Rebuild reconstructs it from the survivors just written.
+		if _, err := s.disks[u.Disk].WriteAt(payload, s.byteOff(u, 0)); err != nil {
+			return fmt.Errorf("store: full-stripe write disk %d: %w", u.Disk, err)
+		}
+		s.noteIO(u.Disk, true, false, len(payload))
 	}
 	return nil
 }
 
 // Rebuild reconstructs the lowest-numbered failed disk's bytes onto
 // replacement, under the per-stripe locks, while foreground reads and
-// writes continue degraded; when every stripe is copied, the replacement
-// atomically takes that disk's slot and the disk leaves the failed set.
+// writes continue. The replacement takes that disk's slot when Rebuild
+// starts, and a rebuilt stripe is a healthy stripe: from the moment its
+// lost unit is on the replacement, reads and writes of the stripe are
+// served against the failed set without the rebuilt disk, so they reach
+// the replacement like any other disk; stripes not yet rebuilt stay
+// degraded. When every stripe is done the disk leaves the failed set.
 // The replacement may be the failed disk's own backend (no plan reads a
-// failed disk), which rebuilds it in place. With several disks down
+// lost unit before Rebuild has written it), which rebuilds it in place. With several disks down
 // (multi-parity codes), each Rebuild call reconstructs one disk — call it
 // once per failure. A replaced backend is not closed; the caller owns it.
 //
@@ -1059,8 +978,8 @@ func (s *Store) writeStripeLocked(sc *scratch, stripe int, units []layout.Unit, 
 // stands down until rebuildIdleWait passes without another, and under
 // steady load the rebuild proceeds on the caller's goroutine alone
 // (Stats.RebuildWorkers says how wide it is running). Any worker's error
-// stops them all; Rebuild returns the first, leaving the store as
-// degraded as it was.
+// stops them all; Rebuild returns the first, puts the old backend back,
+// and leaves the store as degraded as it was.
 func (s *Store) Rebuild(replacement Backend) error {
 	s.admin.Lock()
 	if s.rebuilding.Load() {
@@ -1080,10 +999,9 @@ func (s *Store) Rebuild(replacement Backend) error {
 		s.admin.Unlock()
 		return fmt.Errorf("store: Rebuild: no failed disk")
 	}
-	clear(s.rebuilt)
-	s.rebuiltStripes.Store(0)
-	s.rebuildDst = replacement
-	s.rebuildDisk = target
+	old := s.disks[target]
+	s.disks[target] = replacement
+	s.rebuiltFails = fs.without(target)
 	s.rebuilding.Store(true)
 	s.unlockAll()
 	workers := min(runtime.GOMAXPROCS(0), len(s.disks)-len(fs.disks))
@@ -1154,16 +1072,17 @@ func (s *Store) Rebuild(replacement Backend) error {
 	close(stop)
 	fan.wg.Wait()
 
-	// Every worker has joined: swap the replacement in if they all
-	// succeeded, and leave rebuild state either way.
+	// Every worker has joined: the target leaves the failed set if they all
+	// succeeded, its old backend returns if not, and rebuild state ends
+	// either way.
 	s.admin.Lock()
 	s.lockAll()
 	if fan.err == nil {
-		s.disks[target] = replacement
-		s.fails.Store(s.fails.Load().without(target))
+		s.fails.Store(s.rebuiltFails)
+	} else {
+		s.disks[target] = old
 	}
-	s.rebuildDst = nil
-	s.rebuildDisk = -1
+	s.rebuiltFails = nil
 	clear(s.rebuilt)
 	s.rebuiltStripes.Store(0)
 	s.rebuilding.Store(false)
@@ -1224,7 +1143,7 @@ func (s *Store) rebuildStripes(sc *scratch, rb *rebuildBuf, lo, hi, target int, 
 		for j < len(rb.offs) && rb.offs[j] == rb.offs[j-1]+1 {
 			j++
 		}
-		if _, err := s.rebuildDst.WriteAt(rb.data[i*s.unitSize:j*s.unitSize], int64(rb.offs[i])*int64(s.unitSize)); err != nil {
+		if _, err := s.disks[target].WriteAt(rb.data[i*s.unitSize:j*s.unitSize], int64(rb.offs[i])*int64(s.unitSize)); err != nil {
 			return fmt.Errorf("store: rebuild write replacement: %w", err)
 		}
 		for _, stripe := range rb.stripes[i:j] {
@@ -1261,7 +1180,7 @@ func (s *Store) verifyStripe(sc *scratch, stripe int) error {
 	if err != nil {
 		return err
 	}
-	fs := s.fails.Load()
+	fs := s.failsFor(stripe)
 	for _, u := range units {
 		if fs.has(u.Disk) {
 			return nil

@@ -74,7 +74,7 @@ func (s *Store) ReadVec(ops []VecOp) error {
 		}
 		lk := s.lockFor(stripe)
 		lk.RLock()
-		fs := s.fails.Load()
+		fs := s.failsFor(stripe)
 		var err error
 		for _, j := range sc.order[g:end] {
 			o := &ops[j]
@@ -137,7 +137,7 @@ func (s *Store) WriteVec(ops []VecOp) error {
 // the stripe's (held) write lock, promoting full-stripe coverage to the
 // no-preread large-write path.
 func (s *Store) writeGroupLocked(sc *scratch, stripe int, ops []VecOp, order []int32) error {
-	fs := s.fails.Load()
+	fs := s.failsFor(stripe)
 	if len(order) > 1 {
 		units, err := s.mapper.AppendStripeUnits(sc.units[:0], stripe)
 		sc.units = units[:0]

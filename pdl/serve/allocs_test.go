@@ -94,4 +94,35 @@ func TestTCPHotPathAllocs(t *testing.T) {
 	}); n > 1 {
 		t.Errorf("TCP Read allocates %v/op, want <=1", n)
 	}
+
+	// An aligned 16-unit span moves as one v2 stream whose chunk the
+	// server submits as one request.
+	const spanUnits = 16
+	span := make([]byte, spanUnits*unitSize)
+	spans := capacity / spanUnits
+	for w := 0; w < 64; w++ {
+		off := int64(w%spans) * int64(len(span))
+		if _, err := c.WriteAt(span, off); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.ReadAt(span, off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := c.WriteAt(span, int64(i%spans)*int64(len(span))); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); n > 1 {
+		t.Errorf("TCP stream WriteAt allocates %v/span, want <=1", n)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := c.ReadAt(span, int64(i%spans)*int64(len(span))); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); n > 1 {
+		t.Errorf("TCP stream ReadAt allocates %v/span, want <=1", n)
+	}
 }

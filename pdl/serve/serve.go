@@ -51,14 +51,14 @@ const (
 type Kind uint8
 
 const (
-	// Read fills Op.Buf with a logical unit's payload.
+	// Read fills Op.Buf with its logical units' payloads.
 	Read Kind = iota
 
-	// Write stores Op.Buf as a logical unit's payload.
+	// Write stores Op.Buf as its logical units' payloads.
 	Write
 )
 
-// Op is one unit-granularity request submitted to a Frontend.
+// Op is one request submitted to a Frontend: a run of consecutive units.
 type Op struct {
 	// Kind selects read or write.
 	Kind Kind
@@ -66,21 +66,21 @@ type Op struct {
 	// Class is the priority class (zero value: Foreground).
 	Class Class
 
-	// Logical is the data unit addressed.
+	// Logical is the run's first data unit.
 	Logical int
 
-	// Buf is the unit payload buffer, exactly UnitSize bytes: the
-	// destination for reads, the source for writes. The caller must not
-	// touch it until the request completes.
+	// Buf is the payload of len(Buf)/UnitSize ≥ 1 whole units from
+	// Logical on: the destination for reads, the source for writes. The
+	// caller must not touch it until the request completes.
 	Buf []byte
 }
 
 // Config tunes a Frontend. The zero value selects the defaults.
 type Config struct {
 	// QueueDepth bounds each class's submission queue and caps the batch
-	// size: at most QueueDepth requests coalesce into one store pass, and
-	// a class with QueueDepth requests waiting blocks further admissions
-	// (backpressure). Default 64.
+	// size, in requests of any length: at most QueueDepth requests
+	// coalesce into one store pass, and a class with QueueDepth requests
+	// waiting blocks further admissions (backpressure). Default 64.
 	QueueDepth int
 
 	// FlushDelay is how long an open batch waits for more requests before
@@ -131,8 +131,8 @@ type Stats struct {
 	// refused at admission (validation, cancellation, or ErrClosed).
 	Completed, Rejected int64
 
-	// Batches counts dispatched batches; BatchedOps their total size, so
-	// BatchedOps/Batches is the mean coalescing factor.
+	// Batches counts dispatched batches; BatchedOps the units they
+	// carried, so BatchedOps/Batches is the mean units per store pass.
 	Batches, BatchedOps int64
 
 	// FlushFull and FlushDeadline count why batches dispatched: the batch
@@ -285,12 +285,12 @@ func (f *Frontend) Go(ctx context.Context, op Op, complete func(error)) error {
 	return err
 }
 
-// Read serves a foreground unit read: dst must be UnitSize bytes.
+// Read serves a foreground read into dst, whole units from logical on.
 func (f *Frontend) Read(ctx context.Context, logical int, dst []byte) error {
 	return f.Do(ctx, Op{Kind: Read, Logical: logical, Buf: dst})
 }
 
-// Write serves a foreground unit write: src must be UnitSize bytes.
+// Write serves a foreground write of src, whole units from logical on.
 func (f *Frontend) Write(ctx context.Context, logical int, src []byte) error {
 	return f.Do(ctx, Op{Kind: Write, Logical: logical, Buf: src})
 }
@@ -306,13 +306,15 @@ func (f *Frontend) submit(ctx context.Context, op Op, cb func(error)) (*request,
 		f.rejected.Add(1)
 		return nil, fmt.Errorf("serve: bad class %d", op.Class)
 	}
-	if op.Logical < 0 || op.Logical >= f.s.Capacity() {
+	unit := f.s.UnitSize()
+	n := len(op.Buf) / unit
+	if n == 0 || len(op.Buf)%unit != 0 {
 		f.rejected.Add(1)
-		return nil, fmt.Errorf("serve: logical %d outside [0,%d)", op.Logical, f.s.Capacity())
+		return nil, fmt.Errorf("serve: buf is %d bytes, want a positive multiple of unit size %d", len(op.Buf), unit)
 	}
-	if len(op.Buf) != f.s.UnitSize() {
+	if op.Logical < 0 || op.Logical > f.s.Capacity()-n {
 		f.rejected.Add(1)
-		return nil, fmt.Errorf("serve: buf is %d bytes, want unit size %d", len(op.Buf), f.s.UnitSize())
+		return nil, fmt.Errorf("serve: units [%d,+%d) outside [0,%d)", op.Logical, n, f.s.Capacity())
 	}
 	r := f.reqPool.Get().(*request)
 	r.op = op
@@ -352,9 +354,11 @@ func (f *Frontend) submit(ctx context.Context, op Op, cb func(error)) (*request,
 		if op.Kind == Write {
 			kind = sim.Write
 		}
-		// Best effort: a sticky writer error surfaces at Flush; dropping
-		// a trace op must never fail the request it shadows.
-		_ = tw.Record(kind, op.Logical, op.Class == Background, r.start)
+		// One line per unit, best effort: a sticky writer error surfaces
+		// at Flush; dropping a trace op must never fail its request.
+		for i := 0; i < n; i++ {
+			_ = tw.Record(kind, op.Logical+i, op.Class == Background, r.start)
+		}
 	}
 	return r, nil
 }
@@ -376,7 +380,6 @@ func (f *Frontend) worker() {
 			return
 		}
 		f.batches.Add(1)
-		f.batchedOps.Add(int64(len(batch)))
 		f.run(&ex, batch)
 		// The requests are completed (back in the pool or handed to
 		// their waiters): drop the references before reuse.
@@ -487,21 +490,23 @@ type execState struct {
 	rreqs, wreqs []*request
 }
 
-// run executes one batch: writes as one WriteVec pass (coalescing plus
-// full-stripe promotion), then reads as one ReadVec pass.
+// run executes one batch, one VecOp per unit: writes as one WriteVec
+// pass (coalescing plus full-stripe promotion), then reads as ReadVec.
 func (f *Frontend) run(ex *execState, batch []*request) {
 	ex.rops, ex.wops = ex.rops[:0], ex.wops[:0]
 	ex.rreqs, ex.wreqs = ex.rreqs[:0], ex.wreqs[:0]
+	unit := f.s.UnitSize()
 	for _, r := range batch {
-		vop := store.VecOp{Logical: r.op.Logical, Buf: r.op.Buf}
+		ops, reqs := &ex.rops, &ex.rreqs
 		if r.op.Kind == Write {
-			ex.wops = append(ex.wops, vop)
-			ex.wreqs = append(ex.wreqs, r)
-		} else {
-			ex.rops = append(ex.rops, vop)
-			ex.rreqs = append(ex.rreqs, r)
+			ops, reqs = &ex.wops, &ex.wreqs
 		}
+		for i, b := 0, r.op.Buf; len(b) > 0; i, b = i+1, b[unit:] {
+			*ops = append(*ops, store.VecOp{Logical: r.op.Logical + i, Buf: b[:unit]})
+		}
+		*reqs = append(*reqs, r)
 	}
+	f.batchedOps.Add(int64(len(ex.rops) + len(ex.wops)))
 	if len(ex.wops) > 0 {
 		err := f.s.WriteVec(ex.wops)
 		f.finish(ex.wreqs, err)

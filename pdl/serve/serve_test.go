@@ -65,6 +65,24 @@ func TestFrontendReadWrite(t *testing.T) {
 			t.Fatalf("logical %d diverges", i)
 		}
 	}
+	// A 3-unit request is a run of consecutive units.
+	run := payload(make([]byte, 3*unitSize), 99)
+	if err := f.Write(ctx, 4, run); err != nil {
+		t.Fatal(err)
+	}
+	back := make([]byte, len(run))
+	if err := f.Read(ctx, 4, back); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(back, run) {
+		t.Fatal("3-unit run diverges")
+	}
+	if err := f.Read(ctx, 5, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, run[unitSize:2*unitSize]) {
+		t.Fatal("unit 5 of the run diverges")
+	}
 	if err := f.Store().VerifyParity(); err != nil {
 		t.Fatal(err)
 	}
@@ -344,11 +362,17 @@ func TestFrontendValidation(t *testing.T) {
 	if err := f.Do(ctx, serve.Op{Kind: serve.Read, Logical: 0, Buf: buf[:3]}); err == nil {
 		t.Error("bad buffer admitted")
 	}
+	if err := f.Do(ctx, serve.Op{Kind: serve.Read, Logical: 0, Buf: make([]byte, unitSize+1)}); err == nil {
+		t.Error("buffer of a unit and a byte admitted")
+	}
+	if err := f.Do(ctx, serve.Op{Kind: serve.Read, Logical: f.Store().Capacity() - 1, Buf: make([]byte, 2*unitSize)}); err == nil {
+		t.Error("run past capacity admitted")
+	}
 	if err := f.Go(ctx, serve.Op{}, nil); err == nil {
 		t.Error("nil completion admitted")
 	}
-	if n := f.Stats().Rejected; n != 4 {
-		t.Errorf("Rejected = %d, want 4", n)
+	if n := f.Stats().Rejected; n != 6 {
+		t.Errorf("Rejected = %d, want 6", n)
 	}
 }
 

@@ -78,7 +78,7 @@ const (
 // The data path is zero-copy on both sides of the socket: request
 // payloads are read into reference-counted pooled buffers that flow
 // into store.WriteVec without an intermediate copy (the buffer recycles
-// only when every unit op that aliases it has completed), and response
+// only when every request that aliases it has completed), and response
 // payloads go out as header+payload iovec pairs via net.Buffers
 // (writev), recycling only after the gather write lands.
 type Server struct {
@@ -241,7 +241,7 @@ func (s *Server) Close() error {
 }
 
 // frameBuf is a reference-counted pooled request payload buffer. The
-// reader holds one reference while dispatching; each unit write op that
+// reader holds one reference while dispatching; the write request that
 // aliases the payload holds another until its completion runs, so the
 // buffer cannot recycle while the store still reads from it.
 type frameBuf struct {
@@ -287,16 +287,16 @@ func (s *Server) getResp(id uint64, status uint8, payload []byte) *srvResp {
 	return r
 }
 
-// srvReq is one in-flight unit op's pooled completion state. cb is
-// prebuilt at pool time and forwards to complete, so submitting an op
-// allocates nothing.
+// srvReq is one in-flight unit op's or stream chunk's pooled completion
+// state. cb is prebuilt at pool time and forwards to complete, so
+// submitting a request allocates nothing.
 type srvReq struct {
 	s   *Server
 	st  *connState
 	id  uint64
 	fb  *frameBuf // write: payload alias reference, released on completion
 	buf *[]byte   // read: pooled unit buffer the store fills
-	ws  *wstream  // stream write: per-span state, nil for plain unit ops
+	ws  *wstream  // stream chunk write: per-span state, nil for unit ops
 	cb  func(error)
 }
 
@@ -317,7 +317,7 @@ func (s *Server) putReq(sr *srvReq) {
 	s.reqPool.Put(sr)
 }
 
-// complete is every unit op's completion: respond (or account the
+// complete is every srvReq's completion: respond (or account the
 // stream), release the aliased buffers, recycle, and drop the pending
 // count last so the writer cannot close under a response in flight.
 func (sr *srvReq) complete(err error) {
@@ -325,7 +325,7 @@ func (sr *srvReq) complete(err error) {
 	switch {
 	case sr.ws != nil:
 		sr.fb.release()
-		sr.ws.unitDone(err)
+		sr.ws.chunkDone(err)
 	case sr.fb != nil:
 		sr.fb.release()
 		if err != nil {
@@ -369,9 +369,9 @@ func (st *connState) respondErr(id uint64, err error) {
 
 // wstream is one open write stream. The reader goroutine owns the
 // sequencing state (wire.WriteStream, seen, poisoned); outstanding
-// carries one token per in-flight unit op plus one reader token dropped
-// when the final chunk has been submitted — whoever drops it to zero
-// sends the single stream response.
+// carries one token per in-flight chunk write plus one reader token
+// dropped when the final chunk has been submitted — whoever drops it to
+// zero sends the single stream response.
 type wstream struct {
 	wire.WriteStream
 	st    *connState
@@ -395,7 +395,7 @@ func (ws *wstream) fail(err error) {
 	ws.errMu.Unlock()
 }
 
-func (ws *wstream) unitDone(err error) {
+func (ws *wstream) chunkDone(err error) {
 	if err != nil {
 		ws.fail(err)
 	}
@@ -557,9 +557,20 @@ func (st *connState) release(r *srvResp) {
 	s.respPool.Put(r)
 }
 
+// argBelow reports whether req.Arg indexes below n, answering the
+// request with an error if not: checked before int(req.Arg), which would
+// truncate an Arg past 32 bits onto a valid index where int is 32 bits.
+func (st *connState) argBelow(req *wire.Request, what string, n int) bool {
+	if req.Arg < uint64(n) {
+		return true
+	}
+	st.respondErr(req.ID, fmt.Errorf("serve: %s %d outside [0,%d)", what, req.Arg, n))
+	return false
+}
+
 // dispatch routes one decoded request. req.Payload aliases fb's buffer;
-// handlers that hand it to the store retain fb per aliasing op. A false
-// return drops the connection (hostile or broken peer).
+// handlers that hand it to the store retain fb per aliasing request. A
+// false return drops the connection (hostile or broken peer).
 func (s *Server) dispatch(st *connState, req *wire.Request, fb *frameBuf) bool {
 	stt := s.front.Store()
 	switch req.Op {
@@ -579,6 +590,9 @@ func (s *Server) dispatch(st *connState, req *wire.Request, fb *frameBuf) bool {
 		}
 
 	case wire.OpRead:
+		if !st.argBelow(req, "logical", stt.Capacity()) {
+			return true
+		}
 		bp := s.bufPool.Get().(*[]byte)
 		sr := s.getReq(st, req.ID)
 		sr.buf = bp
@@ -593,6 +607,9 @@ func (s *Server) dispatch(st *connState, req *wire.Request, fb *frameBuf) bool {
 	case wire.OpWrite:
 		if len(req.Payload) != s.unit {
 			st.respondErr(req.ID, fmt.Errorf("write payload %d bytes, want unit size %d", len(req.Payload), s.unit))
+			return true
+		}
+		if !st.argBelow(req, "logical", stt.Capacity()) {
 			return true
 		}
 		// The store writes straight from the read buffer: no copy. The
@@ -668,6 +685,9 @@ func (s *Server) dispatch(st *connState, req *wire.Request, fb *frameBuf) bool {
 		return s.writeChunk(st, ws, req, fb)
 
 	case wire.OpFail:
+		if !st.argBelow(req, "disk", stt.Mapper().Disks()) {
+			return true
+		}
 		fail := stt.Fail
 		if s.FailDisk != nil {
 			fail = s.FailDisk
@@ -705,9 +725,9 @@ func (s *Server) dispatch(st *connState, req *wire.Request, fb *frameBuf) bool {
 }
 
 // writeChunk feeds one OpWriteChunk frame into its stream: validate the
-// sequencing, then submit each unit as a write op whose buffer aliases
-// the frame payload (fb holds one reference per unit until that unit's
-// completion runs).
+// sequencing, then submit the chunk as one write request whose buffer
+// is the frame payload (fb holds a reference until its completion
+// runs).
 func (s *Server) writeChunk(st *connState, ws *wstream, req *wire.Request, fb *frameBuf) bool {
 	unit := s.unit
 	if ws.poisoned {
@@ -740,25 +760,22 @@ func (s *Server) writeChunk(st *connState, ws *wstream, req *wire.Request, fb *f
 		}
 		return true
 	}
-	fb.retain(int32(k))
-	for i := 0; i < k; i++ {
-		sr := s.getReq(st, req.ID)
-		sr.fb = fb
-		sr.ws = ws
-		st.pending.Add(1)
-		ws.outstanding.Add(1)
-		buf := req.Payload[i*unit : (i+1)*unit]
-		if err := s.front.Go(s.ctx, Op{Kind: Write, Class: ws.class, Logical: int(req.Arg) + i, Buf: buf}, sr.cb); err != nil {
-			fb.release()
-			s.putReq(sr)
-			st.pending.Done()
-			ws.fail(err)
-			ws.drop()
-		}
+	fb.retain(1)
+	sr := s.getReq(st, req.ID)
+	sr.fb = fb
+	sr.ws = ws
+	st.pending.Add(1)
+	ws.outstanding.Add(1)
+	if err := s.front.Go(s.ctx, Op{Kind: Write, Class: ws.class, Logical: int(req.Arg), Buf: req.Payload}, sr.cb); err != nil {
+		fb.release()
+		s.putReq(sr)
+		st.pending.Done()
+		ws.fail(err)
+		ws.drop()
 	}
 	ws.seen += k
 	if ws.seen >= ws.Count {
-		// Final chunk submitted: drop the reader token so the last unit
+		// Final chunk submitted: drop the reader token so the last chunk
 		// completion (or this drop, if all already landed) answers.
 		delete(st.streams, req.ID)
 		ws.drop()
@@ -767,44 +784,20 @@ func (s *Server) writeChunk(st *connState, ws *wstream, req *wire.Request, fb *f
 }
 
 // readSpan streams count units starting at start back as ordered
-// StatusChunk frames. Each chunk is a pooled buffer scatter-filled by
-// per-unit read ops through the frontend's batch path, handed to the
-// writer as one iovec, and recycled after its writev lands.
+// StatusChunk frames. Each chunk is a pooled buffer filled by one
+// frontend read request, handed to the writer as one iovec, and
+// recycled after its writev lands.
 func (s *Server) readSpan(st *connState, id uint64, class Class, start, count int) {
 	defer func() {
 		<-st.spanSem
 		st.pending.Done()
 	}()
-	unit := s.unit
 	cu := s.chunkUnits()
-	cbp := s.chunkPool.Get().(*[]byte)
 	for done := 0; done < count; {
-		k := min(cu, count-done)
-		chunk := (*cbp)[:k*unit]
-		var wg sync.WaitGroup
-		var errMu sync.Mutex
-		var firstErr error
-		cb := func(err error) {
-			if err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-			}
-			wg.Done()
-		}
-		for i := 0; i < k; i++ {
-			wg.Add(1)
-			if err := s.front.Go(s.ctx, Op{Kind: Read, Class: class, Logical: start + done + i, Buf: chunk[i*unit : (i+1)*unit]}, cb); err != nil {
-				cb(err)
-			}
-		}
-		wg.Wait()
-		errMu.Lock()
-		err := firstErr
-		errMu.Unlock()
-		if err != nil {
+		// A fresh buffer per chunk: the writer owns each one sent.
+		cbp := s.chunkPool.Get().(*[]byte)
+		chunk := (*cbp)[:min(cu, count-done)*s.unit]
+		if err := s.front.Do(s.ctx, Op{Kind: Read, Class: class, Logical: start + done, Buf: chunk}); err != nil {
 			s.chunkPool.Put(cbp)
 			st.respondErr(id, err)
 			return
@@ -812,11 +805,8 @@ func (s *Server) readSpan(st *connState, id uint64, class Class, start, count in
 		r := s.getResp(id, wire.StatusChunk, chunk)
 		r.chunkBuf = cbp
 		st.send(r)
-		// The writer owns that buffer now; take a fresh one.
-		cbp = s.chunkPool.Get().(*[]byte)
-		done += k
+		done += len(chunk) / s.unit
 	}
-	s.chunkPool.Put(cbp)
 }
 
 func (s *Server) rebuild() error {

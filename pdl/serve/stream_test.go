@@ -107,6 +107,86 @@ func TestWriteChunkUnknownStreamDropsConn(t *testing.T) {
 	}
 }
 
+// TestUnitArgPastRangeRefused sends a unit write, a unit read and a Fail
+// whose Arg lies past the array and past 32 bits: each must be refused,
+// never truncated onto unit 0 or disk 3 where int is 32 bits.
+func TestUnitArgPastRangeRefused(t *testing.T) {
+	const unitSize = 32
+	f := mustFrontend(t, 13, 4, 1, unitSize, serve.Config{QueueDepth: 8, FlushDelay: -1})
+	addr := startServer(t, f)
+	rc := dialRawV2(t, addr)
+
+	want := payload(make([]byte, unitSize), 4)
+	rc.send(t, &wire.Request{ID: 1, Op: wire.OpWrite, Arg: 0, Payload: want})
+	if resp := rc.recv(t); resp.ID != 1 || resp.Status != wire.StatusOK {
+		t.Fatalf("write unit 0: id %d status %d", resp.ID, resp.Status)
+	}
+	for _, req := range []wire.Request{
+		{ID: 2, Op: wire.OpWrite, Arg: 1 << 32, Payload: payload(make([]byte, unitSize), 5)},
+		{ID: 3, Op: wire.OpRead, Arg: 1 << 32},
+		{ID: 4, Op: wire.OpFail, Arg: 1<<32 + 3},
+	} {
+		rc.send(t, &req)
+		if resp := rc.recv(t); resp.ID != req.ID || resp.Status != wire.StatusErr {
+			t.Errorf("op %d arg %#x: id %d status %d, want StatusErr", req.Op, req.Arg, resp.ID, resp.Status)
+		}
+	}
+	rc.send(t, &wire.Request{ID: 5, Op: wire.OpRead, Arg: 0})
+	if resp := rc.recv(t); resp.Status != wire.StatusOK || !bytes.Equal(resp.Payload, want) {
+		t.Error("unit 0 changed by a write past capacity")
+	}
+	if d := f.Store().Failed(); d != -1 {
+		t.Errorf("disk %d failed by a Fail past the disk count", d)
+	}
+}
+
+// TestServerStreamChunkIsOneRequest pins the server's span path: a
+// stream chunk enters the Frontend as one request, so a stripe-aligned
+// write span reaches one WriteVec pass whole and every stripe it covers
+// is a full-stripe write with no pre-reads — with immediate flush and
+// several workers, which would split a per-unit run between batches.
+func TestServerStreamChunkIsOneRequest(t *testing.T) {
+	const unitSize = 64
+	f := mustFrontend(t, 13, 4, 2, unitSize, serve.Config{Workers: 4, FlushDelay: -1})
+	addr := startServer(t, f)
+	c, err := serve.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	diskReads := func() (n int64) {
+		for _, d := range f.Store().Stats().Disks {
+			n += d.Reads
+		}
+		return n
+	}
+
+	// (13, 4) stripes hold 3 data units: units [0,12) are 4 whole stripes.
+	want := payload(make([]byte, 12*unitSize), 6)
+	sub, reads := f.Stats().Submitted, diskReads()
+	if n, err := c.WriteAt(want, 0); err != nil || n != len(want) {
+		t.Fatalf("WriteAt: n=%d err=%v", n, err)
+	}
+	if d := f.Stats().Submitted - sub; d != 1 {
+		t.Errorf("stream write submitted %d requests, want 1", d)
+	}
+	if d := diskReads() - reads; d != 0 {
+		t.Errorf("whole-stripe stream write pre-read %d units, want 0", d)
+	}
+
+	got := make([]byte, len(want))
+	sub = f.Stats().Submitted
+	if n, err := c.ReadAt(got, 0); err != nil || n != len(got) {
+		t.Fatalf("ReadAt: n=%d err=%v", n, err)
+	}
+	if d := f.Stats().Submitted - sub; d != 1 {
+		t.Errorf("stream read submitted %d requests, want 1", d)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("stream round trip diverges")
+	}
+}
+
 // TestStreamMissequencedChunk opens a valid stream, then sends a chunk
 // at the wrong offset: the server must answer the stream id once with
 // an error, drain the remaining declared units, and keep the

@@ -53,6 +53,15 @@ func TestFrontendRecordTrace(t *testing.T) {
 		}
 	}
 
+	// A 3-unit request records one line per unit.
+	if err := f.Do(ctx, serve.Op{Kind: serve.Write, Logical: 7, Buf: make([]byte, 3*unitSize)}); err != nil {
+		t.Fatal(err)
+	}
+	subs = append(subs,
+		sub{serve.Write, 7, serve.Foreground},
+		sub{serve.Write, 8, serve.Foreground},
+		sub{serve.Write, 9, serve.Foreground})
+
 	// Detach, then prove post-detach ops are not recorded.
 	f.RecordTrace(nil)
 	if err := f.Write(ctx, 1, payload(buf, 1)); err != nil {

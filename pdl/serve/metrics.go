@@ -25,7 +25,7 @@ func (f *Frontend) RegisterMetrics(r *obs.Registry) {
 		"Batches dispatched to the store.",
 		f.batches.Load)
 	r.CounterFunc("pdl_serve_batched_ops_total",
-		"Requests carried by dispatched batches (ratio to batches is the coalescing factor).",
+		"Units carried by dispatched batches (ratio to batches is the mean units per store pass).",
 		f.batchedOps.Load)
 	r.CounterFunc("pdl_serve_flush_total",
 		"Batch dispatches by flush reason.",

@@ -3,10 +3,12 @@
 // The allocs regression gate (CI) for the cluster client: the span
 // machinery — locate, per-shard extent planning, staging, gather,
 // scatter, and the confirmed-prefix accounting — runs at zero
-// allocations per span in steady state. A full networked ReadAt/WriteAt
-// additionally pays per-shard network bookkeeping (one goroutine spawn
-// per touched shard and the serve client's own pooled call state);
-// BenchmarkClusterReadAt reports that residual.
+// allocations per span in steady state. A full networked span starts
+// its legs on the caller's goroutine and recycles the serve client's
+// span and call state, so it allocates nothing either, apart from the
+// shard server's one write-stream state per WriteAt leg:
+// TestClusterSpanAllocs (allocs_net_test.go) gates it over live shards,
+// and BenchmarkClusterReadAt/BenchmarkClusterWriteAt report it.
 // Excluded under -race: sync.Pool randomly drops items under the race
 // detector.
 

@@ -29,9 +29,9 @@ func BenchmarkClusterLocate(b *testing.B) {
 }
 
 // benchCluster stripes spans over 3 live in-process shards through the
-// full network path. The per-op allocations reported here are the
-// per-shard network bookkeeping (goroutine spawn + serve client call
-// state) on top of the zero-alloc span machinery.
+// full network path. A read span allocates nothing; a write span pays
+// one allocation per leg that moves as a wire v2 stream, the server's
+// write-stream state.
 func benchCluster(b *testing.B, span int64, write bool) {
 	const unitBytes = 4096
 	tc := startClusterUnit(b, 4096, unitBytes, []int64{64, 64, 64}, cluster.ByCapacity,

@@ -89,12 +89,13 @@ type shardConn struct {
 	idx  int
 	addr string
 
-	// mu guards c. A nil c means the last connection broke (or was never
-	// dialed); the next operation redials. Dialing holds mu, so
-	// concurrent legs to a down shard wait for one reconnect instead of
-	// racing their own.
+	// c is the live connection. A nil c means the last connection broke
+	// (or was never dialed); the next operation redials. Dialing holds
+	// mu, so concurrent legs to a down shard wait for one reconnect
+	// instead of racing their own; reading c does not, so starting a leg
+	// never waits behind another shard's dial.
 	mu sync.Mutex
-	c  *serve.Client
+	c  atomic.Pointer[serve.Client]
 
 	hist                obs.Hist
 	ops                 atomic.Int64
@@ -104,10 +105,11 @@ type shardConn struct {
 }
 
 // Client serves one byte namespace over the cluster's shards. It is safe
-// for concurrent use: spans fan out per shard, and each shard's
-// serve.Client pipelines concurrent requests into the server's batch
-// path. Each shard is its own failure domain — a degraded or rebuilding
-// shard slows only the pieces placed on it.
+// for concurrent use: a span starts a leg on every shard it touches and
+// then awaits them, and each shard's serve.Client pipelines concurrent
+// requests into the server's batch path. Each shard is its own failure
+// domain — a degraded or rebuilding shard slows only the pieces placed
+// on it.
 type Client struct {
 	m   *Map
 	man *Manifest
@@ -118,15 +120,26 @@ type Client struct {
 	fanPool sync.Pool
 }
 
-// fanout is one span operation's reusable scratch: per-shard local byte
-// extents and staging buffers. Pooled so the steady-state span path
-// allocates nothing.
+// fanout is one span operation's reusable scratch: one leg per shard.
+// Pooled so the steady-state span path allocates nothing.
 type fanout struct {
-	touched []bool
-	lo, hi  []int64
-	buf     [][]byte
-	errs    []error
-	wg      sync.WaitGroup
+	legs []leg
+}
+
+func newFanout(shards int) *fanout { return &fanout{legs: make([]leg, shards)} }
+
+// leg is one shard's part of a span: its local byte extent [lo, hi),
+// the staging buffer holding those bytes, and, while it runs, the
+// attempt in flight.
+type leg struct {
+	touched bool
+	lo, hi  int64
+	buf     []byte
+	err     error
+
+	start time.Time     // when the leg started, for the shard's histogram
+	sc    *serve.Client // the connection the attempt in flight runs on
+	span  *serve.Span   // the attempt in flight; nil if none started
 }
 
 // Open connects to every shard in the manifest and validates the live
@@ -142,19 +155,10 @@ func Open(man *Manifest, opts Options) (*Client, error) {
 	}
 	c := &Client{m: m, man: man.Clone(), opt: opts.withDefaults()}
 	c.shards = make([]shardConn, len(man.Shards))
-	c.fanPool.New = func() any {
-		n := len(c.shards)
-		return &fanout{
-			touched: make([]bool, n),
-			lo:      make([]int64, n),
-			hi:      make([]int64, n),
-			buf:     make([][]byte, n),
-			errs:    make([]error, n),
-		}
-	}
+	c.fanPool.New = func() any { return newFanout(len(c.shards)) }
 	closeAll := func() {
 		for s := range c.shards {
-			if sc := c.shards[s].c; sc != nil {
+			if sc := c.shards[s].c.Load(); sc != nil {
 				sc.Close()
 			}
 		}
@@ -173,7 +177,7 @@ func Open(man *Manifest, opts Options) (*Client, error) {
 			closeAll()
 			return nil, err
 		}
-		sh.c = sc
+		sh.c.Store(sc)
 	}
 	return c, nil
 }
@@ -225,11 +229,10 @@ func (c *Client) Close() error {
 	for s := range c.shards {
 		sh := &c.shards[s]
 		sh.mu.Lock()
-		if sh.c != nil {
-			if err := sh.c.Close(); err != nil && first == nil {
+		if sc := sh.c.Swap(nil); sc != nil {
+			if err := sc.Close(); err != nil && first == nil {
 				first = err
 			}
-			sh.c = nil
 		}
 		sh.mu.Unlock()
 	}
@@ -240,8 +243,8 @@ func (c *Client) Close() error {
 // the contiguity property of the cycle map (local units are monotone in
 // namespace order) means one contiguous [lo, hi) range per shard.
 func (c *Client) plan(fo *fanout, off, n int64) {
-	for s := range fo.touched {
-		fo.touched[s] = false
+	for s := range fo.legs {
+		fo.legs[s].touched = false
 	}
 	u := c.m.unitBytes
 	g := off / u
@@ -253,11 +256,12 @@ func (c *Client) plan(fo *fanout, off, n int64) {
 		}
 		s, local := c.m.Locate(g)
 		lb := local*u + within
-		if !fo.touched[s] {
-			fo.touched[s] = true
-			fo.lo[s] = lb
+		lg := &fo.legs[s]
+		if !lg.touched {
+			lg.touched = true
+			lg.lo = lb
 		}
-		fo.hi[s] = lb + ln
+		lg.hi = lb + ln
 		off += ln
 		n -= ln
 		g++
@@ -267,15 +271,16 @@ func (c *Client) plan(fo *fanout, off, n int64) {
 // stage sizes each touched shard's staging buffer to its extent, growing
 // (and keeping) capacity as needed — zero allocation in steady state.
 func (c *Client) stage(fo *fanout) {
-	for s := range fo.touched {
-		if !fo.touched[s] {
+	for s := range fo.legs {
+		lg := &fo.legs[s]
+		if !lg.touched {
 			continue
 		}
-		need := int(fo.hi[s] - fo.lo[s])
-		if cap(fo.buf[s]) < need {
-			fo.buf[s] = make([]byte, need)
+		need := int(lg.hi - lg.lo)
+		if cap(lg.buf) < need {
+			lg.buf = make([]byte, need)
 		}
-		fo.buf[s] = fo.buf[s][:need]
+		lg.buf = lg.buf[:need]
 	}
 }
 
@@ -292,7 +297,8 @@ func (c *Client) gather(fo *fanout, p []byte, off int64) {
 			ln = rest
 		}
 		s, local := c.m.Locate(g)
-		copy(fo.buf[s][local*u+within-fo.lo[s]:], p[pi:pi+int(ln)])
+		lg := &fo.legs[s]
+		copy(lg.buf[local*u+within-lg.lo:], p[pi:pi+int(ln)])
 		pi += int(ln)
 		off += ln
 		g++
@@ -314,9 +320,9 @@ func (c *Client) scatter(fo *fanout, p []byte, off int64) {
 			ln = rest
 		}
 		s, local := c.m.Locate(g)
-		if fo.errs[s] == nil {
-			from := local*u + within - fo.lo[s]
-			copy(p[pi:pi+int(ln)], fo.buf[s][from:from+ln])
+		if lg := &fo.legs[s]; lg.err == nil {
+			from := local*u + within - lg.lo
+			copy(p[pi:pi+int(ln)], lg.buf[from:from+ln])
 		}
 		pi += int(ln)
 		off += ln
@@ -338,7 +344,7 @@ func (c *Client) confirmed(fo *fanout, off, n int64) (int, error) {
 			ln = n
 		}
 		s, _ := c.m.Locate(g)
-		if err := fo.errs[s]; err != nil {
+		if err := fo.legs[s].err; err != nil {
 			return cn, &ShardError{Shard: s, Addr: c.shards[s].addr, Err: err}
 		}
 		cn += int(ln)
@@ -352,19 +358,18 @@ func (c *Client) confirmed(fo *fanout, off, n int64) (int, error) {
 func (c *Client) getFan() *fanout { return c.fanPool.Get().(*fanout) }
 
 func (c *Client) putFan(fo *fanout) {
-	for s := range fo.errs {
-		fo.errs[s] = nil
+	for s := range fo.legs {
+		fo.legs[s].err = nil
 	}
 	c.fanPool.Put(fo)
 }
 
 // ReadAt reads len(p) bytes of the namespace starting at off: the span
-// splits by shard and each shard's contiguous local range is fetched
-// concurrently over its connection (whose pipelined unit requests feed
-// the server's ReadVec batch path). Reads crossing the end of the
-// namespace return the available prefix and io.EOF. On a shard failure
-// it returns the contiguous byte count confirmed before the first
-// failing piece.
+// splits into one contiguous local range per shard, started on every
+// touched shard, then awaited (each shard's pipelined requests feed its
+// server's ReadVec batch path). Reads crossing the end of the namespace
+// return the available prefix and io.EOF. On a shard failure it returns
+// the contiguous byte count confirmed before the first failing piece.
 func (c *Client) ReadAt(p []byte, off int64) (int, error) {
 	return c.ReadAtClass(p, off, serve.Foreground)
 }
@@ -389,20 +394,7 @@ func (c *Client) ReadAtClass(p []byte, off int64, class serve.Class) (int, error
 	fo := c.getFan()
 	c.plan(fo, off, int64(len(p)))
 	c.stage(fo)
-	for s := range fo.touched {
-		if !fo.touched[s] {
-			continue
-		}
-		fo.wg.Add(1)
-		go func(s int) {
-			defer fo.wg.Done()
-			fo.errs[s] = c.shardDo(s, func(sc *serve.Client) error {
-				_, err := sc.ReadAtClass(fo.buf[s], fo.lo[s], class)
-				return err
-			})
-		}(s)
-	}
-	fo.wg.Wait()
+	c.run(fo, false, class)
 	n, err := c.confirmed(fo, off, int64(len(p)))
 	c.scatter(fo, p, off)
 	c.putFan(fo)
@@ -416,12 +408,13 @@ func (c *Client) ReadAtClass(p []byte, off int64, class serve.Class) (int, error
 }
 
 // WriteAt writes len(p) bytes of the namespace starting at off, split
-// and fanned out like ReadAt; a stripe-aligned span's pieces coalesce
-// into the shard servers' WriteVec batch path and promote to full-stripe
-// writes. Pieces unaligned to a shard's array unit are read-modify-writes
-// inside that shard's serve.Client, so a span is not atomic against
-// concurrent writers of the same units. On a shard failure it returns
-// the contiguous byte count confirmed before the first failing piece.
+// like ReadAt, started on every touched shard, then awaited; a
+// stripe-aligned span's pieces coalesce into the shard servers' WriteVec
+// batch path and promote to full-stripe writes. Pieces unaligned to a
+// shard's array unit are read-modify-writes inside that shard's
+// serve.Client, so a span is not atomic against concurrent writers of the
+// same units. On a shard failure it returns the contiguous byte count
+// confirmed before the first failing piece.
 func (c *Client) WriteAt(p []byte, off int64) (int, error) {
 	return c.WriteAtClass(p, off, serve.Foreground)
 }
@@ -442,20 +435,7 @@ func (c *Client) WriteAtClass(p []byte, off int64, class serve.Class) (int, erro
 	c.plan(fo, off, int64(len(p)))
 	c.stage(fo)
 	c.gather(fo, p, off)
-	for s := range fo.touched {
-		if !fo.touched[s] {
-			continue
-		}
-		fo.wg.Add(1)
-		go func(s int) {
-			defer fo.wg.Done()
-			fo.errs[s] = c.shardDo(s, func(sc *serve.Client) error {
-				_, err := sc.WriteAtClass(fo.buf[s], fo.lo[s], class)
-				return err
-			})
-		}(s)
-	}
-	fo.wg.Wait()
+	c.run(fo, true, class)
 	n, err := c.confirmed(fo, off, int64(len(p)))
 	c.putFan(fo)
 	if err != nil {
@@ -472,20 +452,56 @@ func retryable(err error) bool {
 	return !errors.As(err, &remote) && !errors.Is(err, serve.ErrClientClosed)
 }
 
-// shardDo runs one shard leg with the per-shard retry/reconnect budget
-// and records its latency. The budget is per leg, so one flapping shard
-// delays only its own pieces.
-func (c *Client) shardDo(si int, op func(*serve.Client) error) error {
+// run starts every touched leg on its shard's live connection, then
+// awaits each leg in shard order. Every leg runs its own retry budget, so
+// one flapping shard delays only its own pieces.
+func (c *Client) run(fo *fanout, write bool, class serve.Class) {
+	for s := range fo.legs {
+		lg := &fo.legs[s]
+		if !lg.touched {
+			continue
+		}
+		c.shards[s].ops.Add(1)
+		lg.start = time.Now()
+		if lg.sc = c.shards[s].c.Load(); lg.sc != nil {
+			lg.begin(write, class)
+		}
+	}
+	for s := range fo.legs {
+		if lg := &fo.legs[s]; lg.touched {
+			lg.err = c.await(s, lg, write, class)
+		}
+	}
+}
+
+// begin starts one attempt of the leg on lg.sc.
+func (lg *leg) begin(write bool, class serve.Class) {
+	if write {
+		lg.span = lg.sc.StartWriteAt(lg.buf, lg.lo, class)
+	} else {
+		lg.span = lg.sc.StartReadAt(lg.buf, lg.lo, class)
+	}
+}
+
+// await finishes one leg under the shard's retry/reconnect budget and
+// records its latency. A leg that could not start (no live connection)
+// dials and starts here; that attempt, or the started one, is attempt 0.
+func (c *Client) await(si int, lg *leg, write bool, class serve.Class) error {
 	sh := &c.shards[si]
-	sh.ops.Add(1)
-	start := time.Now()
-	defer func() { sh.hist.Record(time.Since(start)) }()
-	sc, err := sh.get(c)
+	var err error
+	if lg.span == nil {
+		lg.sc, err = sh.get(c)
+	}
 	for attempt := 0; ; attempt++ {
 		if err == nil {
-			if err = op(sc); err == nil {
+			if lg.span == nil {
+				lg.begin(write, class)
+			}
+			_, err = lg.span.Wait()
+			lg.span = nil
+			if err == nil {
 				sh.down.Store(false)
-				return nil
+				break
 			}
 		}
 		sh.failures.Add(1)
@@ -493,26 +509,32 @@ func (c *Client) shardDo(si int, op func(*serve.Client) error) error {
 			if retryable(err) {
 				sh.down.Store(true)
 			}
-			return err
+			break
 		}
-		if sc != nil {
-			sh.drop(sc)
-			sc = nil
+		if lg.sc != nil {
+			sh.drop(lg.sc)
+			lg.sc = nil
 		}
 		time.Sleep(c.opt.RetryBackoff << attempt)
 		sh.retries.Add(1)
-		if sc, err = sh.get(c); err == nil {
+		if lg.sc, err = sh.get(c); err == nil {
 			sh.reconnects.Add(1)
 		}
 	}
+	lg.sc = nil
+	sh.hist.Record(time.Since(lg.start))
+	return err
 }
 
 // get returns the shard's live connection, dialing if the last one broke.
 func (sh *shardConn) get(c *Client) (*serve.Client, error) {
+	if sc := sh.c.Load(); sc != nil {
+		return sc, nil
+	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.c != nil {
-		return sh.c, nil
+	if sc := sh.c.Load(); sc != nil {
+		return sc, nil
 	}
 	sc, err := c.dial(sh.addr)
 	if err != nil {
@@ -524,7 +546,7 @@ func (sh *shardConn) get(c *Client) (*serve.Client, error) {
 		sc.Close()
 		return nil, err
 	}
-	sh.c = sc
+	sh.c.Store(sc)
 	return sc, nil
 }
 
@@ -532,11 +554,7 @@ func (sh *shardConn) get(c *Client) (*serve.Client, error) {
 // closes it (later drops of the same pointer are no-ops against a
 // replacement dialed in between).
 func (sh *shardConn) drop(sc *serve.Client) {
-	sh.mu.Lock()
-	if sh.c == sc {
-		sh.c = nil
-	}
-	sh.mu.Unlock()
+	sh.c.CompareAndSwap(sc, nil)
 	sc.Close()
 }
 

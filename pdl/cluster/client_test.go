@@ -170,6 +170,13 @@ func TestClusterStats(t *testing.T) {
 	if _, err := c.ReadAt(p, 0); err != nil {
 		t.Fatal(err)
 	}
+	// Each whole-namespace span ran exactly one leg on every shard.
+	for s, ss := range c.Stats() {
+		if ss.Ops != 2 || ss.Failures != 0 || ss.Retries != 0 {
+			t.Errorf("shard %d after one WriteAt and one ReadAt: ops %d failures %d retries %d, want 2, 0, 0",
+				s, ss.Ops, ss.Failures, ss.Retries)
+		}
+	}
 
 	if err := tc.shards[1].store.Fail(2); err != nil {
 		t.Fatal(err)

@@ -11,15 +11,6 @@ func testFanClient(t *testing.T, unitBytes int64, units []int64, policy Policy) 
 		t.Fatal(err)
 	}
 	c := &Client{m: m, shards: make([]shardConn, len(units))}
-	c.fanPool.New = func() any {
-		n := len(c.shards)
-		return &fanout{
-			touched: make([]bool, n),
-			lo:      make([]int64, n),
-			hi:      make([]int64, n),
-			buf:     make([][]byte, n),
-			errs:    make([]error, n),
-		}
-	}
+	c.fanPool.New = func() any { return newFanout(len(c.shards)) }
 	return c
 }

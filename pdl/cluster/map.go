@@ -21,8 +21,8 @@
 //     array.json discipline of pdl/store/array.
 //
 //   - Client: ReadAt/WriteAt/Size/Stats over the whole namespace. A span
-//     splits by shard, each shard's contiguous local range fans out
-//     concurrently over that shard's serve.Client (feeding the server's
+//     splits by shard; each shard's contiguous local range is started on
+//     that shard's serve.Client, then awaited (feeding the server's
 //     ReadVec/WriteVec batch path), with bounded per-shard
 //     retry/reconnect on transport failure.
 package cluster

@@ -7,7 +7,7 @@ import (
 )
 
 // TestStatsHistRace pins the fix for the non-atomic histogram read in
-// Client.Stats: percentiles used to walk the buckets while shardDo legs
+// Client.Stats: percentiles used to walk the buckets while span legs
 // recorded into them, and a rank computed from a newer count could run
 // off the older bucket copy. On the shared obs.Hist the snapshot's
 // ordering contract (count loaded before buckets) makes that impossible;

@@ -241,6 +241,7 @@ type Client struct {
 
 	callPool  sync.Pool
 	framePool sync.Pool
+	spanPool  sync.Pool // *Span, with its segment ring
 
 	// requests, readSpans, and writeStreams count started unit requests
 	// and opened wire v2 span streams over the client's life.
@@ -253,6 +254,7 @@ func newClient() *Client {
 	c := &Client{}
 	c.callPool.New = func() any { return &call{done: make(chan error, 1)} }
 	c.framePool.New = func() any { return new(frame) }
+	c.spanPool.New = func() any { return new(Span) }
 	return c
 }
 

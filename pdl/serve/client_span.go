@@ -62,17 +62,44 @@ type flight struct {
 	n int
 }
 
-// span is the state of one ReadAt/WriteAt call: its in-flight segments,
-// oldest first, and the outcome so far.
-type span struct {
+// Span is one started ReadAt or WriteAt: its segments are in flight on
+// the client's connections. StartReadAt and StartWriteAt return it from
+// a pool and Wait settles it and puts it back, so starting a span
+// allocates nothing and a caller can have spans on several clients in
+// flight from one goroutine.
+type Span struct {
 	c    *Client
 	unit int
+	eof  bool // a read clipped at the end of the array
 
 	ring           [spanWindow]flight
 	head, inflight int
 
 	n   int   // contiguous bytes confirmed from the span's start
 	err error // the first failure; nothing past it counts
+}
+
+func (c *Client) getSpan(unit int) *Span {
+	s := c.spanPool.Get().(*Span)
+	s.c, s.unit = c, unit
+	return s
+}
+
+// Wait settles every segment of the span and returns what ReadAt or
+// WriteAt would have: the contiguous byte count confirmed from the
+// span's start and the first failure (io.EOF for a read clipped at the
+// end of the array). Call it exactly once; the Span is recycled and
+// must not be used after.
+func (s *Span) Wait() (int, error) {
+	s.drain()
+	n, err := s.n, s.err
+	if err == nil && s.eof {
+		err = io.EOF
+	}
+	c := s.c
+	s.c, s.eof, s.head, s.n, s.err = nil, false, 0, 0, nil
+	c.spanPool.Put(s)
+	return n, err
 }
 
 // segUnits returns the size, in units, of the segments a span's
@@ -95,7 +122,7 @@ func (c *Client) segUnits(plen int, off int64, unit int) int {
 
 // push adds a started segment, first waiting for the oldest when the
 // window is full.
-func (s *span) push(f flight) {
+func (s *Span) push(f flight) {
 	if s.inflight == spanWindow {
 		s.settle()
 	}
@@ -105,9 +132,10 @@ func (s *span) push(f flight) {
 
 // settle waits for the oldest in-flight segment. Every started segment
 // is waited for, even past a failure: its frames and destination alias
-// the caller's buffer, which the caller owns again once the span returns.
-func (s *span) settle() {
+// the caller's buffer, which the caller owns again once Wait returns.
+func (s *Span) settle() {
 	f := s.ring[s.head]
+	s.ring[s.head] = flight{} // unpin the caller's buffer
 	s.head = (s.head + 1) % spanWindow
 	s.inflight--
 	recv, err := s.c.waitSpan(f.cl)
@@ -125,14 +153,14 @@ func (s *span) settle() {
 }
 
 // drain settles every in-flight segment.
-func (s *span) drain() {
+func (s *Span) drain() {
 	for s.inflight > 0 {
 		s.settle()
 	}
 }
 
 // fail records a failure to start the segment after the in-flight ones.
-func (s *span) fail(err error) {
+func (s *Span) fail(err error) {
 	s.drain()
 	if s.err == nil {
 		s.err = err
@@ -150,27 +178,36 @@ func (s *span) fail(err error) {
 // On a request failure it returns the contiguous byte count confirmed
 // before the failing offset.
 func (c *Client) ReadAt(p []byte, off int64) (int, error) {
-	return c.ReadAtClass(p, off, Foreground)
+	return c.StartReadAt(p, off, Foreground).Wait()
 }
 
 // ReadAtClass is ReadAt with an explicit priority class.
 func (c *Client) ReadAtClass(p []byte, off int64, class Class) (int, error) {
-	if off < 0 {
-		return 0, fmt.Errorf("serve: ReadAt: negative offset %d", off)
-	}
+	return c.StartReadAt(p, off, class).Wait()
+}
+
+// StartReadAt starts ReadAtClass(p, off, class) and returns without
+// waiting for it: Wait on the returned Span gives ReadAtClass's result.
+// p belongs to the span until Wait returns. StartReadAt blocks only
+// while the span has more segments than its window keeps in flight (64).
+func (c *Client) StartReadAt(p []byte, off int64, class Class) *Span {
 	in := c.geom()
 	unit := in.UnitSize
+	s := c.getSpan(unit)
+	if off < 0 {
+		s.err = fmt.Errorf("serve: ReadAt: negative offset %d", off)
+		return s
+	}
 	size := int64(in.Capacity) * int64(unit)
 	if off >= size {
-		return 0, io.EOF
+		s.err = io.EOF
+		return s
 	}
-	eof := false
 	if off+int64(len(p)) > size {
 		p = p[:size-off]
-		eof = true
+		s.eof = true
 	}
 	segUnits := c.segUnits(len(p), off, unit)
-	s := span{c: c, unit: unit}
 	for len(p) > 0 && s.err == nil {
 		logical, within := uint64(off/int64(unit)), int(off%int64(unit))
 		f := flight{n: min(unit-within, len(p))}
@@ -195,14 +232,7 @@ func (c *Client) ReadAtClass(p []byte, off int64, class Class) (int, error) {
 		s.push(f)
 		p, off = p[f.n:], off+int64(f.n)
 	}
-	s.drain()
-	if s.err != nil {
-		return s.n, s.err
-	}
-	if eof {
-		return s.n, io.EOF
-	}
-	return s.n, nil
+	return s
 }
 
 // WriteAt writes len(p) bytes to the logical byte space starting at off.
@@ -218,22 +248,34 @@ func (c *Client) ReadAtClass(p []byte, off int64, class Class) (int, error) {
 // of the same units. On a request failure it returns the contiguous byte
 // count confirmed before the failing offset.
 func (c *Client) WriteAt(p []byte, off int64) (int, error) {
-	return c.WriteAtClass(p, off, Foreground)
+	return c.StartWriteAt(p, off, Foreground).Wait()
 }
 
 // WriteAtClass is WriteAt with an explicit priority class.
 func (c *Client) WriteAtClass(p []byte, off int64, class Class) (int, error) {
-	if off < 0 {
-		return 0, fmt.Errorf("serve: WriteAt: negative offset %d", off)
-	}
+	return c.StartWriteAt(p, off, class).Wait()
+}
+
+// StartWriteAt starts WriteAtClass(p, off, class) and returns without
+// waiting for it: Wait on the returned Span gives WriteAtClass's result.
+// p belongs to the span until Wait returns; its frames go out straight
+// from it. StartWriteAt blocks while the span has more segments than its
+// window keeps in flight (64), and for the read-modify-write of a
+// partial unit.
+func (c *Client) StartWriteAt(p []byte, off int64, class Class) *Span {
 	in := c.geom()
 	unit := in.UnitSize
+	s := c.getSpan(unit)
+	if off < 0 {
+		s.err = fmt.Errorf("serve: WriteAt: negative offset %d", off)
+		return s
+	}
 	size := int64(in.Capacity) * int64(unit)
 	if off+int64(len(p)) > size {
-		return 0, fmt.Errorf("serve: WriteAt: [%d,%d) outside array of %d bytes", off, off+int64(len(p)), size)
+		s.err = fmt.Errorf("serve: WriteAt: [%d,%d) outside array of %d bytes", off, off+int64(len(p)), size)
+		return s
 	}
 	segUnits := c.segUnits(len(p), off, unit)
-	s := span{c: c, unit: unit}
 	for len(p) > 0 && s.err == nil {
 		logical, within := uint64(off/int64(unit)), int(off%int64(unit))
 		n := min(unit-within, len(p))
@@ -267,8 +309,7 @@ func (c *Client) WriteAtClass(p []byte, off int64, class Class) (int, error) {
 		}
 		p, off = p[n:], off+int64(n)
 	}
-	s.drain()
-	return s.n, s.err
+	return s
 }
 
 // startReadSpan opens one OpReadSpan stream on cn: the server answers

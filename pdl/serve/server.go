@@ -60,9 +60,11 @@ const (
 	// contributes up to two iovecs; Linux caps a writev at 1024).
 	maxRespBatch = 64
 
-	// maxConnSpans bounds concurrent OpReadSpan streams per connection:
-	// each holds a chunk buffer and a goroutine, and a hostile client
-	// could otherwise open them for the price of a 26-byte frame.
+	// maxConnSpans bounds a connection's read-span workers, so its
+	// concurrent OpReadSpan streams: each worker holds a chunk buffer
+	// while it serves one, and a hostile client could otherwise open
+	// streams for the price of a 26-byte frame. Workers start on demand
+	// and park between spans until the connection closes.
 	maxConnSpans = 32
 
 	// maxOpenStreams bounds open write streams per connection, for the
@@ -347,15 +349,27 @@ func (sr *srvReq) complete(err error) {
 	st.pending.Done()
 }
 
-// connState is one connection's server-side state. streams is owned by
-// the reader goroutine; pending counts every in-flight submission whose
-// completion will still queue a response.
+// connState is one connection's server-side state. streams and
+// spanWorkers are owned by the reader goroutine; pending counts every
+// in-flight submission whose completion will still queue a response,
+// and every read-span worker.
 type connState struct {
 	s       *Server
 	out     chan *srvResp
 	pending sync.WaitGroup
 	streams map[uint64]*wstream
-	spanSem chan struct{}
+
+	// spans hands OpReadSpan streams to parked workers; unbuffered, so
+	// a send succeeds only when a worker is free.
+	spans       chan readSpanReq
+	spanWorkers int
+}
+
+// readSpanReq is one OpReadSpan stream, validated, awaiting a worker.
+type readSpanReq struct {
+	id           uint64
+	class        Class
+	start, count int
 }
 
 func (st *connState) send(r *srvResp) { st.out <- r }
@@ -435,9 +449,9 @@ func (s *Server) handle(conn net.Conn) {
 		}
 	}
 	st := &connState{
-		s:       s,
-		out:     make(chan *srvResp, 256),
-		spanSem: make(chan struct{}, maxConnSpans),
+		s:     s,
+		out:   make(chan *srvResp, 256),
+		spans: make(chan readSpanReq),
 	}
 	var writerDone sync.WaitGroup
 	writerDone.Add(1)
@@ -477,8 +491,10 @@ func (s *Server) handle(conn net.Conn) {
 			break
 		}
 	}
-	// In-flight completions still queue responses; close the channel
-	// only after they all land.
+	// Span workers exit once their current span is done. In-flight
+	// completions and spans still queue responses, so close st.out only
+	// after they all land.
+	close(st.spans)
 	st.pending.Wait()
 	close(st.out)
 	writerDone.Wait()
@@ -636,10 +652,8 @@ func (s *Server) dispatch(st *connState, req *wire.Request, fb *frameBuf) bool {
 			st.respondErr(req.ID, fmt.Errorf("span [%d,+%d) outside capacity %d", req.Arg, count, capa))
 			return true
 		}
-		st.spanSem <- struct{}{} // backpressure: bounded concurrent spans
-		st.pending.Add(1)
 		s.readSpans.Add(1)
-		go s.readSpan(st, req.ID, Class(req.Class), int(req.Arg), count)
+		st.startSpan(readSpanReq{id: req.ID, class: Class(req.Class), start: int(req.Arg), count: count})
 
 	case wire.OpWriteSpan:
 		count, err := wire.DecodeSpanCount(req.Payload)
@@ -783,15 +797,42 @@ func (s *Server) writeChunk(st *connState, ws *wstream, req *wire.Request, fb *f
 	return true
 }
 
+// startSpan hands a read span to a parked worker, else starts a new
+// worker while fewer than maxConnSpans exist, else blocks the reader
+// until a worker frees up: the connection's backpressure on spans.
+func (st *connState) startSpan(sp readSpanReq) {
+	select {
+	case st.spans <- sp:
+		return
+	default:
+	}
+	if st.spanWorkers < maxConnSpans {
+		st.spanWorkers++
+		st.pending.Add(1)
+		go st.spanWorker(sp)
+		return
+	}
+	st.spans <- sp
+}
+
+// spanWorker serves read spans one after another until the reader
+// closes st.spans at teardown.
+func (st *connState) spanWorker(sp readSpanReq) {
+	defer st.pending.Done()
+	for {
+		st.s.readSpan(st, sp.id, sp.class, sp.start, sp.count)
+		var ok bool
+		if sp, ok = <-st.spans; !ok {
+			return
+		}
+	}
+}
+
 // readSpan streams count units starting at start back as ordered
 // StatusChunk frames. Each chunk is a pooled buffer filled by one
 // frontend read request, handed to the writer as one iovec, and
 // recycled after its writev lands.
 func (s *Server) readSpan(st *connState, id uint64, class Class, start, count int) {
-	defer func() {
-		<-st.spanSem
-		st.pending.Done()
-	}()
 	cu := s.chunkUnits()
 	for done := 0; done < count; {
 		// A fresh buffer per chunk: the writer owns each one sent.

@@ -4,14 +4,19 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/pdl"
 	"repro/pdl/serve"
 	"repro/pdl/serve/wire"
+	"repro/pdl/store"
 )
 
 // rawV2Conn speaks the v2 framing by hand so tests can send frame
@@ -316,4 +321,108 @@ func TestStreamRoundTripLarge(t *testing.T) {
 			}
 		}
 	}
+}
+
+// readGatedDisk holds every ReadAt while armed, until gate closes.
+type readGatedDisk struct {
+	store.Backend
+	armed *atomic.Bool
+	gate  chan struct{}
+}
+
+func (d *readGatedDisk) ReadAt(p []byte, off int64) (int, error) {
+	if d.armed.Load() {
+		<-d.gate
+	}
+	return d.Backend.ReadAt(p, off)
+}
+
+// TestConnSpanBound pins the server's per-connection read-span bound
+// (32 streams in service): one connection opens 40 read spans while
+// every disk read blocks, and only 32 of them may reach the Frontend.
+// Once reads resume all 40 complete with the right bytes, and closing
+// the connection leaves no server or client goroutine behind.
+func TestConnSpanBound(t *testing.T) {
+	const (
+		unitSize  = 64
+		spanUnits = 4 // the shortest aligned span that moves as a stream
+		spans     = 40
+		bound     = 32
+		spanBytes = spanUnits * unitSize
+	)
+	res, err := pdl.Build(13, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := res.NewMapper(8 * res.Layout.Size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var armed atomic.Bool
+	gate := make(chan struct{})
+	backends := make([]store.Backend, m.Disks())
+	for d := range backends {
+		backends[d] = &readGatedDisk{Backend: store.NewMemDisk(int64(m.DiskUnits() * unitSize)), armed: &armed, gate: gate}
+	}
+	s, err := store.New(m, unitSize, backends)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Capacity() < spans*spanUnits {
+		t.Fatalf("capacity %d units, want >= %d", s.Capacity(), spans*spanUnits)
+	}
+	f := serve.New(s, serve.Config{QueueDepth: 2 * spans, FlushDelay: -1})
+	t.Cleanup(func() {
+		f.Close()
+		s.Close()
+	})
+	addr := startServer(t, f)
+	var once sync.Once
+	release := func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(release) // before the server's Close, which waits for the spans
+
+	before := runtime.NumGoroutine()
+	c, err := serve.Dial(addr, serve.WithConns(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := payload(make([]byte, spans*spanBytes), 9)
+	if _, err := c.WriteAt(want, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	sub := f.Stats().Submitted
+	armed.Store(true)
+	got := make([]byte, len(want))
+	errs := make(chan error, spans)
+	for i := 0; i < spans; i++ {
+		go func(b []byte, off int64) {
+			n, err := c.ReadAt(b, off)
+			if err == nil && n != len(b) {
+				err = fmt.Errorf("ReadAt at %d: %d bytes, want %d", off, n, len(b))
+			}
+			errs <- err
+		}(got[i*spanBytes:(i+1)*spanBytes], int64(i*spanBytes))
+	}
+	waitUntil(t, fmt.Sprintf("%d spans reach the frontend", bound), func() bool {
+		return f.Stats().Submitted-sub >= bound
+	})
+	time.Sleep(50 * time.Millisecond) // room for a 33rd to arrive
+	if d := f.Stats().Submitted - sub; d != bound {
+		t.Errorf("%d span requests reached the frontend with reads blocked, want %d", d, bound)
+	}
+
+	release()
+	for i := 0; i < spans; i++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("span bytes diverge")
+	}
+	c.Close()
+	waitUntil(t, "the connection's goroutines exit", func() bool {
+		return runtime.NumGoroutine() <= before
+	})
 }

@@ -1,12 +1,14 @@
 //go:build !race
 
 // The allocs regression gate (CI) for the cluster client: the span
-// machinery — locate, per-shard extent planning, staging, gather,
-// scatter, and the confirmed-prefix accounting — runs at zero
-// allocations per span in steady state. A full networked span starts
-// its legs on the caller's goroutine and recycles the serve client's
-// span and call state, so it allocates nothing either, apart from the
-// shard server's one write-stream state per WriteAt leg:
+// machinery — locate, stage (per-shard extents, staging buffers and the
+// write copy-in) and settle (the confirmed prefix and the read copy-out),
+// both walking the span through Map.LocateRange — runs at zero
+// allocations per span in steady state, in both directions. A full
+// networked span starts its legs on the caller's goroutine and recycles
+// the serve client's span and call state, so it allocates nothing
+// either, apart from the shard server's one write-stream state per
+// WriteAt leg:
 // TestClusterSpanAllocs (allocs_net_test.go) gates it over live shards,
 // and BenchmarkClusterReadAt/BenchmarkClusterWriteAt report it.
 // Excluded under -race: sync.Pool randomly drops items under the race
@@ -29,22 +31,26 @@ func TestSpanHotPathAllocs(t *testing.T) {
 		t.Errorf("Locate allocates %v/op, want 0", n)
 	}
 
-	// An unaligned span over several shard-units, warm pool and staging.
+	// An unaligned span over several shard-units, warm pool and staging:
+	// a write's stage and settle, then a read's.
 	p := make([]byte, 3*unitBytes)
 	off := int64(unitBytes/2 + 3)
 	roundTrip := func() {
 		fo := c.getFan()
-		c.plan(fo, off, int64(len(p)))
-		c.stage(fo)
-		c.gather(fo, p, off)
-		c.scatter(fo, p, off)
-		if _, err := c.confirmed(fo, off, int64(len(p))); err != nil {
+		c.stage(fo, off, int64(len(p)), p)
+		if _, err := c.settle(fo, off, int64(len(p)), nil); err != nil {
+			t.Fatal(err)
+		}
+		c.putFan(fo)
+		fo = c.getFan()
+		c.stage(fo, off, int64(len(p)), nil)
+		if _, err := c.settle(fo, off, int64(len(p)), p); err != nil {
 			t.Fatal(err)
 		}
 		c.putFan(fo)
 	}
 	roundTrip()
 	if n := testing.AllocsPerRun(500, roundTrip); n != 0 {
-		t.Errorf("span plan/stage/gather/scatter/confirm allocates %v/op, want 0", n)
+		t.Errorf("span stage/settle (write and read) allocates %v/op, want 0", n)
 	}
 }

@@ -156,28 +156,20 @@ func Open(man *Manifest, opts Options) (*Client, error) {
 	c := &Client{m: m, man: man.Clone(), opt: opts.withDefaults()}
 	c.shards = make([]shardConn, len(man.Shards))
 	c.fanPool.New = func() any { return newFanout(len(c.shards)) }
-	closeAll := func() {
-		for s := range c.shards {
-			if sc := c.shards[s].c.Load(); sc != nil {
-				sc.Close()
-			}
-		}
-	}
 	for s := range man.Shards {
 		sh := &c.shards[s]
 		sh.idx = s
 		sh.addr = man.Shards[s].Addr
 		sc, err := c.dial(sh.addr)
 		if err != nil {
-			closeAll()
+			c.Close()
 			return nil, &ShardError{Shard: s, Addr: sh.addr, Err: err}
 		}
+		sh.c.Store(sc)
 		if err := c.checkGeometry(man, s, sc); err != nil {
-			sc.Close()
-			closeAll()
+			c.Close()
 			return nil, err
 		}
-		sh.c.Store(sc)
 	}
 	return c, nil
 }
@@ -185,11 +177,8 @@ func Open(man *Manifest, opts Options) (*Client, error) {
 func (c *Client) dial(addr string) (*serve.Client, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), c.opt.DialTimeout)
 	defer cancel()
-	if n := c.opt.Conns; n != 0 {
-		if n < 1 {
-			n = 1
-		}
-		return serve.DialContext(ctx, addr, serve.WithConns(n))
+	if c.opt.Conns != 0 {
+		return serve.DialContext(ctx, addr, serve.WithConns(c.opt.Conns))
 	}
 	return serve.DialContext(ctx, addr)
 }
@@ -239,38 +228,24 @@ func (c *Client) Close() error {
 	return first
 }
 
-// plan computes each shard's local byte extent for the span [off, off+n):
-// the contiguity property of the cycle map (local units are monotone in
-// namespace order) means one contiguous [lo, hi) range per shard.
-func (c *Client) plan(fo *fanout, off, n int64) {
+// stage prepares a span's legs. One walk over the span's pieces finds
+// each touched shard's local extent [lo, hi): local units are monotone
+// in namespace order, so a span touches one contiguous range per shard.
+// Each staging buffer is then sized to its extent once, keeping capacity
+// across spans, so the steady state allocates nothing. On a write (src
+// non-nil) a second walk copies the span's bytes into the buffers.
+func (c *Client) stage(fo *fanout, off, n int64, src []byte) {
 	for s := range fo.legs {
 		fo.legs[s].touched = false
 	}
-	u := c.m.unitBytes
-	g := off / u
-	for n > 0 {
-		within := off - g*u
-		ln := u - within
-		if ln > n {
-			ln = n
-		}
-		s, local := c.m.Locate(g)
-		lb := local*u + within
+	c.m.LocateRange(off, n, func(s int, local, _ int64, ln int) {
 		lg := &fo.legs[s]
 		if !lg.touched {
 			lg.touched = true
-			lg.lo = lb
+			lg.lo = local
 		}
-		lg.hi = lb + ln
-		off += ln
-		n -= ln
-		g++
-	}
-}
-
-// stage sizes each touched shard's staging buffer to its extent, growing
-// (and keeping) capacity as needed — zero allocation in steady state.
-func (c *Client) stage(fo *fanout) {
+		lg.hi = local + int64(ln)
+	})
 	for s := range fo.legs {
 		lg := &fo.legs[s]
 		if !lg.touched {
@@ -282,77 +257,41 @@ func (c *Client) stage(fo *fanout) {
 		}
 		lg.buf = lg.buf[:need]
 	}
-}
-
-// gather copies the span's bytes from p into the per-shard staging
-// buffers (the write direction).
-func (c *Client) gather(fo *fanout, p []byte, off int64) {
-	u := c.m.unitBytes
-	g := off / u
-	pi := 0
-	for pi < len(p) {
-		within := off - g*u
-		ln := u - within
-		if rest := int64(len(p) - pi); ln > rest {
-			ln = rest
-		}
-		s, local := c.m.Locate(g)
+	if src == nil {
+		return
+	}
+	c.m.LocateRange(off, n, func(s int, local, spanOff int64, ln int) {
 		lg := &fo.legs[s]
-		copy(lg.buf[local*u+within-lg.lo:], p[pi:pi+int(ln)])
-		pi += int(ln)
-		off += ln
-		g++
-	}
+		copy(lg.buf[local-lg.lo:], src[spanOff-off:][:ln])
+	})
 }
 
-// scatter copies the per-shard staging buffers back into p (the read
-// direction), skipping shards whose leg failed: their staging bytes are
-// not data, and the confirmed-prefix contract still requires the bytes
-// before the first failing piece to land in p.
-func (c *Client) scatter(fo *fanout, p []byte, off int64) {
-	u := c.m.unitBytes
-	g := off / u
-	pi := 0
-	for pi < len(p) {
-		within := off - g*u
-		ln := u - within
-		if rest := int64(len(p) - pi); ln > rest {
-			ln = rest
-		}
-		s, local := c.m.Locate(g)
-		if lg := &fo.legs[s]; lg.err == nil {
-			from := local*u + within - lg.lo
-			copy(p[pi:pi+int(ln)], lg.buf[from:from+ln])
-		}
-		pi += int(ln)
-		off += ln
-		g++
-	}
-}
-
-// confirmed returns the span's contiguous byte count before the first
-// piece whose shard failed, and the first failure in placement order —
-// the same contract as serve.Client spans, one level up.
-func (c *Client) confirmed(fo *fanout, off, n int64) (int, error) {
-	u := c.m.unitBytes
-	g := off / u
+// settle reads a span's outcome off its legs in one walk over its
+// pieces: the contiguous byte count before the first piece whose shard
+// failed, and that failure as a ShardError — the same contract as
+// serve.Client spans, one level up. On a read (dst non-nil) it also
+// copies every piece of each leg that succeeded into dst, including
+// pieces after the first failure; a failed leg's staging bytes are not
+// data, so its pieces of dst are left as they were.
+func (c *Client) settle(fo *fanout, off, n int64, dst []byte) (int, error) {
 	cn := 0
-	for n > 0 {
-		within := off - g*u
-		ln := u - within
-		if ln > n {
-			ln = n
+	var first error
+	c.m.LocateRange(off, n, func(s int, local, spanOff int64, ln int) {
+		lg := &fo.legs[s]
+		if lg.err != nil {
+			if first == nil {
+				first = &ShardError{Shard: s, Addr: c.shards[s].addr, Err: lg.err}
+			}
+			return
 		}
-		s, _ := c.m.Locate(g)
-		if err := fo.legs[s].err; err != nil {
-			return cn, &ShardError{Shard: s, Addr: c.shards[s].addr, Err: err}
+		if first == nil {
+			cn += ln
 		}
-		cn += int(ln)
-		off += ln
-		n -= ln
-		g++
-	}
-	return cn, nil
+		if dst != nil {
+			copy(dst[spanOff-off:][:ln], lg.buf[local-lg.lo:])
+		}
+	})
+	return cn, first
 }
 
 func (c *Client) getFan() *fanout { return c.fanPool.Get().(*fanout) }
@@ -392,11 +331,9 @@ func (c *Client) ReadAtClass(p []byte, off int64, class serve.Class) (int, error
 		return 0, nil
 	}
 	fo := c.getFan()
-	c.plan(fo, off, int64(len(p)))
-	c.stage(fo)
+	c.stage(fo, off, int64(len(p)), nil)
 	c.run(fo, false, class)
-	n, err := c.confirmed(fo, off, int64(len(p)))
-	c.scatter(fo, p, off)
+	n, err := c.settle(fo, off, int64(len(p)), p)
 	c.putFan(fo)
 	if err != nil {
 		return n, err
@@ -425,18 +362,16 @@ func (c *Client) WriteAtClass(p []byte, off int64, class serve.Class) (int, erro
 		return 0, fmt.Errorf("cluster: WriteAt: negative offset %d", off)
 	}
 	size := c.m.Size()
-	if off+int64(len(p)) > size {
-		return 0, fmt.Errorf("cluster: WriteAt: [%d,%d) outside namespace of %d bytes", off, off+int64(len(p)), size)
+	if off > size-int64(len(p)) {
+		return 0, fmt.Errorf("cluster: WriteAt: %d bytes at %d outside namespace of %d bytes", len(p), off, size)
 	}
 	if len(p) == 0 {
 		return 0, nil
 	}
 	fo := c.getFan()
-	c.plan(fo, off, int64(len(p)))
-	c.stage(fo)
-	c.gather(fo, p, off)
+	c.stage(fo, off, int64(len(p)), p)
 	c.run(fo, true, class)
-	n, err := c.confirmed(fo, off, int64(len(p)))
+	n, err := c.settle(fo, off, int64(len(p)), nil)
 	c.putFan(fo)
 	if err != nil {
 		return n, err

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -115,6 +117,18 @@ func TestClusterBounds(t *testing.T) {
 	}
 	if _, err := c.WriteAt(p, -1); err == nil {
 		t.Fatal("negative write offset accepted")
+	}
+	// An end past MaxInt64 must not wrap the bounds check: the client
+	// refuses the write itself and starts no shard leg.
+	before := c.Stats()
+	if n, err := c.WriteAt(p, math.MaxInt64-int64(len(p)/2)); n != 0 || err == nil || !strings.HasPrefix(err.Error(), "cluster: WriteAt:") {
+		t.Fatalf("write at MaxInt64-%d = %d, %v; want the client's range error", len(p)/2, n, err)
+	}
+	for s, st := range c.Stats() {
+		b := before[s]
+		if st.Ops != b.Ops || st.Failures != b.Failures || st.Retries != b.Retries || st.Reconnects != b.Reconnects {
+			t.Fatalf("shard %d counted ops for a refused write: before %+v, after %+v", s, b, st)
+		}
 	}
 	// Empty spans are cheap no-ops.
 	if n, err := c.ReadAt(nil, 0); n != 0 || err != nil {

@@ -3,7 +3,7 @@ package cluster
 import "testing"
 
 // testFanClient builds a Client with the span machinery wired but no
-// network: exactly what plan/stage/gather/scatter/confirmed touch.
+// network: exactly what stage and settle touch.
 func testFanClient(t *testing.T, unitBytes int64, units []int64, policy Policy) *Client {
 	t.Helper()
 	m, err := NewMap(unitBytes, units, policy)

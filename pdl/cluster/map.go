@@ -208,8 +208,9 @@ func (m *Map) Locate(unit int64) (shard int, local int64) {
 // LocateRange walks the byte span [off, off+n) in placement order,
 // calling fn once per piece — the span's overlap with one shard-unit —
 // with the shard, the shard-local byte offset, the namespace byte
-// offset, and the piece length. It allocates nothing itself; the span
-// must lie within [0, Size()) and fn must not be nil.
+// offset, and the piece length; the Client splits every span through
+// it. It allocates nothing itself; the span must lie within [0, Size())
+// and fn must not be nil.
 func (m *Map) LocateRange(off, n int64, fn func(shard int, local, spanOff int64, n int)) {
 	u := m.unitBytes
 	g := off / u

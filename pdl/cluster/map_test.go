@@ -118,45 +118,71 @@ func TestMapInterleaving(t *testing.T) {
 }
 
 // TestLocateRange checks the piece decomposition: pieces tile the span
-// exactly, never cross a shard-unit boundary, and agree with Locate.
+// exactly, never cross a shard-unit boundary, and agree with Locate; and
+// the pieces one span places on one shard are contiguous in that shard's
+// local space — the property that lets the client stage each shard's
+// part of a span as one [lo, hi) extent. Both policies, unequal
+// capacities, and spans longer than one cycle.
 func TestLocateRange(t *testing.T) {
 	const unit = 16
-	m, err := cluster.NewMap(unit, []int64{4, 8, 12}, cluster.ByCapacity)
-	if err != nil {
-		t.Fatal(err)
+	maps := []struct {
+		name   string
+		units  []int64
+		policy cluster.Policy
+	}{
+		{"weighted", []int64{4, 8, 12}, cluster.ByCapacity},
+		{"coprime-weights", []int64{6, 10, 14}, cluster.ByCapacity},
+		{"unequal-rr", []int64{8, 5, 9}, cluster.RoundRobin},
 	}
-	spans := []struct{ off, n int64 }{
-		{0, m.Size()},
-		{0, 1},
-		{unit - 1, 2},
-		{unit, unit},
-		{3, 5 * unit},
-		{m.Size() - 1, 1},
-		{7, m.Size() - 7},
-	}
-	for _, sp := range spans {
-		off := sp.off
-		left := sp.n
-		m.LocateRange(sp.off, sp.n, func(shard int, local, spanOff int64, n int) {
-			if spanOff != off {
-				t.Fatalf("span [%d,%d): piece at %d, want %d (not tiling)", sp.off, sp.off+sp.n, spanOff, off)
+	for _, mc := range maps {
+		t.Run(mc.name, func(t *testing.T) {
+			m, err := cluster.NewMap(unit, mc.units, mc.policy)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if n < 1 || int64(n) > unit {
-				t.Fatalf("piece length %d outside (0,%d]", n, unit)
+			// Every map here holds two or more cycles, so half the
+			// namespace spans at least one whole cycle.
+			half := m.Size() / 2
+			spans := []struct{ off, n int64 }{
+				{0, m.Size()},
+				{0, 1},
+				{unit - 1, 2},
+				{unit, unit},
+				{3, 5 * unit},
+				{m.Size() - 1, 1},
+				{7, m.Size() - 7},
+				{unit / 2, half + unit},
 			}
-			if spanOff/unit != (spanOff+int64(n)-1)/unit {
-				t.Fatalf("piece [%d,%d) crosses a shard-unit boundary", spanOff, spanOff+int64(n))
+			for _, sp := range spans {
+				off := sp.off
+				left := sp.n
+				end := make(map[int]int64) // shard -> local end of its last piece
+				m.LocateRange(sp.off, sp.n, func(shard int, local, spanOff int64, n int) {
+					if spanOff != off {
+						t.Fatalf("span [%d,%d): piece at %d, want %d (not tiling)", sp.off, sp.off+sp.n, spanOff, off)
+					}
+					if n < 1 || int64(n) > unit {
+						t.Fatalf("piece length %d outside (0,%d]", n, unit)
+					}
+					if spanOff/unit != (spanOff+int64(n)-1)/unit {
+						t.Fatalf("piece [%d,%d) crosses a shard-unit boundary", spanOff, spanOff+int64(n))
+					}
+					ws, wl := m.Locate(spanOff / unit)
+					if shard != ws || local != wl*unit+spanOff%unit {
+						t.Fatalf("piece at %d: (%d,%d), Locate says (%d,%d)", spanOff, shard, local, ws, wl*unit+spanOff%unit)
+					}
+					if e, seen := end[shard]; seen && local != e {
+						t.Fatalf("span [%d,%d): shard %d piece at local %d, want %d (not contiguous)", sp.off, sp.off+sp.n, shard, local, e)
+					}
+					end[shard] = local + int64(n)
+					off += int64(n)
+					left -= int64(n)
+				})
+				if left != 0 {
+					t.Fatalf("span [%d,%d): %d bytes not covered", sp.off, sp.off+sp.n, left)
+				}
 			}
-			ws, wl := m.Locate(spanOff / unit)
-			if shard != ws || local != wl*unit+spanOff%unit {
-				t.Fatalf("piece at %d: (%d,%d), Locate says (%d,%d)", spanOff, shard, local, ws, wl*unit+spanOff%unit)
-			}
-			off += int64(n)
-			left -= int64(n)
 		})
-		if left != 0 {
-			t.Fatalf("span [%d,%d): %d bytes not covered", sp.off, sp.off+sp.n, left)
-		}
 	}
 }
 

@@ -80,7 +80,8 @@ func TestShardDownExhaustsBudget(t *testing.T) {
 	// A namespace-wide read fails on shard 1 but confirms the contiguous
 	// prefix before its first piece: under capacity policy with equal
 	// weights the cycle is [0 1], so exactly the first shard-unit.
-	got := make([]byte, c.Size())
+	const sentinel = 0xEE
+	got := bytes.Repeat([]byte{sentinel}, int(c.Size()))
 	n, err := c.ReadAt(got, 0)
 	var se *cluster.ShardError
 	if !errors.As(err, &se) || se.Shard != 1 {
@@ -91,6 +92,21 @@ func TestShardDownExhaustsBudget(t *testing.T) {
 	}
 	if !bytes.Equal(got[:n], pattern[:n]) {
 		t.Fatal("confirmed prefix bytes diverge")
+	}
+	// Past the failure, every piece of the healthy leg still lands and
+	// every piece of the failed leg is left as the caller had it.
+	for g := int64(0); g < c.Map().Units(); g++ {
+		piece := got[g*unitBytes : (g+1)*unitBytes]
+		switch s, _ := c.Map().Locate(g); s {
+		case 0:
+			if !bytes.Equal(piece, pattern[g*unitBytes:(g+1)*unitBytes]) {
+				t.Fatalf("shard-unit %d (healthy shard 0) diverges from what was written", g)
+			}
+		default:
+			if !bytes.Equal(piece, bytes.Repeat([]byte{sentinel}, unitBytes)) {
+				t.Fatalf("shard-unit %d (failed shard %d) overwritten", g, s)
+			}
+		}
 	}
 
 	// A span placed entirely on the healthy shard is untouched by the

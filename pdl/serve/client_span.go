@@ -271,8 +271,8 @@ func (c *Client) StartWriteAt(p []byte, off int64, class Class) *Span {
 		return s
 	}
 	size := int64(in.Capacity) * int64(unit)
-	if off+int64(len(p)) > size {
-		s.err = fmt.Errorf("serve: WriteAt: [%d,%d) outside array of %d bytes", off, off+int64(len(p)), size)
+	if off > size-int64(len(p)) {
+		s.err = fmt.Errorf("serve: WriteAt: %d bytes at %d outside array of %d bytes", len(p), off, size)
 		return s
 	}
 	segUnits := c.segUnits(len(p), off, unit)

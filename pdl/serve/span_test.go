@@ -3,8 +3,10 @@ package serve_test
 import (
 	"bytes"
 	"io"
+	"math"
 	"math/rand"
 	"net"
+	"strings"
 	"testing"
 
 	"repro/pdl"
@@ -120,6 +122,23 @@ func TestClientSpans(t *testing.T) {
 	}
 	if _, err := c.WriteAt(tail, size-int64(unit)); err == nil {
 		t.Fatal("WriteAt past end accepted")
+	}
+	// An end past MaxInt64 must not wrap the bounds check: the client
+	// refuses the write itself and sends the server nothing.
+	before, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := c.WriteAt(tail, math.MaxInt64-int64(unit)); n != 0 || err == nil || !strings.HasPrefix(err.Error(), "serve: WriteAt:") {
+		t.Fatalf("WriteAt at MaxInt64-%d = %d, %v; want the client's range error", unit, n, err)
+	}
+	after, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Frontend.Submitted != before.Frontend.Submitted || after.Frontend.Rejected != before.Frontend.Rejected {
+		t.Fatalf("refused WriteAt reached the server: submitted %d -> %d, rejected %d -> %d",
+			before.Frontend.Submitted, after.Frontend.Submitted, before.Frontend.Rejected, after.Frontend.Rejected)
 	}
 	if _, err := c.ReadAt(tail, -1); err == nil {
 		t.Fatal("negative ReadAt accepted")

@@ -605,8 +605,8 @@ func (s *Store) WriteAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("store: WriteAt: negative offset %d", off)
 	}
-	if off+int64(len(p)) > s.size {
-		return 0, fmt.Errorf("store: WriteAt: [%d,%d) outside store of %d bytes", off, off+int64(len(p)), s.size)
+	if off > s.size-int64(len(p)) {
+		return 0, fmt.Errorf("store: WriteAt: %d bytes at %d outside store of %d bytes", len(p), off, s.size)
 	}
 	start := time.Now()
 	defer func() { s.opHist[histWrite].Record(time.Since(start)) }()

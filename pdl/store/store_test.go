@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/pdl"
@@ -204,6 +206,17 @@ func TestReadWriteAtSpansUnits(t *testing.T) {
 	}
 	if _, err := s.WriteAt(tail, s.Size()-int64(unitSize)); err == nil {
 		t.Fatal("WriteAt past end accepted")
+	}
+	// An end past MaxInt64 must not wrap the bounds check: the store
+	// refuses the write itself and touches no disk.
+	before := s.Stats()
+	if n, err := s.WriteAt(tail, math.MaxInt64-unitSize); n != 0 || err == nil || !strings.HasPrefix(err.Error(), "store: WriteAt:") {
+		t.Fatalf("WriteAt at MaxInt64-%d = %d, %v; want the store's range error", unitSize, n, err)
+	}
+	for d, st := range s.Stats().Disks {
+		if b := before.Disks[d]; st.Reads != b.Reads || st.Writes != b.Writes {
+			t.Fatalf("disk %d saw I/O for a refused write: before %+v, after %+v", d, b, st)
+		}
 	}
 }
 

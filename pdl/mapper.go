@@ -107,6 +107,10 @@ type tableMapper struct {
 	dataPerCopy int
 	capacity    int
 	perCopy     int // stripes per layout copy
+	// stripeOf[i] is the stripe, within one copy, of the copy's i-th
+	// logical data unit: StripeOf in one division and two independent
+	// loads.
+	stripeOf []int32
 }
 
 // NewMapper builds the lookup tables for a layout with fully assigned
@@ -133,6 +137,10 @@ func NewMapperFromMapping(m *layout.Mapping, diskUnits int) (Mapper, error) {
 		return nil, fmt.Errorf("pdl: NewMapper: disk size %d not a positive multiple of layout size %d", diskUnits, l.Size)
 	}
 	copies := diskUnits / l.Size
+	stripeOf := make([]int32, m.DataUnits())
+	for i := range stripeOf {
+		stripeOf[i] = int32(m.StripeAt(m.ForwardUnit(i)))
+	}
 	return &tableMapper{
 		l:           l,
 		m:           m,
@@ -141,6 +149,7 @@ func NewMapperFromMapping(m *layout.Mapping, diskUnits int) (Mapper, error) {
 		dataPerCopy: m.DataUnits(),
 		capacity:    m.DataUnits() * copies,
 		perCopy:     m.NumStripes(),
+		stripeOf:    stripeOf,
 	}, nil
 }
 
@@ -234,12 +243,14 @@ func (t *tableMapper) appendStripeSurvivors(dst []layout.Unit, u layout.Unit, fa
 }
 
 func (t *tableMapper) StripeOf(logical int) (int, layout.Unit, error) {
-	u, err := t.Map(logical)
-	if err != nil {
-		return 0, layout.Unit{}, err
+	if logical < 0 || logical >= t.capacity {
+		return 0, layout.Unit{}, fmt.Errorf("pdl: Map: logical %d outside [0,%d)", logical, t.capacity)
 	}
-	copyIdx := u.Offset / t.l.Size
-	return copyIdx*t.perCopy + t.m.StripeAt(u), u, nil
+	copyIdx := logical / t.dataPerCopy
+	base := logical - copyIdx*t.dataPerCopy
+	u := t.m.ForwardUnit(base)
+	u.Offset += copyIdx * t.l.Size
+	return copyIdx*t.perCopy + int(t.stripeOf[base]), u, nil
 }
 
 func (t *tableMapper) ParityOf(stripe int) (layout.Unit, error) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -321,6 +322,50 @@ func TestMapperRoundTrip(t *testing.T) {
 		}
 		if _, ok := m.Logical(pu); ok {
 			t.Errorf("parity unit %v has a logical address", pu)
+		}
+	}
+}
+
+// TestMapperStripeOf pins StripeOf against the stripe tables on several
+// copies and parity counts: each logical unit's home is Map's unit and
+// lies in the stripe StripeOf names, and the logical units of a stripe
+// are consecutive and in shard order.
+func TestMapperStripeOf(t *testing.T) {
+	for _, m := range []int{1, 2} {
+		res, err := Build(13, 5, WithParityShards(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mp, err := res.NewMapper(res.Layout.Size * 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev := [2]int{-1, -1} // the last unit's stripe and shard
+		for i := 0; i < mp.DataUnits(); i++ {
+			stripe, home, err := mp.StripeOf(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if u, _ := mp.Map(i); u != home {
+				t.Fatalf("m=%d logical %d: StripeOf home %v, Map %v", m, i, home, u)
+			}
+			units, err := mp.AppendStripeUnits(nil, stripe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shard := mp.ShardAt(home)
+			if !slices.Contains(units, home) || shard < 0 || shard >= len(units)-m {
+				t.Fatalf("m=%d logical %d: home %v is not a data unit of stripe %d %v", m, i, home, stripe, units)
+			}
+			if next := [2]int{prev[0], prev[1] + 1}; [2]int{stripe, shard} != next && [2]int{stripe, shard} != [2]int{prev[0] + 1, 0} {
+				t.Fatalf("m=%d logical %d: stripe %d shard %d follows stripe %d shard %d", m, i, stripe, shard, prev[0], prev[1])
+			}
+			prev = [2]int{stripe, shard}
+		}
+		for _, bad := range []int{-1, mp.DataUnits()} {
+			if _, _, err := mp.StripeOf(bad); err == nil {
+				t.Errorf("m=%d: StripeOf(%d) accepted", m, bad)
+			}
 		}
 	}
 }

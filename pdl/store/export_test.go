@@ -7,3 +7,7 @@ func (s *Store) HelperChunks() int64 { return s.helperChunks.Load() }
 
 // RebuildChunk is the number of consecutive stripes per claim.
 const RebuildChunk = rebuildChunk
+
+// RebuildIdleWait is how long the store must go without a foreground op
+// before a stood-down rebuild helper rejoins.
+const RebuildIdleWait = rebuildIdleWait

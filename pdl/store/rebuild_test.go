@@ -422,14 +422,24 @@ func TestRebuiltStripeReadsReplacement(t *testing.T) {
 
 // gaugeDisk is a replacement disk that, before every write, yields the
 // processor (so the other workers run between stripes even on one CPU)
-// and samples Stats().RebuildWorkers into the range [lo, hi].
+// and samples Stats().RebuildWorkers into the range [lo, hi]. Until a
+// helper has claimed a chunk (the store's HelperChunks passes helped) or
+// the deadline passes, it also waits asleep before the write: a Gosched
+// hands the processor only to goroutines whose threads the OS is
+// running, and on a busy host it can leave the helpers' threads off the
+// CPU for the whole of an idle rebuild.
 type gaugeDisk struct {
 	store.Backend
-	s      *store.Store
-	lo, hi *atomic.Int64
+	s        *store.Store
+	lo, hi   *atomic.Int64
+	helped   int64
+	deadline time.Time
 }
 
 func (d gaugeDisk) WriteAt(p []byte, off int64) (int, error) {
+	for d.s.HelperChunks() == d.helped && time.Now().Before(d.deadline) {
+		time.Sleep(20 * time.Microsecond)
+	}
 	runtime.Gosched()
 	n := int64(d.s.Stats().RebuildWorkers)
 	for lo := d.lo.Load(); n < lo && !d.lo.CompareAndSwap(lo, n); lo = d.lo.Load() {
@@ -494,21 +504,52 @@ func TestRebuildHelpersStandDown(t *testing.T) {
 
 	var lo, hi atomic.Int64
 	lo.Store(procs)
-	helped := rebuild(func(b store.Backend) store.Backend { return gaugeDisk{b, s, &lo, &hi} })
+	helped := rebuild(func(b store.Backend) store.Backend {
+		return gaugeDisk{b, s, &lo, &hi, s.HelperChunks(), time.Now().Add(time.Second)}
+	})
 	if helped == 0 || lo.Load() < 1 || hi.Load() < 2 || hi.Load() > procs {
 		t.Errorf("idle rebuild: helpers claimed %d of %d chunks, RebuildWorkers ranged %d..%d; want helpers taking part, 1..%d workers",
 			helped, chunks, lo.Load(), hi.Load(), procs)
 	}
 
+	// Under a looping reader. The helpers rejoin, as they should, whenever
+	// a quiet interval passes without a foreground op, and a busy host can
+	// stall the reader that long; the bound holds for a rebuild in which
+	// the reader never paused for a quiet interval, and such a rebuild is
+	// rerun (up to five times) until one is measured.
+	for run := 1; ; run++ {
+		helped, gap := rebuildUnderReader(t, s, mirror, unitSize, rebuild)
+		if gap >= store.RebuildIdleWait && run < 5 {
+			t.Logf("run %d: the reader paused for %v (helpers claimed %d of %d chunks); rerunning", run, gap, helped, chunks)
+			continue
+		}
+		// Ungated, three helpers beside one worker claim three chunks in
+		// four; gated, a handful.
+		if helped*2 > chunks {
+			t.Errorf("rebuild under a looping reader (longest pause %v): helpers claimed %d of %d chunks, want almost none", gap, helped, chunks)
+		}
+		break
+	}
+	if err := s.VerifyParity(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// rebuildUnderReader runs rebuild onto a steppedDisk while a goroutine
+// reads random units in a loop, checking them against mirror. It returns
+// the chunks helpers claimed and the longest pause between two of the
+// reader's ops.
+func rebuildUnderReader(t *testing.T, s *store.Store, mirror []byte, unitSize int, rebuild func(func(store.Backend) store.Backend) int64) (int64, time.Duration) {
+	t.Helper()
 	var steps atomic.Int64
+	var gap time.Duration
 	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
+	done := make(chan struct{})
 	go func() {
-		defer wg.Done()
+		defer close(done)
 		rng := rand.New(rand.NewSource(6))
 		got := make([]byte, unitSize)
-		for {
+		for last := time.Now(); ; {
 			select {
 			case <-stop:
 				return
@@ -524,20 +565,15 @@ func TestRebuildHelpersStandDown(t *testing.T) {
 				return
 			}
 			steps.Add(1)
+			now := time.Now()
+			gap = max(gap, now.Sub(last))
+			last = now
 		}
 	}()
-	helped = rebuild(func(b store.Backend) store.Backend { return steppedDisk{b, &steps} })
+	helped := rebuild(func(b store.Backend) store.Backend { return steppedDisk{b, &steps} })
 	close(stop)
-	wg.Wait()
-	// Ungated, three helpers beside one worker claim three chunks in four;
-	// gated, a handful (more only when the host stalls the reader for
-	// longer than the helpers' quiet interval).
-	if helped*2 > chunks {
-		t.Errorf("rebuild under a looping reader: helpers claimed %d of %d chunks, want almost none", helped, chunks)
-	}
-	if err := s.VerifyParity(); err != nil {
-		t.Fatal(err)
-	}
+	<-done
+	return helped, gap
 }
 
 // countingDisk counts the WriteAt calls reaching a replacement disk.

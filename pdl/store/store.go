@@ -114,11 +114,10 @@ type diskCounters struct {
 }
 
 // failSet is an immutable snapshot of the failed-disk set, sorted
-// increasing. State transitions (Fail, Rebuild completion) allocate a
-// fresh value and swap the pointer while holding every stripe lock, so
-// the hot path compiles plans against a pre-lock snapshot and
-// revalidates with a single pointer compare once the stripe lock is
-// held.
+// increasing. State transitions (Fail, Rebuild start and completion)
+// allocate a fresh value and swap the pointer while holding every stripe
+// lock, so the set a request reads through failsFor under a stripe lock
+// cannot change while it holds that lock.
 type failSet struct {
 	disks []int
 }
@@ -184,11 +183,18 @@ type scratch struct {
 	coef []byte
 	par  [][]byte
 
-	// stripes and order are the vec-request grouping state: stripes[i] is
-	// the stripe of ops[i], order is the stripe-major permutation of op
-	// indexes (see prepareVec).
-	stripes []int32
-	order   []int32
+	// pieces holds a span or vec request's pieces, grouped by stripe (see
+	// run). Entries past len are zero, so a pooled scratch pins no caller
+	// buffer.
+	pieces []piece
+}
+
+// piece is one unit's part of a request: bytes [within, within+len(buf))
+// of logical data unit logical, which lies in stripe stripe. buf is the
+// caller's destination on a read and source on a write.
+type piece struct {
+	stripe, logical, within int
+	buf                     []byte
 }
 
 // rebuildBuf is one rebuild worker's chunk: the lost units of the chunk's
@@ -212,9 +218,9 @@ type Store struct {
 	// maxShards is the widest stripe's shard count (k+m): the coef
 	// buffer size.
 	maxShards int
-	// minSpan is the smallest stripe's data payload in bytes: the
-	// cheapest possible full-stripe write, gating the fast-path probe.
-	minSpan int
+	// minData is the smallest stripe's data unit count: a write group
+	// with fewer pieces cannot cover its stripe.
+	minData int
 
 	// locks are the striped per-stripe RW locks: stripe s is guarded by
 	// locks[s&lockMask]. fails, disks, and rebuiltFails change only while
@@ -332,11 +338,12 @@ func NewCode(mapper pdl.Mapper, unitSize int, disks []Backend, c code.Code) (*St
 		if err != nil {
 			return nil, fmt.Errorf("store: New: %w", err)
 		}
-		if k := len(units) - pm; k < 1 || k > c.MaxDataShards() {
+		k := len(units) - pm
+		if k < 1 || k > c.MaxDataShards() {
 			return nil, fmt.Errorf("store: New: stripe %d has %d data units, code %q takes 1..%d", stripe, k, c.Name(), c.MaxDataShards())
 		}
-		if span := (len(units) - pm) * unitSize; s.minSpan == 0 || span < s.minSpan {
-			s.minSpan = span
+		if s.minData == 0 || k < s.minData {
+			s.minData = k
 		}
 		if len(units) > s.maxShards {
 			s.maxShards = len(units)
@@ -544,12 +551,7 @@ func (s *Store) Read(logical int, dst []byte) error {
 	if len(dst) != s.unitSize {
 		return fmt.Errorf("store: Read: dst is %d bytes, want unit size %d", len(dst), s.unitSize)
 	}
-	start := time.Now()
-	sc := s.pool.Get().(*scratch)
-	err := s.readUnit(sc, logical, 0, dst)
-	s.pool.Put(sc)
-	s.opHist[histRead].Record(time.Since(start))
-	return err
+	return s.runUnit(logical, dst, false)
 }
 
 // Write stores src (exactly UnitSize bytes) as the payload of a logical
@@ -559,48 +561,28 @@ func (s *Store) Write(logical int, src []byte) error {
 	if len(src) != s.unitSize {
 		return fmt.Errorf("store: Write: src is %d bytes, want unit size %d", len(src), s.unitSize)
 	}
-	start := time.Now()
-	sc := s.pool.Get().(*scratch)
-	err := s.writeUnit(sc, logical, 0, src)
-	s.pool.Put(sc)
-	s.opHist[histWrite].Record(time.Since(start))
-	return err
+	return s.runUnit(logical, src, true)
 }
 
 // ReadAt implements io.ReaderAt over the logical byte space
-// [0, Size()), spanning units and stripes as needed.
+// [0, Size()), spanning units and stripes as needed. Each stripe's part
+// of p is read under one hold of the stripe's lock, so it never mixes
+// bytes from before and after a concurrent write to that stripe; the
+// request as a whole is not atomic across stripes.
 func (s *Store) ReadAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("store: ReadAt: negative offset %d", off)
 	}
-	start := time.Now()
-	defer func() { s.opHist[histRead].Record(time.Since(start)) }()
-	sc := s.pool.Get().(*scratch)
-	defer s.pool.Put(sc)
-	n := 0
-	for len(p) > 0 {
-		if off >= s.size {
-			return n, io.EOF
-		}
-		logical := int(off / int64(s.unitSize))
-		within := int(off % int64(s.unitSize))
-		chunk := s.unitSize - within
-		if chunk > len(p) {
-			chunk = len(p)
-		}
-		if err := s.readUnit(sc, logical, within, p[:chunk]); err != nil {
-			return n, err
-		}
-		p = p[chunk:]
-		off += int64(chunk)
-		n += chunk
-	}
-	return n, nil
+	return s.runSpan(p, off, false)
 }
 
-// WriteAt implements io.WriterAt over the logical byte space. Writes
-// covering every data unit of a stripe take the no-preread full-stripe
-// path (Condition 5); the rest are per-unit read-modify-writes.
+// WriteAt implements io.WriterAt over the logical byte space. Each
+// stripe's part of p is written under one hold of the stripe's lock, so
+// concurrent reads of that stripe see all of it or none of it; the
+// request as a whole is not atomic across stripes. A part covering every
+// data unit of its stripe takes the no-preread full-stripe path
+// (Condition 5); the rest are per-unit read-modify-writes. On an error
+// the count is the bytes of the units that finished.
 func (s *Store) WriteAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("store: WriteAt: negative offset %d", off)
@@ -608,34 +590,111 @@ func (s *Store) WriteAt(p []byte, off int64) (int, error) {
 	if off > s.size-int64(len(p)) {
 		return 0, fmt.Errorf("store: WriteAt: %d bytes at %d outside store of %d bytes", len(p), off, s.size)
 	}
+	return s.runSpan(p, off, true)
+}
+
+// runUnit runs a one-piece request: the whole of one logical unit.
+func (s *Store) runUnit(logical int, buf []byte, write bool) error {
 	start := time.Now()
-	defer func() { s.opHist[histWrite].Record(time.Since(start)) }()
+	stripe, _, err := s.mapper.StripeOf(logical)
 	sc := s.pool.Get().(*scratch)
-	defer s.pool.Put(sc)
+	if err == nil {
+		pc := [1]piece{{stripe: stripe, logical: logical, buf: buf}}
+		_, err = s.run(sc, pc[:], write)
+	}
+	s.finish(sc, write, start)
+	return err
+}
+
+// runSpan runs a byte-range request one stripe at a time: the pieces of
+// p that fall in one stripe's data span are one group. A read that runs
+// past Size stops there with io.EOF.
+func (s *Store) runSpan(p []byte, off int64, write bool) (n int, err error) {
+	sc := s.pool.Get().(*scratch)
+	defer s.finish(sc, write, time.Now())
+	for err == nil && n < len(p) {
+		var done int
+		if off+int64(n) >= s.size {
+			err = io.EOF
+		} else if err = s.stripePieces(sc, p[n:], off+int64(n)); err == nil {
+			done, err = s.run(sc, sc.pieces, write)
+		}
+		n += done
+	}
+	return n, err
+}
+
+// stripePieces sets sc.pieces to the pieces of p, placed at byte off, that
+// fall in the data span of the stripe holding off.
+func (s *Store) stripePieces(sc *scratch, p []byte, off int64) error {
+	logical := int(off / int64(s.unitSize))
+	within := int(off % int64(s.unitSize))
+	stripe, home, err := s.mapper.StripeOf(logical)
+	if err != nil {
+		return err
+	}
+	units, err := s.mapper.AppendStripeUnits(sc.units[:0], stripe)
+	sc.units = units[:0]
+	if err != nil {
+		return err
+	}
+	// A stripe's data units hold consecutive logical addresses in shard
+	// order, so the span ends k - shard units past the home unit.
+	end := logical - s.mapper.ShardAt(home) + len(units) - s.pm
+	clear(sc.pieces)
+	sc.pieces = sc.pieces[:0]
+	for ; logical < end && len(p) > 0; logical++ {
+		c := min(s.unitSize-within, len(p))
+		sc.pieces = append(sc.pieces, piece{stripe: stripe, logical: logical, within: within, buf: p[:c]})
+		p = p[c:]
+		within = 0
+	}
+	return nil
+}
+
+// finish returns a request's scratch to the pool, dropping its pieces'
+// references to the caller's buffers, and records the request's latency.
+func (s *Store) finish(sc *scratch, write bool, start time.Time) {
+	clear(sc.pieces)
+	sc.pieces = sc.pieces[:0]
+	s.pool.Put(sc)
+	if write {
+		s.opHist[histWrite].Record(time.Since(start))
+	} else {
+		s.opHist[histRead].Record(time.Since(start))
+	}
+}
+
+// run executes one request's pieces, grouped by stripe, holding each
+// stripe's lock once for its whole group: shared for a read, exclusive
+// for a write. Every plan is compiled under that lock against
+// failsFor(stripe), so a group sees one failure state and no other write
+// to the stripe lands inside it. It returns the bytes of the pieces that
+// completed.
+func (s *Store) run(sc *scratch, ps []piece, write bool) (int, error) {
 	n := 0
-	for len(p) > 0 {
-		logical := int(off / int64(s.unitSize))
-		within := int(off % int64(s.unitSize))
-		if within == 0 && len(p) >= s.minSpan {
-			if done, err := s.tryFullStripe(sc, logical, p); err != nil {
-				return n, err
-			} else if done > 0 {
-				p = p[done:]
-				off += int64(done)
-				n += done
-				continue
-			}
+	for len(ps) > 0 {
+		g := 1
+		for g < len(ps) && ps[g].stripe == ps[0].stripe {
+			g++
 		}
-		chunk := s.unitSize - within
-		if chunk > len(p) {
-			chunk = len(p)
+		lk := s.lockFor(ps[0].stripe)
+		var done int
+		var err error
+		if write {
+			lk.Lock()
+			done, err = s.writeGroupLocked(sc, ps[:g])
+			lk.Unlock()
+		} else {
+			lk.RLock()
+			done, err = s.readGroupLocked(sc, ps[:g])
+			lk.RUnlock()
 		}
-		if err := s.writeUnit(sc, logical, within, p[:chunk]); err != nil {
+		n += done
+		if err != nil {
 			return n, err
 		}
-		p = p[chunk:]
-		off += int64(chunk)
-		n += chunk
+		ps = ps[g:]
 	}
 	return n, nil
 }
@@ -651,25 +710,23 @@ func (s *Store) failsFor(stripe int) *failSet {
 	return s.fails.Load()
 }
 
-// readUnit serves bytes [within, within+len(p)) of one logical unit. The
-// plan is compiled against a pre-lock snapshot of the failed-disk set
-// and revalidated against failsFor once the stripe lock is held (the
-// stripe itself never depends on the failure state), so the hot path
-// resolves the stripe tables exactly once.
-func (s *Store) readUnit(sc *scratch, logical, within int, p []byte) error {
-	fs := s.fails.Load()
-	if err := sc.pln.ReadM(logical, fs.disks, &sc.p); err != nil {
-		return err
-	}
-	lk := s.lockFor(sc.p.Stripe)
-	lk.RLock()
-	defer lk.RUnlock()
-	if cur := s.failsFor(sc.p.Stripe); cur != fs {
-		if err := sc.pln.ReadM(logical, cur.disks, &sc.p); err != nil {
-			return err
+// readGroupLocked reads one stripe's group of pieces, in order. The
+// caller holds the stripe's lock (shared suffices). It returns the bytes
+// of the pieces read.
+func (s *Store) readGroupLocked(sc *scratch, g []piece) (int, error) {
+	fs := s.failsFor(g[0].stripe)
+	n := 0
+	for i := range g {
+		pc := &g[i]
+		if err := sc.pln.ReadM(pc.logical, fs.disks, &sc.p); err != nil {
+			return n, err
 		}
+		if err := s.execReadLocked(sc, pc.within, pc.buf); err != nil {
+			return n, err
+		}
+		n += len(pc.buf)
 	}
-	return s.execReadLocked(sc, within, p)
+	return n, nil
 }
 
 // execReadLocked executes the compiled read plan in sc.p against bytes
@@ -708,23 +765,46 @@ func (s *Store) execReadLocked(sc *scratch, within int, p []byte) error {
 	return nil
 }
 
-// writeUnit stores bytes [within, within+len(p)) of one logical unit,
-// updating the stripe's parity range to match. Plan compilation follows
-// the same pre-lock-compile/revalidate protocol as readUnit.
-func (s *Store) writeUnit(sc *scratch, logical, within int, p []byte) error {
-	fs := s.fails.Load()
-	if err := sc.pln.WriteM(logical, fs.disks, &sc.p); err != nil {
-		return err
-	}
-	lk := s.lockFor(sc.p.Stripe)
-	lk.Lock()
-	defer lk.Unlock()
-	if cur := s.failsFor(sc.p.Stripe); cur != fs {
-		if err := sc.pln.WriteM(logical, cur.disks, &sc.p); err != nil {
-			return err
+// writeGroupLocked writes one stripe's group of pieces; the caller holds
+// the stripe's write lock. It holds the store's one full-stripe check: a
+// group that is exactly the stripe's k whole data units, in order, is one
+// Condition 5 write with no pre-reads. Any other group is one
+// read-modify-write per piece, in order, so the last of duplicate writes
+// wins. It returns the bytes of the pieces written.
+func (s *Store) writeGroupLocked(sc *scratch, g []piece) (int, error) {
+	stripe := g[0].stripe
+	if len(g) >= s.minData {
+		units, err := s.mapper.AppendStripeUnits(sc.units[:0], stripe)
+		sc.units = units[:0]
+		if err != nil {
+			return 0, err
+		}
+		// k distinct, increasing addresses of the stripe are its k data
+		// units in shard order.
+		whole := len(g) == len(units)-s.pm
+		for i := 0; whole && i < len(g); i++ {
+			whole = len(g[i].buf) == s.unitSize && (i == 0 || g[i].logical > g[i-1].logical)
+		}
+		if whole {
+			if err := s.writeStripeLocked(sc, stripe, units, g); err != nil {
+				return 0, err
+			}
+			return len(g) * s.unitSize, nil
 		}
 	}
-	return s.execWriteLocked(sc, within, p)
+	fs := s.failsFor(stripe)
+	n := 0
+	for i := range g {
+		pc := &g[i]
+		if err := sc.pln.WriteM(pc.logical, fs.disks, &sc.p); err != nil {
+			return n, err
+		}
+		if err := s.execWriteLocked(sc, pc.within, pc.buf); err != nil {
+			return n, err
+		}
+		n += len(pc.buf)
+	}
+	return n, nil
 }
 
 // execWriteLocked executes the compiled write plan in sc.p against bytes
@@ -864,67 +944,24 @@ func (s *Store) execWriteLocked(sc *scratch, within int, p []byte) error {
 		return nil
 
 	default:
-		return fmt.Errorf("store: writeUnit: unexpected plan kind %v", sc.p.Kind)
+		return fmt.Errorf("store: write: unexpected plan kind %v", sc.p.Kind)
 	}
-}
-
-// tryFullStripe writes p's prefix through the Condition 5 full-stripe
-// path when logical is the first data unit of its stripe and p covers
-// the stripe's whole data payload. It returns the bytes consumed (0 when
-// the fast path does not apply).
-func (s *Store) tryFullStripe(sc *scratch, logical int, p []byte) (int, error) {
-	stripe, _, err := s.mapper.StripeOf(logical)
-	if err != nil {
-		return 0, err
-	}
-	units, err := s.mapper.AppendStripeUnits(sc.units[:0], stripe)
-	sc.units = units[:0]
-	if err != nil {
-		return 0, err
-	}
-	dataUnits := len(units) - s.pm
-	span := dataUnits * s.unitSize
-	if len(p) < span {
-		return 0, nil
-	}
-	first := -1
-	for _, u := range units {
-		if s.mapper.ShardAt(u) >= dataUnits {
-			continue
-		}
-		first, _ = s.mapper.Logical(u)
-		break
-	}
-	if first != logical {
-		return 0, nil
-	}
-	lk := s.lockFor(stripe)
-	lk.Lock()
-	defer lk.Unlock()
-	err = s.writeStripeLocked(sc, stripe, units, func(i int) []byte {
-		return p[i*s.unitSize : (i+1)*s.unitSize]
-	})
-	if err != nil {
-		return 0, err
-	}
-	return span, nil
 }
 
 // writeStripeLocked writes one whole stripe with no pre-reads (the
 // Condition 5 large-write path): the new parity units are encoded from
-// the new data payloads alone. data(i) returns the payload of the
-// stripe's i-th data unit in stripe order (= data shard i); units holds
-// the stripe's units (parity included) and the caller holds the
-// stripe's write lock.
-func (s *Store) writeStripeLocked(sc *scratch, stripe int, units []layout.Unit, data func(int) []byte) error {
+// the new data payloads alone. g[i].buf is the payload of data shard i;
+// units holds the stripe's units (parity included) and the caller holds
+// the stripe's write lock.
+func (s *Store) writeStripeLocked(sc *scratch, stripe int, units []layout.Unit, g []piece) error {
 	k := len(units) - s.pm
 	// Encode each parity from the new data: parity[j] = sum Coef(j,i) *
-	// data(i). Under XOR this is the plain XOR of the payloads.
+	// g[i].buf. Under XOR this is the plain XOR of the payloads.
 	for j := 0; j < s.pm; j++ {
 		pj := sc.par[j][:s.unitSize]
 		clear(pj)
 		for i := 0; i < k; i++ {
-			code.MulAdd(pj, data(i), s.codec.Coef(j, i))
+			code.MulAdd(pj, g[i].buf, s.codec.Coef(j, i))
 		}
 	}
 	fs := s.failsFor(stripe)
@@ -934,7 +971,7 @@ func (s *Store) writeStripeLocked(sc *scratch, stripe int, units []layout.Unit, 
 		if sh := s.mapper.ShardAt(u); sh >= k {
 			payload = sc.par[sh-k][:s.unitSize]
 		} else {
-			payload = data(idx)
+			payload = g[idx].buf
 			idx++
 		}
 		// A unit on a failed disk is simply skipped: Rebuild reconstructs

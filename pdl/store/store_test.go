@@ -413,7 +413,8 @@ func TestStatsCount(t *testing.T) {
 }
 
 // TestHotPathAllocs pins the zero-allocation acceptance criterion for
-// steady-state healthy Read and Write on a MemDisk store.
+// steady-state healthy Read and Write on a MemDisk store, and for
+// ReadAt and WriteAt of a three-stripe span.
 func TestHotPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool randomly drops items under the race detector")
@@ -448,5 +449,37 @@ func TestHotPathAllocs(t *testing.T) {
 		i++
 	}); n != 0 {
 		t.Errorf("healthy Write allocates %v/op, want 0", n)
+	}
+	// Spans of three stripes' data, aligned and with a partial unit at
+	// each end: one group per stripe, each under one lock hold.
+	units, err := s.Mapper().AppendStripeUnits(nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	span := 3 * (len(units) - s.Mapper().ParityShards()) * unitSize
+	buf := make([]byte, span)
+	for _, tc := range []struct {
+		name string
+		off  int64
+		p    []byte
+	}{
+		{"aligned", 0, buf},
+		{"unaligned", 100, buf[:span-200]},
+	} {
+		for _, write := range []bool{false, true} {
+			if n := testing.AllocsPerRun(200, func() {
+				var err error
+				if write {
+					_, err = s.WriteAt(tc.p, tc.off)
+				} else {
+					_, err = s.ReadAt(tc.p, tc.off)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}); n != 0 {
+				t.Errorf("%s 3-stripe span (write %v) allocates %v/op, want 0", tc.name, write, n)
+			}
+		}
 	}
 }

@@ -89,6 +89,43 @@ func TestWriteVecPromotion(t *testing.T) {
 	if got := totalReads(s) - before; got != int64(2*len(ops)) {
 		t.Errorf("unbatched writes issued %d physical reads, want %d", got, 2*len(ops))
 	}
+	// WriteAt promotes the same way: a span from the middle of stripe 0's
+	// first unit to the middle of stripe 3's last covers stripes 1 and 2
+	// whole, so only the pieces in stripes 0 and 3 are read-modify-writes,
+	// two pre-reads (data and parity) each. Stripes 0..3 hold logical
+	// units 0..n-1.
+	n, edge := 0, 0 // edge counts the units of stripes 0 and 3
+	for ; ; n++ {
+		stripe, _, err := s.Mapper().StripeOf(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stripe > 3 {
+			break
+		}
+		if stripe == 0 || stripe == 3 {
+			edge++
+		}
+	}
+	off := int64(unitSize / 2)
+	p := payload(make([]byte, (n-1)*unitSize), 77)
+	before = totalReads(s)
+	if _, err := s.WriteAt(p, off); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := totalReads(s)-before, int64(2*edge); got != want {
+		t.Errorf("WriteAt over stripes 0..3 issued %d physical reads, want %d (the %d units of stripes 0 and 3)", got, want, edge)
+	}
+	got := make([]byte, len(p))
+	if _, err := s.ReadAt(got, off); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, p) {
+		t.Error("WriteAt over stripes 0..3 reads back different bytes")
+	}
+	if err := s.VerifyParity(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func totalReads(s *store.Store) int64 {

@@ -249,7 +249,7 @@ func BenchmarkMapperBuild(b *testing.B) {
 	}
 }
 
-func mapperForBench(b *testing.B, copies int) pdl.Mapper {
+func mapperForBench(b *testing.B, copies int) *pdl.Mapper {
 	b.Helper()
 	res, err := pdl.Build(17, 4)
 	if err != nil {
@@ -290,37 +290,6 @@ func BenchmarkMapperReverseLookup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, ok := m.Logical(units[i%n]); !ok {
 			b.Fatal("reverse lookup failed")
-		}
-	}
-}
-
-// BenchmarkMapperDegradedLookup measures address resolution while a disk
-// is down, on the worst case only: every lookup hits the failed disk and
-// resolves the surviving stripe units (healthy hits take the cheap early
-// return measured by BenchmarkMapperLookup).
-func BenchmarkMapperDegradedLookup(b *testing.B) {
-	m := mapperForBench(b, 16)
-	var lost []int
-	for i := 0; i < m.DataUnits(); i++ {
-		u, err := m.Map(i)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if u.Disk == 0 {
-			lost = append(lost, i)
-		}
-	}
-	if len(lost) == 0 {
-		b.Fatal("no logical units on disk 0")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dr, err := m.DegradedMap(lost[i%len(lost)], 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !dr.Degraded {
-			b.Fatal("expected degraded resolution")
 		}
 	}
 }

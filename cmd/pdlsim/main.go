@@ -117,35 +117,35 @@ func main() {
 // schedule in the rebuild modes.
 func tracePlans(a *sim.Array, mode string, fail int, writeFrac float64, seed uint64) {
 	pln := a.Planner()
-	failed := -1
-	if mode != "serve" || fail >= 0 {
-		failed = fail
+	var failed []int
+	if fail >= 0 {
+		failed = []int{fail}
 	}
 	op := sim.NewUniform(a.DataUnits(), writeFrac, seed).Next()
 	var p plan.Plan
 	var err error
 	if op.Kind == sim.Write {
-		err = pln.Write(op.Logical, failed, &p)
+		err = pln.WriteM(op.Logical, failed, &p)
 	} else {
-		err = pln.Read(op.Logical, failed, &p)
+		err = pln.ReadM(op.Logical, failed, &p)
 	}
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("trace: sampled request plan (%d reads, %d writes, %d stages)\n  %s\n",
 		p.Reads(), p.Writes(), p.Stages(), p.String())
-	if err := pln.FullStripeWrite(op.Logical, failed, &p); err != nil {
+	if err := pln.FullStripeWriteM(op.Logical, failed, &p); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("trace: full-stripe alternative for the same address\n  %s\n", p.String())
-	if (mode == "rebuild" || mode == "online") && failed >= 0 {
-		rb, err := pln.Rebuild(failed)
+	if (mode == "rebuild" || mode == "online") && failed != nil {
+		rb, err := pln.RebuildM(fail, failed)
 		if err != nil {
 			fatal(err)
 		}
 		min, max := rb.Balance()
 		fmt.Printf("trace: rebuild schedule for disk %d: %d stripe plans, per-disk reads in [%d,%d]\n",
-			failed, len(rb.Plans), min, max)
+			fail, len(rb.Plans), min, max)
 		if len(rb.Plans) > 0 {
 			fmt.Printf("  first stripe: %s\n", rb.Plans[0].String())
 		}

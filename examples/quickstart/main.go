@@ -1,7 +1,7 @@
 // Quickstart: build a parity-declustered layout for an arbitrary array
-// size, inspect the paper's four conditions, translate addresses through
-// the O(1) Mapper (healthy and degraded), and rebuild a failed disk
-// byte-exactly.
+// size, inspect the paper's four conditions, translate an address through
+// the O(1) Mapper, compile its degraded read with pdl/plan, and rebuild a
+// failed disk byte-exactly.
 package main
 
 import (
@@ -10,6 +10,7 @@ import (
 
 	"repro/pdl"
 	"repro/pdl/layout"
+	"repro/pdl/plan"
 )
 
 func main() {
@@ -33,11 +34,11 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("logical 0 lives at disk %d, offset %d\n", u.Disk, u.Offset)
-	dr, err := m.DegradedMap(0, u.Disk)
-	if err != nil {
+	var p plan.Plan
+	if err := plan.NewPlanner(m).ReadM(0, []int{u.Disk}, &p); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("with disk %d down, logical 0 is the XOR of %d surviving units\n", u.Disk, len(dr.Survivors))
+	fmt.Printf("with disk %d down, logical 0 is the XOR of %d surviving units\n", u.Disk, len(p.Steps))
 
 	// Put real data on the array and prove a failed disk reconstructs.
 	data, err := layout.NewData(l, 16)

@@ -41,24 +41,8 @@ func TestMapperHotPathAllocs(t *testing.T) {
 		}
 		i++
 	})
-	assertZero("MapRange", func() {
-		var err error
-		units, err = m.MapRange(units[:0], i%(m.DataUnits()-8), 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		i++
-	})
 	assertZero("StripeOf", func() {
 		if _, _, err := m.StripeOf(i % m.DataUnits()); err != nil {
-			t.Fatal(err)
-		}
-		i++
-	})
-	assertZero("AppendSurvivors", func() {
-		var err error
-		units, _, _, err = m.AppendSurvivors(units[:0], i%m.DataUnits(), 3)
-		if err != nil {
 			t.Fatal(err)
 		}
 		i++
@@ -68,6 +52,21 @@ func TestMapperHotPathAllocs(t *testing.T) {
 		units, err = m.AppendStripeUnits(units[:0], i%m.Stripes())
 		if err != nil {
 			t.Fatal(err)
+		}
+		i++
+	})
+	assertZero("AppendParityUnits", func() {
+		var err error
+		units, err = m.AppendParityUnits(units[:0], i%m.Stripes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	assertZero("ShardAt", func() {
+		u := layout.Unit{Disk: i % m.Disks(), Offset: i % m.DiskUnits()}
+		if m.ShardAt(u) < 0 {
+			t.Fatalf("ShardAt(%v) < 0", u)
 		}
 		i++
 	})

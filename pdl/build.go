@@ -32,7 +32,7 @@ type Result struct {
 
 // NewMapper builds the O(1) address translator for the result's layout on
 // disks of diskUnits units (a positive multiple of Layout.Size).
-func (r *Result) NewMapper(diskUnits int) (Mapper, error) {
+func (r *Result) NewMapper(diskUnits int) (*Mapper, error) {
 	return NewMapper(r.Layout, diskUnits)
 }
 

@@ -1,14 +1,10 @@
 package pdl
 
-import (
-	"testing"
-
-	"repro/pdl/layout"
-)
+import "testing"
 
 // benchMapper builds the benchmark geometry: a (17, 4) ring layout tiled
 // 4 copies per disk.
-func benchMapper(b *testing.B) Mapper {
+func benchMapper(b *testing.B) *Mapper {
 	b.Helper()
 	res, err := Build(17, 4)
 	if err != nil {
@@ -37,54 +33,4 @@ func BenchmarkMapperMap(b *testing.B) {
 		acc += u.Disk
 	}
 	_ = acc
-}
-
-// BenchmarkMapperMapRange measures the batched translation of 64
-// consecutive addresses into a reused slice, 0 allocs/op.
-func BenchmarkMapperMapRange(b *testing.B) {
-	m := benchMapper(b)
-	n := m.DataUnits() - 64
-	buf := make([]layout.Unit, 0, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		buf, err = m.MapRange(buf[:0], i%n, 64)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	_ = buf
-}
-
-// BenchmarkMapperDegradedMap measures the allocating degraded lookup (a
-// fresh survivor slice per call) — the baseline AppendSurvivors removes.
-func BenchmarkMapperDegradedMap(b *testing.B) {
-	m := benchMapper(b)
-	n := m.DataUnits()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.DegradedMap(i%n, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMapperAppendSurvivors measures the zero-allocation degraded
-// lookup: survivors appended into a reused buffer, 0 allocs/op.
-func BenchmarkMapperAppendSurvivors(b *testing.B) {
-	m := benchMapper(b)
-	n := m.DataUnits()
-	buf := make([]layout.Unit, 0, 8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		buf, _, _, err = m.AppendSurvivors(buf[:0], i%n, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	_ = buf
 }

@@ -8,8 +8,8 @@
 //
 //   - pdl: the Build facade (functional options over a construction-method
 //     registry), the Mapper hot path for logical→physical address
-//     translation — including degraded mode and allocation-free
-//     append-style lookups — structured errors, and the condition report;
+//     translation and the stripe lookups pdl/plan compiles against,
+//     structured errors, and the condition report;
 //   - pdl/layout: the Layout/Stripe/Unit value types, the four
 //     Holland–Gibson condition metrics, address mapping, the XOR data
 //     engine, and the versioned JSON interchange format;
@@ -38,7 +38,8 @@
 //
 //	m, err := res.NewMapper(res.Layout.Size)    // O(1) address translation
 //	u, err := m.Map(42)                         // logical -> (disk, offset)
-//	dr, err := m.DegradedMap(42, u.Disk)        // lookup with a failed disk
+//	var p plan.Plan                             // pdl/plan: read 42 with u.Disk down
+//	err = plan.NewPlanner(m).ReadM(42, []int{u.Disk}, &p)
 //
 // Construction can be pinned and tuned with options:
 //

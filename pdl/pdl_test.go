@@ -363,123 +363,10 @@ func TestMapperStripeOf(t *testing.T) {
 			prev = [2]int{stripe, shard}
 		}
 		for _, bad := range []int{-1, mp.DataUnits()} {
-			if _, _, err := mp.StripeOf(bad); err == nil {
-				t.Errorf("m=%d: StripeOf(%d) accepted", m, bad)
+			if _, _, err := mp.StripeOf(bad); err == nil || !strings.HasPrefix(err.Error(), "pdl: StripeOf: ") {
+				t.Errorf("m=%d: StripeOf(%d) error %v, want a pdl: StripeOf: range error", m, bad, err)
 			}
 		}
-	}
-}
-
-// TestMapperDegraded exercises the degraded-mode lookup: for every
-// logical unit and every failed disk, the surviving set must XOR back to
-// the lost payload, verified against the byte-accurate Data engine.
-func TestMapperDegraded(t *testing.T) {
-	res, err := Build(9, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := res.Layout
-	m, err := res.NewMapper(l.Size)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := layout.NewData(l, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := m.DataUnits()
-	if n != data.Mapping().DataUnits() {
-		t.Fatalf("mapper has %d data units, data engine %d", n, data.Mapping().DataUnits())
-	}
-	for i := 0; i < n; i++ {
-		payload := make([]byte, 8)
-		for j := range payload {
-			payload[j] = byte(i*3 + j*17)
-		}
-		if err := data.WriteLogical(i, payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-	read := func(u layout.Unit) []byte {
-		if logical, ok := m.Logical(u); ok {
-			b, err := data.ReadLogical(logical)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return b
-		}
-		// Parity unit: reconstruct its bytes from the rest of the stripe.
-		for si := range l.Stripes {
-			s := &l.Stripes[si]
-			pu, _ := s.ParityUnit()
-			if pu != u {
-				continue
-			}
-			acc := make([]byte, 8)
-			for _, du := range s.Units {
-				if du == pu {
-					continue
-				}
-				logical, ok := m.Logical(du)
-				if !ok {
-					t.Fatalf("data unit %v has no logical address", du)
-				}
-				b, err := data.ReadLogical(logical)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for j := range acc {
-					acc[j] ^= b[j]
-				}
-			}
-			return acc
-		}
-		t.Fatalf("unit %v is neither data nor parity", u)
-		return nil
-	}
-	for failed := 0; failed < l.V; failed++ {
-		for i := 0; i < n; i++ {
-			dr, err := m.DegradedMap(i, failed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := data.ReadLogical(i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !dr.Degraded {
-				if dr.Unit.Disk == failed {
-					t.Fatalf("logical %d on failed disk %d but not degraded", i, failed)
-				}
-				got := read(dr.Unit)
-				if !bytes.Equal(got, want) {
-					t.Fatalf("failed=%d logical=%d: direct read mismatch", failed, i)
-				}
-				continue
-			}
-			if dr.Unit.Disk != failed {
-				t.Fatalf("logical %d marked degraded but lives on disk %d != %d", i, dr.Unit.Disk, failed)
-			}
-			acc := make([]byte, 8)
-			for _, su := range dr.Survivors {
-				if su.Disk == failed {
-					t.Fatalf("survivor %v on failed disk", su)
-				}
-				b := read(su)
-				for j := range acc {
-					acc[j] ^= b[j]
-				}
-			}
-			if !bytes.Equal(acc, want) {
-				t.Fatalf("failed=%d logical=%d: degraded XOR mismatch", failed, i)
-			}
-		}
-	}
-	if _, err := m.DegradedMap(0, -1); err == nil {
-		t.Error("bad failed disk accepted")
-	}
-	if _, err := m.DegradedMap(-1, 0); err == nil {
-		t.Error("bad logical accepted")
 	}
 }
 

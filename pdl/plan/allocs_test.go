@@ -25,6 +25,7 @@ func TestPlannerHotPathAllocs(t *testing.T) {
 	}
 	pln := plan.NewPlanner(m)
 	var p plan.Plan
+	down := []int{3}
 	i := 0
 	assertZero := func(name string, f func()) {
 		t.Helper()
@@ -36,30 +37,29 @@ func TestPlannerHotPathAllocs(t *testing.T) {
 		}
 	}
 	assertZero("Read healthy", func() {
-		if err := pln.Read(i%m.DataUnits(), -1, &p); err != nil {
+		if err := pln.ReadM(i%m.DataUnits(), nil, &p); err != nil {
 			t.Fatal(err)
 		}
 		i++
 	})
 	assertZero("Read degraded", func() {
-		if err := pln.Read(i%m.DataUnits(), 3, &p); err != nil {
+		if err := pln.ReadM(i%m.DataUnits(), down, &p); err != nil {
 			t.Fatal(err)
 		}
 		i++
 	})
 	assertZero("Write healthy", func() {
-		if err := pln.Write(i%m.DataUnits(), -1, &p); err != nil {
+		if err := pln.WriteM(i%m.DataUnits(), nil, &p); err != nil {
 			t.Fatal(err)
 		}
 		i++
 	})
 	assertZero("Write degraded", func() {
-		if err := pln.Write(i%m.DataUnits(), 3, &p); err != nil {
+		if err := pln.WriteM(i%m.DataUnits(), down, &p); err != nil {
 			t.Fatal(err)
 		}
 		i++
 	})
-	down := []int{3}
 	assertZero("RebuildStripe", func() {
 		if _, err := pln.RebuildStripe(i%m.Stripes(), 3, down, &p); err != nil {
 			t.Fatal(err)
@@ -67,7 +67,7 @@ func TestPlannerHotPathAllocs(t *testing.T) {
 		i++
 	})
 	assertZero("FullStripeWrite", func() {
-		if err := pln.FullStripeWrite(i%m.DataUnits(), -1, &p); err != nil {
+		if err := pln.FullStripeWriteM(i%m.DataUnits(), nil, &p); err != nil {
 			t.Fatal(err)
 		}
 		i++

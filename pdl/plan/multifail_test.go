@@ -2,6 +2,7 @@ package plan_test
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/pdl"
@@ -9,7 +10,7 @@ import (
 )
 
 // rs2Mapper builds the mapper for a two-parity layout.
-func rs2Mapper(t *testing.T, v, k int) pdl.Mapper {
+func rs2Mapper(t *testing.T, v, k int) *pdl.Mapper {
 	t.Helper()
 	res, err := pdl.Build(v, k, pdl.WithParityShards(2))
 	if err != nil {
@@ -24,7 +25,7 @@ func rs2Mapper(t *testing.T, v, k int) pdl.Mapper {
 
 // stripeDisks resolves the stripe of a logical address into the disks
 // holding its data and parity shards.
-func stripeDisks(t *testing.T, m pdl.Mapper, logical int) (stripe int, dataDisks, parityDisks []int) {
+func stripeDisks(t *testing.T, m *pdl.Mapper, logical int) (stripe int, dataDisks, parityDisks []int) {
 	t.Helper()
 	stripe, _, err := m.StripeOf(logical)
 	if err != nil {
@@ -249,6 +250,26 @@ func TestRebuildMTwoFailures(t *testing.T) {
 			}
 		}
 	}
+	// Balance and MaxSurvivorReads range over survivors only: disk 4 is
+	// down too, so its zero reads are not the minimum.
+	lo, hi := int64(-1), int64(-1)
+	for d, n := range rb.Reads {
+		if d == 0 || d == 4 {
+			continue
+		}
+		if lo < 0 || n < lo {
+			lo = n
+		}
+		if n > hi {
+			hi = n
+		}
+	}
+	if min, max := rb.Balance(); min != lo || max != hi || lo == 0 {
+		t.Errorf("Balance() = (%d,%d), want survivor range (%d,%d) > 0 of reads %v", min, max, lo, hi, rb.Reads)
+	}
+	if got := rb.MaxSurvivorReads(); got != hi {
+		t.Errorf("MaxSurvivorReads() = %d, want %d", got, hi)
+	}
 	// The rebuild target must be in the failed set.
 	if _, err := pln.RebuildM(2, []int{0, 4}); err == nil {
 		t.Error("RebuildM with target outside the failed set accepted")
@@ -310,5 +331,84 @@ func TestRebuildStripeMatchesRebuildM(t *testing.T) {
 	}
 	if _, err := pln.RebuildStripe(m.Stripes(), 0, []int{0}, &p); err == nil {
 		t.Error("RebuildStripe past the last stripe accepted")
+	}
+}
+
+// TestPlanMetadataEveryKind pins the reconstruction metadata of every
+// plan kind on rs m = 2 (2 data + 2 parity shards per stripe): Missing
+// is filled only by the kinds that resolve the whole stripe, so a
+// SmallWrite with a parity disk down and a DataOnlyWrite with both down
+// carry none.
+func TestPlanMetadataEveryKind(t *testing.T) {
+	m := rs2Mapper(t, 9, 4)
+	pln := plan.NewPlanner(m)
+	stripe, home, err := m.StripeOf(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	units, err := m.AppendStripeUnits(nil, stripe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := len(units) - m.ParityShards()
+	if k != 2 {
+		t.Fatalf("stripe has %d data shards, want 2", k)
+	}
+	disk := make([]int, len(units)) // shard index -> disk
+	for _, u := range units {
+		disk[m.ShardAt(u)] = u.Disk
+	}
+	hs := m.ShardAt(home)
+	peer := 1 - hs
+	set := func(shards ...int) []int {
+		var ds []int
+		for _, sh := range shards {
+			ds = append(ds, disk[sh])
+		}
+		slices.Sort(ds)
+		return ds
+	}
+	sorted := func(shards ...int) []int { slices.Sort(shards); return shards }
+	compile := map[string]func(failed []int, p *plan.Plan) error{
+		"read":  func(f []int, p *plan.Plan) error { return pln.ReadM(0, f, p) },
+		"write": func(f []int, p *plan.Plan) error { return pln.WriteM(0, f, p) },
+		"full":  func(f []int, p *plan.Plan) error { return pln.FullStripeWriteM(0, f, p) },
+		"rebuild": func(f []int, p *plan.Plan) error {
+			_, err := pln.RebuildStripe(stripe, home.Disk, f, p)
+			return err
+		},
+	}
+	for _, c := range []struct {
+		op          string
+		failed      []int
+		kind        plan.Kind
+		missing     []int
+		dataShards  int
+		targetShard int
+	}{
+		{"read", nil, plan.Read, nil, 0, -1},
+		{"read", set(peer, k), plan.Read, nil, 0, -1},
+		{"read", set(hs), plan.DegradedRead, []int{hs}, k, hs},
+		{"read", set(hs, k+1), plan.DegradedRead, []int{hs, k + 1}, k, hs},
+		{"write", nil, plan.SmallWrite, nil, k, -1},
+		{"write", set(k), plan.SmallWrite, nil, k, -1},
+		{"write", set(peer), plan.SmallWrite, nil, k, -1},
+		{"write", set(k, k+1), plan.DataOnlyWrite, nil, k, k},
+		{"write", set(hs), plan.ReconstructWrite, []int{hs}, k, hs},
+		{"write", set(hs, k), plan.ReconstructWrite, []int{hs, k}, k, hs},
+		{"write", set(hs, peer), plan.DegradedWrite, []int{0, 1}, k, hs},
+		{"full", nil, plan.FullStripeWrite, nil, k, -1},
+		{"full", set(peer, k+1), plan.FullStripeWrite, sorted(peer, k+1), k, -1},
+		{"rebuild", set(hs), plan.RebuildStripe, []int{hs}, k, hs},
+		{"rebuild", set(hs, k), plan.RebuildStripe, []int{hs, k}, k, hs},
+	} {
+		var p plan.Plan
+		if err := compile[c.op](c.failed, &p); err != nil {
+			t.Fatalf("%s failed %v: %v", c.op, c.failed, err)
+		}
+		if p.Kind != c.kind || !slices.Equal(p.Missing, c.missing) || p.DataShards != c.dataShards || p.TargetShard != c.targetShard {
+			t.Errorf("%s failed %v: kind %v Missing %v DataShards %d TargetShard %d, want %v %v %d %d",
+				c.op, c.failed, p.Kind, p.Missing, p.DataShards, p.TargetShard, c.kind, c.missing, c.dataShards, c.targetShard)
+		}
 	}
 }

@@ -16,6 +16,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/pdl"
@@ -139,8 +140,11 @@ type Plan struct {
 
 	// Missing lists the stripe's failed erasure-code shard indices in
 	// increasing order — the failure mask executors hand to
-	// code.Code.PlanReconstruct. Populated for the same kinds as
-	// DataShards; nil otherwise.
+	// code.Code.PlanReconstruct. It is populated for the kinds that
+	// resolve the whole stripe: DegradedRead, ReconstructWrite,
+	// DegradedWrite, FullStripeWrite and RebuildStripe. Read, SmallWrite
+	// and DataOnlyWrite reconstruct nothing and leave it empty, whatever
+	// else in the stripe is down.
 	Missing []int
 
 	// Steps lists the unit operations in execution order (by stage).
@@ -212,14 +216,13 @@ func (p *Plan) String() string {
 // reuses internal scratch space, so it is NOT safe for concurrent use;
 // create one per serving goroutine (they share the read-only Mapper).
 type Planner struct {
-	m    pdl.Mapper
+	m    *pdl.Mapper
 	buf  []layout.Unit
 	pbuf []layout.Unit
-	fbuf [1]int
 }
 
 // NewPlanner returns a plan compiler over a Mapper.
-func NewPlanner(m pdl.Mapper) *Planner {
+func NewPlanner(m *pdl.Mapper) *Planner {
 	if m == nil {
 		panic("plan: NewPlanner: nil Mapper")
 	}
@@ -227,15 +230,7 @@ func NewPlanner(m pdl.Mapper) *Planner {
 }
 
 // Mapper returns the Mapper plans are compiled against.
-func (p *Planner) Mapper() pdl.Mapper { return p.m }
-
-// checkFailed validates a failed-disk argument (-1 = healthy array).
-func (p *Planner) checkFailed(op string, failed int) error {
-	if failed < -1 || failed >= p.m.Disks() {
-		return fmt.Errorf("plan: %s: failed disk %d outside [-1,%d)", op, failed, p.m.Disks())
-	}
-	return nil
-}
+func (p *Planner) Mapper() *pdl.Mapper { return p.m }
 
 // checkFailedSet validates a failed-disk set: in-range, strictly
 // increasing (sorted, no duplicates). An empty or nil set is a healthy
@@ -252,16 +247,6 @@ func (p *Planner) checkFailedSet(op string, failed []int) error {
 		prev = f
 	}
 	return nil
-}
-
-// one adapts a single-failure argument (-1 = healthy) to a failed set,
-// reusing the planner's one-element buffer.
-func (p *Planner) one(failed int) []int {
-	if failed < 0 {
-		return nil
-	}
-	p.fbuf[0] = failed
-	return p.fbuf[:1]
 }
 
 // down reports whether a disk is in the (small) failed set.
@@ -293,23 +278,14 @@ func (p *Planner) setStripeMeta(dst *Plan, units []layout.Unit, failed []int) {
 	}
 }
 
-// Read compiles a one-unit read of a logical address into dst. With
-// failed >= 0 and the address's home unit on that disk, the plan becomes
-// a DegradedRead over the stripe's survivor set.
-func (p *Planner) Read(logical, failed int, dst *Plan) error {
-	if err := p.checkFailed("Read", failed); err != nil {
-		return err
-	}
-	return p.ReadM(logical, p.one(failed), dst)
-}
-
-// ReadM is Read against a set of simultaneously failed disks (sorted,
-// distinct; nil or empty = healthy). When the home unit survives, the
-// plan is a plain Read regardless of other failures; when it is lost,
-// the DegradedRead lists every surviving unit of the stripe — the
-// executor weighs them with the erasure code's reconstruction
-// coefficients (skipping zero-weight units), using the plan's
-// TargetShard, DataShards and Missing metadata.
+// ReadM compiles a one-unit read of a logical address into dst, with
+// failed the set of simultaneously failed disks (sorted, distinct; nil
+// or empty = healthy). When the home unit survives, the plan is a plain
+// Read regardless of other failures; when it is lost, the DegradedRead
+// lists every surviving unit of the stripe — the executor weighs them
+// with the erasure code's reconstruction coefficients (skipping
+// zero-weight units), using the plan's TargetShard, DataShards and
+// Missing metadata.
 func (p *Planner) ReadM(logical int, failed []int, dst *Plan) error {
 	if err := p.checkFailedSet("Read", failed); err != nil {
 		return err
@@ -342,20 +318,11 @@ func (p *Planner) ReadM(logical int, failed []int, dst *Plan) error {
 	return nil
 }
 
-// Write compiles a small write of a logical address into dst: the
-// read-modify-write of data and parity, or its degraded variants
-// (ReconstructWrite when the data disk is down, DataOnlyWrite when the
-// parity disk is down).
-func (p *Planner) Write(logical, failed int, dst *Plan) error {
-	if err := p.checkFailed("Write", failed); err != nil {
-		return err
-	}
-	return p.WriteM(logical, p.one(failed), dst)
-}
-
-// WriteM is Write against a set of simultaneously failed disks (sorted,
-// distinct). The compiled kind depends on which of the stripe's units
-// survive:
+// WriteM compiles a small write of a logical address into dst, with
+// failed the set of simultaneously failed disks (sorted, distinct; nil
+// or empty = healthy): the read-modify-write of data and parity, or one
+// of its degraded variants. The compiled kind depends on which of the
+// stripe's units survive:
 //
 //   - home alive, at least one parity alive: SmallWrite reading and
 //     rewriting the home unit and every surviving parity unit;
@@ -454,18 +421,11 @@ func (p *Planner) WriteM(logical int, failed []int, dst *Plan) error {
 	return nil
 }
 
-// FullStripeWrite compiles a large write covering every data unit of the
-// stripe holding logical (Condition 5): the stripe's units are written
-// with no pre-reads, skipping the failed disk when one is down.
-func (p *Planner) FullStripeWrite(logical, failed int, dst *Plan) error {
-	if err := p.checkFailed("FullStripeWrite", failed); err != nil {
-		return err
-	}
-	return p.FullStripeWriteM(logical, p.one(failed), dst)
-}
-
-// FullStripeWriteM is FullStripeWrite against a set of simultaneously
-// failed disks (sorted, distinct): units on failed disks are skipped.
+// FullStripeWriteM compiles a large write covering every data unit of
+// the stripe holding logical (Condition 5), with failed the set of
+// simultaneously failed disks (sorted, distinct; nil or empty =
+// healthy): the stripe's units are written with no pre-reads, skipping
+// those on failed disks.
 func (p *Planner) FullStripeWriteM(logical int, failed []int, dst *Plan) error {
 	if err := p.checkFailedSet("FullStripeWrite", failed); err != nil {
 		return err
@@ -491,25 +451,16 @@ func (p *Planner) FullStripeWriteM(logical int, failed []int, dst *Plan) error {
 	return nil
 }
 
-// Rebuild compiles the full reconstruction schedule for a failed disk:
-// one RebuildStripe plan per stripe crossing it, in disk-scan order, plus
-// the per-disk read counts the schedule induces — the reconstruction-
-// workload balance the paper's Condition 3 governs.
-func (p *Planner) Rebuild(failed int) (*Rebuild, error) {
-	if failed < 0 || failed >= p.m.Disks() {
-		return nil, fmt.Errorf("plan: Rebuild: failed disk %d outside [0,%d)", failed, p.m.Disks())
-	}
-	return p.RebuildM(failed, p.one(failed))
-}
-
 // RebuildM compiles the reconstruction schedule for one disk of a failed
 // set: target names the disk being rebuilt, failed the complete sorted
 // set of down disks (which must contain target). It materialises what
-// RebuildStripe streams — one plan per crossing stripe, each with its own
-// storage — for consumers that want the whole schedule at once (the
-// simulator, traces, the read-balance tallies).
+// RebuildStripe streams — one plan per crossing stripe, in disk-scan
+// order, each with its own storage — plus the per-disk read counts the
+// schedule induces: the reconstruction-workload balance the paper's
+// Condition 3 governs. It serves consumers that want the whole schedule
+// at once (the simulator, traces, the read-balance tallies).
 func (p *Planner) RebuildM(target int, failed []int) (*Rebuild, error) {
-	rb := &Rebuild{Failed: target, Reads: make([]int64, p.m.Disks())}
+	rb := &Rebuild{Failed: target, Reads: make([]int64, p.m.Disks()), failed: slices.Clone(failed)}
 	for s := 0; s < p.m.Stripes(); s++ {
 		var pl Plan
 		crosses, err := p.RebuildStripe(s, target, failed, &pl)
@@ -588,14 +539,21 @@ type Rebuild struct {
 
 	// Reads[d] is the number of unit reads the schedule issues to disk d.
 	Reads []int64
+
+	// failed is the complete failed set the schedule was compiled
+	// against: none of its disks is a survivor.
+	failed []int
 }
+
+// survivor reports whether disk d is outside the failed set.
+func (r *Rebuild) survivor(d int) bool { return d != r.Failed && !down(d, r.failed) }
 
 // MaxSurvivorReads returns the bottleneck read count over surviving
 // disks: it determines rebuild time when disks run in parallel.
 func (r *Rebuild) MaxSurvivorReads() int64 {
 	var max int64
 	for d, n := range r.Reads {
-		if d != r.Failed && n > max {
+		if r.survivor(d) && n > max {
 			max = n
 		}
 	}
@@ -608,7 +566,7 @@ func (r *Rebuild) MaxSurvivorReads() int64 {
 func (r *Rebuild) Balance() (min, max int64) {
 	first := true
 	for d, n := range r.Reads {
-		if d == r.Failed {
+		if !r.survivor(d) {
 			continue
 		}
 		if first {

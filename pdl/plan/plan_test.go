@@ -11,8 +11,8 @@ import (
 
 // TestDegradedReadMatchesMapperAcrossMethods is the cross-layer property
 // check: for every registered construction method across a (v, k) grid,
-// the XOR set a DegradedRead plan reads must equal the survivor set
-// Mapper.DegradedMap reports, and XOR-ing those units' bytes must
+// the XOR set a DegradedRead plan reads must equal the survivor set the
+// layout's own stripe tables give, and XOR-ing those units' bytes must
 // reconstruct the lost unit's payload exactly.
 func TestDegradedReadMatchesMapperAcrossMethods(t *testing.T) {
 	vs := []int{5, 7, 8, 9, 13, 16}
@@ -46,13 +46,38 @@ func TestDegradedReadMatchesMapperAcrossMethods(t *testing.T) {
 	}
 }
 
+// survivors is the test's independent survivor-set oracle: the units of
+// home's stripe, read from layout.Mapping's tables (StripeAt and
+// StripeUnits, shifted by home's copy base), minus the one on disk
+// failed, in stripe order.
+func survivors(t *testing.T, mp *layout.Mapping, home layout.Unit, failed int) []layout.Unit {
+	t.Helper()
+	size := mp.Layout().Size
+	base := home.Offset / size * size
+	si := mp.StripeAt(layout.Unit{Disk: home.Disk, Offset: home.Offset - base})
+	if si < 0 {
+		t.Fatalf("home %v lies in no stripe", home)
+	}
+	var out []layout.Unit
+	for _, u := range mp.StripeUnits(si) {
+		if u.Disk != failed {
+			out = append(out, layout.Unit{Disk: u.Disk, Offset: u.Offset + base})
+		}
+	}
+	return out
+}
+
 // checkDegradedReads verifies, for a sample of logical addresses of a
-// layout, that the DegradedRead plan equals the Mapper's survivor set and
+// layout, that the DegradedRead plan equals the layout's survivor set and
 // reconstructs correct bytes via the layout's XOR data engine.
 func checkDegradedReads(t *testing.T, l *layout.Layout) {
 	t.Helper()
 	const unitSize = 8
 	m, err := pdl.NewMapper(l, l.Size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mp, err := layout.NewMapping(l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,31 +104,25 @@ func checkDegradedReads(t *testing.T, l *layout.Layout) {
 			t.Fatal(err)
 		}
 		failed := home.Disk
-		if err := pln.Read(logical, failed, &p); err != nil {
+		if err := pln.ReadM(logical, []int{failed}, &p); err != nil {
 			t.Fatal(err)
 		}
 		if p.Kind != plan.DegradedRead {
 			t.Fatalf("logical %d: plan kind %v, want DegradedRead", logical, p.Kind)
 		}
-		dr, err := m.DegradedMap(logical, failed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !dr.Degraded {
-			t.Fatalf("logical %d: DegradedMap not degraded for home disk %d", logical, failed)
-		}
-		if len(p.Steps) != len(dr.Survivors) {
-			t.Fatalf("logical %d: plan reads %d units, DegradedMap reports %d survivors",
-				logical, len(p.Steps), len(dr.Survivors))
+		surv := survivors(t, mp, home, failed)
+		if len(p.Steps) != len(surv) {
+			t.Fatalf("logical %d: plan reads %d units, the stripe has %d survivors",
+				logical, len(p.Steps), len(surv))
 		}
 		want := make([]byte, unitSize)
 		for i, s := range p.Steps {
 			if s.Write || s.Stage != 0 {
 				t.Fatalf("logical %d: degraded read has non-read or staged step %+v", logical, s)
 			}
-			if s.Unit != dr.Survivors[i] {
+			if s.Unit != surv[i] {
 				t.Fatalf("logical %d: plan step %d reads %v, survivor is %v",
-					logical, i, s.Unit, dr.Survivors[i])
+					logical, i, s.Unit, surv[i])
 			}
 			if s.Disk == failed {
 				t.Fatalf("logical %d: plan reads the failed disk %d", logical, failed)
@@ -123,7 +142,7 @@ func checkDegradedReads(t *testing.T, l *layout.Layout) {
 		}
 		// A non-home failure must compile to a plain one-unit read.
 		other := (failed + 1) % l.V
-		if err := pln.Read(logical, other, &p); err != nil {
+		if err := pln.ReadM(logical, []int{other}, &p); err != nil {
 			t.Fatal(err)
 		}
 		if p.Kind != plan.Read || len(p.Steps) != 1 || p.Steps[0].Unit != home {
@@ -146,6 +165,10 @@ func TestDegradedReadMatchesMapperWithCopies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	mp, err := layout.NewMapping(l)
+	if err != nil {
+		t.Fatal(err)
+	}
 	pln := plan.NewPlanner(m)
 	var p plan.Plan
 	for logical := 0; logical < m.DataUnits(); logical += 7 {
@@ -153,19 +176,16 @@ func TestDegradedReadMatchesMapperWithCopies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := pln.Read(logical, home.Disk, &p); err != nil {
+		if err := pln.ReadM(logical, []int{home.Disk}, &p); err != nil {
 			t.Fatal(err)
 		}
-		dr, err := m.DegradedMap(logical, home.Disk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(p.Steps) != len(dr.Survivors) {
-			t.Fatalf("logical %d: %d steps vs %d survivors", logical, len(p.Steps), len(dr.Survivors))
+		surv := survivors(t, mp, home, home.Disk)
+		if len(p.Steps) != len(surv) {
+			t.Fatalf("logical %d: %d steps vs %d survivors", logical, len(p.Steps), len(surv))
 		}
 		for i, s := range p.Steps {
-			if s.Unit != dr.Survivors[i] {
-				t.Fatalf("logical %d: step %d %v != survivor %v", logical, i, s.Unit, dr.Survivors[i])
+			if s.Unit != surv[i] {
+				t.Fatalf("logical %d: step %d %v != survivor %v", logical, i, s.Unit, surv[i])
 			}
 			if s.Offset < 0 || s.Offset >= m.DiskUnits() {
 				t.Fatalf("logical %d: offset %d outside disk", logical, s.Offset)
@@ -188,7 +208,7 @@ func TestSmallWritePlanShape(t *testing.T) {
 	}
 	pln := plan.NewPlanner(m)
 	var p plan.Plan
-	if err := pln.Write(0, -1, &p); err != nil {
+	if err := pln.WriteM(0, nil, &p); err != nil {
 		t.Fatal(err)
 	}
 	if p.Kind != plan.SmallWrite || p.Reads() != 2 || p.Writes() != 2 || p.Stages() != 2 {
@@ -198,10 +218,11 @@ func TestSmallWritePlanShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parity, err := m.ParityOf(stripe)
+	par, err := m.AppendParityUnits(nil, stripe)
 	if err != nil {
 		t.Fatal(err)
 	}
+	parity := par[0]
 	if p.Steps[0].Unit != home || p.Steps[1].Unit != parity {
 		t.Errorf("stage 0 reads %v,%v, want home %v parity %v", p.Steps[0].Unit, p.Steps[1].Unit, home, parity)
 	}
@@ -236,13 +257,14 @@ func TestWriteDegradedVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parity, err := m.ParityOf(stripe)
+	par, err := m.AppendParityUnits(nil, stripe)
 	if err != nil {
 		t.Fatal(err)
 	}
+	parity := par[0]
 
 	var p plan.Plan
-	if err := pln.Write(0, home.Disk, &p); err != nil {
+	if err := pln.WriteM(0, []int{home.Disk}, &p); err != nil {
 		t.Fatal(err)
 	}
 	if p.Kind != plan.ReconstructWrite {
@@ -260,7 +282,7 @@ func TestWriteDegradedVariants(t *testing.T) {
 		t.Errorf("reconstruct-write stripe %d target %v, want %d, lost home %v", p.Stripe, p.Target, stripe, home)
 	}
 
-	if err := pln.Write(0, parity.Disk, &p); err != nil {
+	if err := pln.WriteM(0, []int{parity.Disk}, &p); err != nil {
 		t.Fatal(err)
 	}
 	if p.Kind != plan.DataOnlyWrite || len(p.Steps) != 1 || !p.Steps[0].Write || p.Steps[0].Unit != home {
@@ -284,14 +306,14 @@ func TestFullStripeWriteSkipsFailed(t *testing.T) {
 	}
 	pln := plan.NewPlanner(m)
 	var p plan.Plan
-	if err := pln.FullStripeWrite(0, -1, &p); err != nil {
+	if err := pln.FullStripeWriteM(0, nil, &p); err != nil {
 		t.Fatal(err)
 	}
 	if p.Kind != plan.FullStripeWrite || p.Reads() != 0 || p.Writes() != 3 {
 		t.Fatalf("healthy full stripe: kind %v reads %d writes %d", p.Kind, p.Reads(), p.Writes())
 	}
 	failed := p.Steps[0].Disk
-	if err := pln.FullStripeWrite(0, failed, &p); err != nil {
+	if err := pln.FullStripeWriteM(0, []int{failed}, &p); err != nil {
 		t.Fatal(err)
 	}
 	if p.Writes() != 2 {
@@ -317,7 +339,7 @@ func TestRebuildBalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := plan.NewPlanner(m).Rebuild(4)
+	rb, err := plan.NewPlanner(m).RebuildM(4, []int{4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,12 +374,14 @@ func TestRebuildBalance(t *testing.T) {
 	if total != sum {
 		t.Errorf("schedule step count %d != per-disk read sum %d", total, sum)
 	}
-	if _, err := plan.NewPlanner(m).Rebuild(9); err == nil {
+	if _, err := plan.NewPlanner(m).RebuildM(9, []int{9}); err == nil {
 		t.Error("out-of-range failed disk accepted")
 	}
 }
 
-// TestPlannerValidatesFailed pins the failed-disk domain [-1, disks).
+// TestPlannerValidatesFailed pins the failed-set domain every compiler
+// enforces — each disk in [0, disks), strictly increasing — and the
+// logical-address range.
 func TestPlannerValidatesFailed(t *testing.T) {
 	res, err := pdl.Build(9, 3)
 	if err != nil {
@@ -369,18 +393,101 @@ func TestPlannerValidatesFailed(t *testing.T) {
 	}
 	pln := plan.NewPlanner(m)
 	var p plan.Plan
-	for _, failed := range []int{-2, 9} {
-		if err := pln.Read(0, failed, &p); err == nil {
-			t.Errorf("Read accepted failed=%d", failed)
+	for _, failed := range [][]int{{-2}, {-1}, {9}, {0, 9}, {3, 1}, {2, 2}} {
+		if err := pln.ReadM(0, failed, &p); err == nil {
+			t.Errorf("ReadM accepted failed=%v", failed)
 		}
-		if err := pln.Write(0, failed, &p); err == nil {
-			t.Errorf("Write accepted failed=%d", failed)
+		if err := pln.WriteM(0, failed, &p); err == nil {
+			t.Errorf("WriteM accepted failed=%v", failed)
 		}
-		if err := pln.FullStripeWrite(0, failed, &p); err == nil {
-			t.Errorf("FullStripeWrite accepted failed=%d", failed)
+		if err := pln.FullStripeWriteM(0, failed, &p); err == nil {
+			t.Errorf("FullStripeWriteM accepted failed=%v", failed)
+		}
+		if _, err := pln.RebuildStripe(0, failed[0], failed, &p); err == nil {
+			t.Errorf("RebuildStripe accepted failed=%v", failed)
 		}
 	}
-	if err := pln.Read(-1, -1, &p); err == nil {
-		t.Error("negative logical accepted")
+	for _, logical := range []int{-1, m.DataUnits()} {
+		if err := pln.ReadM(logical, nil, &p); err == nil {
+			t.Errorf("ReadM accepted logical %d", logical)
+		}
+		if err := pln.WriteM(logical, nil, &p); err == nil {
+			t.Errorf("WriteM accepted logical %d", logical)
+		}
+		if err := pln.FullStripeWriteM(logical, nil, &p); err == nil {
+			t.Errorf("FullStripeWriteM accepted logical %d", logical)
+		}
+	}
+}
+
+// TestReadMDegradedBytes is the byte oracle of the degraded read: for
+// every failed disk and every logical unit of a (9, 3) layout, ReadM with
+// that disk down either reads the home unit directly (home survives) or
+// reads survivors whose XOR is the stored payload, verified against the
+// byte-accurate layout.Data engine.
+func TestReadMDegradedBytes(t *testing.T) {
+	res, err := pdl.Build(9, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := res.Layout
+	m, err := res.NewMapper(l.Size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := layout.NewData(l, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := m.DataUnits()
+	if n != data.Mapping().DataUnits() {
+		t.Fatalf("mapper has %d data units, data engine %d", n, data.Mapping().DataUnits())
+	}
+	for i := 0; i < n; i++ {
+		payload := make([]byte, 8)
+		for j := range payload {
+			payload[j] = byte(i*3 + j*17)
+		}
+		if err := data.WriteLogical(i, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := func(u layout.Unit) []byte { return data.DiskContents(u.Disk)[u.Offset*8 : (u.Offset+1)*8] }
+	pln := plan.NewPlanner(m)
+	var p plan.Plan
+	for failed := 0; failed < l.V; failed++ {
+		for i := 0; i < n; i++ {
+			if err := pln.ReadM(i, []int{failed}, &p); err != nil {
+				t.Fatal(err)
+			}
+			want, err := data.ReadLogical(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.Kind == plan.Read {
+				if len(p.Steps) != 1 || p.Steps[0].Disk == failed {
+					t.Fatalf("failed=%d logical=%d: healthy read %+v", failed, i, p.Steps)
+				}
+				if !bytes.Equal(read(p.Steps[0].Unit), want) {
+					t.Fatalf("failed=%d logical=%d: direct read mismatch", failed, i)
+				}
+				continue
+			}
+			if p.Kind != plan.DegradedRead || p.Target.Disk != failed {
+				t.Fatalf("failed=%d logical=%d: kind %v target %v", failed, i, p.Kind, p.Target)
+			}
+			acc := make([]byte, 8)
+			for _, s := range p.Steps {
+				if s.Disk == failed {
+					t.Fatalf("survivor %v on failed disk", s.Unit)
+				}
+				for j, b := range read(s.Unit) {
+					acc[j] ^= b
+				}
+			}
+			if !bytes.Equal(acc, want) {
+				t.Fatalf("failed=%d logical=%d: degraded XOR mismatch", failed, i)
+			}
+		}
 	}
 }

@@ -66,6 +66,7 @@ func TestConvenienceMethodsMatchExplicitPlans(t *testing.T) {
 	if err := manual.Fail(2); err != nil {
 		t.Fatal(err)
 	}
+	down := []int{manual.Failed}
 	var p plan.Plan
 	var tick int64
 	for logical := 0; logical < auto.DataUnits(); logical += 3 {
@@ -73,7 +74,7 @@ func TestConvenienceMethodsMatchExplicitPlans(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := manual.Planner().Read(logical, manual.Failed, &p); err != nil {
+		if err := manual.Planner().ReadM(logical, down, &p); err != nil {
 			t.Fatal(err)
 		}
 		if got := manual.Execute(&p, tick); got != wantRead {
@@ -83,7 +84,7 @@ func TestConvenienceMethodsMatchExplicitPlans(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := manual.Planner().Write(logical, manual.Failed, &p); err != nil {
+		if err := manual.Planner().WriteM(logical, down, &p); err != nil {
 			t.Fatal(err)
 		}
 		if got := manual.Execute(&p, tick); got != wantWrite {
@@ -102,7 +103,7 @@ func TestConvenienceMethodsMatchExplicitPlans(t *testing.T) {
 // read counts equal the compiled schedule's.
 func TestRebuildOfflineMatchesPlanSchedule(t *testing.T) {
 	a := newArray(t, sim.Config{Copies: 2})
-	rb, err := a.Planner().Rebuild(1)
+	rb, err := a.Planner().RebuildM(1, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}

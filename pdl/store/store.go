@@ -209,7 +209,7 @@ type rebuildBuf struct {
 // Store serves reads and writes against real bytes under a
 // parity-declustered layout. All methods are safe for concurrent use.
 type Store struct {
-	mapper   pdl.Mapper
+	mapper   *pdl.Mapper
 	unitSize int
 	capacity int // logical data units
 	size     int64
@@ -275,7 +275,7 @@ const (
 // (XOR for single parity, Reed–Solomon beyond). Each backend must hold
 // at least mapper.DiskUnits()*unitSize bytes; unit payloads are unitSize
 // bytes.
-func New(mapper pdl.Mapper, unitSize int, disks []Backend) (*Store, error) {
+func New(mapper *pdl.Mapper, unitSize int, disks []Backend) (*Store, error) {
 	if mapper == nil {
 		return nil, fmt.Errorf("store: New: nil Mapper")
 	}
@@ -287,7 +287,7 @@ func New(mapper pdl.Mapper, unitSize int, disks []Backend) (*Store, error) {
 
 // NewCode is New with an explicit erasure code, whose parity shard count
 // must match the layout's parity units per stripe.
-func NewCode(mapper pdl.Mapper, unitSize int, disks []Backend, c code.Code) (*Store, error) {
+func NewCode(mapper *pdl.Mapper, unitSize int, disks []Backend, c code.Code) (*Store, error) {
 	if mapper == nil {
 		return nil, fmt.Errorf("store: New: nil Mapper")
 	}
@@ -384,7 +384,7 @@ func Open(res *pdl.Result, diskUnits, unitSize int, backends []Backend) (*Store,
 }
 
 // Mapper returns the address translator the store serves.
-func (s *Store) Mapper() pdl.Mapper { return s.mapper }
+func (s *Store) Mapper() *pdl.Mapper { return s.mapper }
 
 // Code returns the erasure code governing the array's parity bytes.
 func (s *Store) Code() code.Code { return s.codec }

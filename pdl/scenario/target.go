@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -59,9 +60,21 @@ func oneShard(target string, shard int) error {
 	return nil
 }
 
-// replacement provisions a fresh in-memory spare sized for s's disks.
-func replacement(s *store.Store) store.Backend {
-	return store.NewMemDisk(int64(s.Mapper().DiskUnits()) * int64(s.UnitSize()))
+// rebuild rebuilds s's lowest failed disk onto a fresh in-memory spare
+// and closes the backend that the rebuild displaced, which the caller
+// owns. If Rebuild fails, the old backend is back in its slot and stays.
+func rebuild(s *store.Store) error {
+	failed := s.Failed()
+	if failed < 0 {
+		return errors.New("scenario: rebuild: no failed disk")
+	}
+	old := s.DiskBackend(failed)
+	rep := store.NewMemDisk(int64(s.Mapper().DiskUnits()) * int64(s.UnitSize()))
+	if err := s.Rebuild(rep); err != nil {
+		rep.Close()
+		return err
+	}
+	return old.Close()
 }
 
 // StoreTarget runs scenarios against a bare store.Store — the fastest
@@ -95,7 +108,7 @@ func (t *StoreTarget) RebuildDisk(shard int) error {
 	if err := oneShard("store", shard); err != nil {
 		return err
 	}
-	return t.S.Rebuild(replacement(t.S))
+	return rebuild(t.S)
 }
 
 func (t *StoreTarget) FailedDisks() (int, error) {
@@ -139,7 +152,7 @@ func (t *FrontendTarget) RebuildDisk(shard int) error {
 	if err := oneShard("frontend", shard); err != nil {
 		return err
 	}
-	return t.F.Store().Rebuild(replacement(t.F.Store()))
+	return rebuild(t.F.Store())
 }
 
 func (t *FrontendTarget) FailedDisks() (int, error) {

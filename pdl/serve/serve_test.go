@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -534,6 +535,45 @@ func TestServerClient(t *testing.T) {
 		if !bytes.Equal(got, payload(want, i)) {
 			t.Fatalf("post-rebuild read %d diverges", i)
 		}
+	}
+}
+
+// TestServerRebuildClosesDisplaced pins the in-memory rebuild path (no
+// RebuildDisk hook): once Client.Rebuild returns, the MemDisk the rebuild
+// displaced is closed, so a long-running server does not hold every
+// displaced slab until a collection.
+func TestServerRebuildClosesDisplaced(t *testing.T) {
+	f := mustFrontend(t, 9, 3, 1, 64, serve.Config{FlushDelay: -1})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := serve.NewServer(f)
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+	c, err := serve.Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Fail(4); err != nil {
+		t.Fatal(err)
+	}
+	displaced := f.Store().DiskBackend(4)
+	if err := c.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	// Close waits for the server's goroutines, the rebuild's among them,
+	// which orders its Close of the displaced disk before the check.
+	srv.Close()
+	if err := <-done; err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	if f.Store().DiskBackend(4) == displaced {
+		t.Fatal("rebuild left the failed disk's backend in its slot")
+	}
+	if n, err := displaced.ReadAt(make([]byte, 1), 0); n != 0 || err != io.EOF {
+		t.Fatalf("displaced disk after rebuild: ReadAt n=%d err=%v, want 0, io.EOF (closed)", n, err)
 	}
 }
 

@@ -90,10 +90,10 @@ type Server struct {
 	FailDisk func(disk int) error
 
 	// RebuildDisk, when non-nil, handles wire.OpRebuild instead of the
-	// default rebuild onto a fresh MemDisk sized for the geometry.
-	// Durable servers point it at array.Rebuild so the reconstructed
-	// bytes and the manifest state land on disk. The server still
-	// serializes rebuild requests.
+	// default rebuild onto a fresh MemDisk sized for the geometry, which
+	// closes the backend the rebuilt disk had. Durable servers point it
+	// at array.Rebuild so the reconstructed bytes and the manifest state
+	// land on disk. The server still serializes rebuild requests.
 	RebuildDisk func() error
 
 	// NoDelay is applied (explicitly) to every accepted TCP connection.
@@ -854,7 +854,8 @@ func (s *Server) rebuild() error {
 	st := s.front.Store()
 	// Validate before provisioning: the replacement is a disk-sized
 	// allocation, and a hostile peer can send rebuild frames for free.
-	if st.Failed() < 0 {
+	failed := st.Failed()
+	if failed < 0 {
 		return errors.New("rebuild: no failed disk")
 	}
 	if !s.rebuilding.CompareAndSwap(false, true) {
@@ -864,12 +865,18 @@ func (s *Server) rebuild() error {
 	if s.RebuildDisk != nil {
 		return s.RebuildDisk()
 	}
+	// Rebuild displaces the failed disk's backend, and the caller owns it:
+	// close it once the rebuild has put rep in its slot.
+	old := st.DiskBackend(failed)
 	rep := store.NewMemDisk(int64(st.Mapper().DiskUnits()) * int64(st.UnitSize()))
 	if err := st.Rebuild(rep); err != nil {
 		rep.Close()
 		return err
 	}
-	return nil
+	if st.DiskBackend(failed) != rep { // a lower disk failed meanwhile and was rebuilt instead
+		return nil
+	}
+	return old.Close()
 }
 
 func (s *Server) stats() ServerStats {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 )
 
 // Backend is one disk's byte storage. The Store issues ReadAt/WriteAt
@@ -36,9 +37,19 @@ type Backend interface {
 }
 
 // MemDisk is a Backend over an in-memory byte slab: the fastest backend
-// and the one tests and benchmarks default to.
+// and the one tests and benchmarks default to. On Linux a disk of at least
+// one huge page (2 MiB) keeps its slab outside the Go heap, in anonymous
+// memory advised for transparent huge pages: the runtime never zeroes or
+// scans it, and neither the GC goal nor GOMEMLIMIT counts it. Close
+// releases that memory. A MemDisk dropped without Close keeps it until a
+// collection finds the MemDisk unreachable, and the slab does not bring
+// that collection nearer, so whoever discards a disk should Close it.
+// Smaller disks, and every disk on other platforms, are ordinary heap
+// slices.
 type MemDisk struct {
-	b []byte
+	b       []byte
+	release func() error    // unmaps an off-heap slab; nil for a heap slab
+	cleanup runtime.Cleanup // calls release if the disk is dropped unclosed
 }
 
 // NewMemDisk allocates a zeroed in-memory disk of size bytes.
@@ -46,7 +57,14 @@ func NewMemDisk(size int64) *MemDisk {
 	if size < 0 {
 		panic(fmt.Sprintf("store: NewMemDisk: negative size %d", size))
 	}
-	return &MemDisk{b: make([]byte, size)}
+	b, release := mapSlab(size)
+	if b == nil {
+		return &MemDisk{b: make([]byte, size)}
+	}
+	d := &MemDisk{b: b, release: release}
+	// A cleanup cannot report an error; a failed munmap only leaks.
+	d.cleanup = runtime.AddCleanup(d, func(release func() error) { _ = release() }, release)
+	return d
 }
 
 // ReadAt implements io.ReaderAt over the slab.
@@ -58,6 +76,9 @@ func (d *MemDisk) ReadAt(p []byte, off int64) (int, error) {
 		return 0, io.EOF
 	}
 	n := copy(p, d.b[off:])
+	// An off-heap slab does not keep d reachable: without this, d's
+	// cleanup could unmap the slab during the copy.
+	runtime.KeepAlive(d)
 	if n < len(p) {
 		return n, io.EOF
 	}
@@ -74,14 +95,25 @@ func (d *MemDisk) WriteAt(p []byte, off int64) (int, error) {
 	if off > int64(len(d.b)) || int64(len(p)) > int64(len(d.b))-off {
 		return 0, fmt.Errorf("store: MemDisk.WriteAt: [%d,%d+%d) outside disk of %d bytes", off, off, len(p), len(d.b))
 	}
-	return copy(d.b[off:], p), nil
+	n := copy(d.b[off:], p)
+	runtime.KeepAlive(d) // as in ReadAt
+	return n, nil
 }
 
 // Size returns the slab size in bytes.
 func (d *MemDisk) Size() int64 { return int64(len(d.b)) }
 
-// Close is a no-op.
-func (d *MemDisk) Close() error { return nil }
+// Close releases the slab. Afterwards the disk holds nothing: ReadAt
+// returns io.EOF and WriteAt fails. A second Close is a no-op.
+func (d *MemDisk) Close() error {
+	var err error
+	if d.release != nil {
+		d.cleanup.Stop()
+		err = d.release()
+	}
+	d.b, d.release = nil, nil
+	return err
+}
 
 // FileDisk is a Backend over an *os.File using positioned I/O
 // (ReadAt/WriteAt), so concurrent requests need no seek coordination.

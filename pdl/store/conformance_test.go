@@ -1,8 +1,17 @@
 package store_test
 
 import (
+	"bufio"
+	"bytes"
+	"fmt"
+	"io"
+	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/pdl/store"
 	"repro/pdl/store/storetest"
@@ -17,6 +26,7 @@ func TestBackendConformance(t *testing.T) {
 			return store.NewMemDisk(size)
 		})
 	})
+	t.Run("MemDiskTrimmedTail", testMemDiskTrimmedTail)
 	t.Run("FileDisk", func(t *testing.T) {
 		storetest.TestBackend(t, func(t testing.TB, size int64) store.Backend {
 			d, err := store.CreateFileDisk(filepath.Join(t.TempDir(), "disk.dat"), size)
@@ -35,6 +45,137 @@ func TestBackendConformance(t *testing.T) {
 			return d
 		})
 	})
+}
+
+// testMemDiskTrimmedTail runs the MemDisk row's edge cases at a size that
+// is not a whole number of huge pages (2 MiB + 4 KiB + 17 bytes): on Linux
+// the slab then ends inside its mapping, and Size, the tail read and the
+// bound on writes must still be the disk's, not the mapping's.
+func testMemDiskTrimmedTail(t *testing.T) {
+	const size = 2<<20 + 4<<10 + 17
+	d := store.NewMemDisk(size)
+	defer d.Close()
+	if got := d.Size(); got != size {
+		t.Fatalf("Size() = %d, want %d", got, size)
+	}
+	want := payload(make([]byte, 40), 9)
+	if _, err := d.WriteAt(want, size-40); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 100)
+	if n, err := d.ReadAt(got, size-40); n != 40 || err != io.EOF || !bytes.Equal(got[:n], want) {
+		t.Fatalf("tail read: n=%d err=%v, want the 40 written bytes and io.EOF", n, err)
+	}
+	if n, err := d.ReadAt(got, size); n != 0 || err != io.EOF {
+		t.Fatalf("ReadAt(size): n=%d err=%v, want 0, io.EOF", n, err)
+	}
+	for _, off := range []int64{size - 1, size} {
+		if n, err := d.WriteAt([]byte{0xee, 0xee}, off); n != 0 || err == nil {
+			t.Fatalf("WriteAt(2 bytes at %d) past the end: n=%d err=%v, want refused", off, n, err)
+		}
+	}
+	if _, err := d.ReadAt(got[:1], size-1); err != nil || got[0] != want[39] {
+		t.Fatalf("last byte %#x (err %v) after refused writes, want %#x", got[0], err, want[39])
+	}
+}
+
+// TestMemDiskClose pins MemDisk's lifetime on a heap slab (below one huge
+// page) and a 4 MiB one (off the heap on Linux): Close empties the disk
+// and is idempotent, and on Linux a 4 MiB disk dropped without Close is
+// unmapped once the garbage collector finds it unreachable.
+func TestMemDiskClose(t *testing.T) {
+	for _, size := range []int64{4 << 10, 4 << 20} {
+		d := store.NewMemDisk(size)
+		if _, err := d.WriteAt([]byte{1}, size-1); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatalf("size %d: Close: %v", size, err)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatalf("size %d: second Close: %v", size, err)
+		}
+		if n, err := d.ReadAt(make([]byte, 1), 0); n != 0 || err != io.EOF {
+			t.Fatalf("size %d: ReadAt after Close: n=%d err=%v, want 0, io.EOF", size, n, err)
+		}
+		if n, err := d.WriteAt([]byte{1}, 0); n != 0 || err == nil {
+			t.Fatalf("size %d: WriteAt after Close: n=%d err=%v, want an error", size, n, err)
+		}
+	}
+	if runtime.GOOS != "linux" {
+		return
+	}
+	addr := func() uintptr { return store.SlabAddr(store.NewMemDisk(4 << 20)) }()
+	vma := mapping(t, "/proc/self/maps", addr, "")
+	if vma == "" {
+		t.Fatalf("4 MiB slab at %#x is in no mapping of /proc/self/maps", addr)
+	}
+	runtime.GC()
+	runtime.GC()
+	// Cleanups run on their own goroutine after the collection queues
+	// them: give it a moment.
+	for deadline := time.Now().Add(5 * time.Second); mapping(t, "/proc/self/maps", addr, "") == vma; {
+		if time.Now().After(deadline) {
+			t.Fatalf("slab mapping %s still present after the MemDisk was dropped and collected", vma)
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestMemDiskHugePages fills an 8 MiB MemDisk and requires that some of it
+// sits on transparent huge pages: MemDisk advises its slab MADV_HUGEPAGE,
+// which is what lets THP back it in the default "madvise" mode.
+func TestMemDiskHugePages(t *testing.T) {
+	mode, err := os.ReadFile("/sys/kernel/mm/transparent_hugepage/enabled")
+	if err != nil || bytes.Contains(mode, []byte("[never]")) {
+		t.Skipf("transparent huge pages unavailable (%q, %v)", bytes.TrimSpace(mode), err)
+	}
+	const size = 8 << 20
+	d := store.NewMemDisk(size)
+	defer d.Close()
+	if _, err := d.WriteAt(payload(make([]byte, size), 5), 0); err != nil {
+		t.Fatal(err)
+	}
+	kb := mapping(t, "/proc/self/smaps", store.SlabAddr(d), "AnonHugePages:")
+	if n, err := strconv.Atoi(strings.TrimSuffix(kb, " kB")); err != nil || n == 0 {
+		t.Fatalf("filled 8 MiB MemDisk: AnonHugePages %q, want > 0 kB", kb)
+	}
+}
+
+// mapping finds the entry of a /proc/self maps-format file whose address
+// range holds addr. With field empty it returns the entry's range
+// ("start-end"); otherwise the trimmed value of the entry's line that
+// starts with field (smaps). It returns "" when no entry holds addr.
+func mapping(t *testing.T, path string, addr uintptr, field string) string {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	in := false
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := sc.Text()
+		var lo, hi uint64
+		if _, err := fmt.Sscanf(line, "%x-%x ", &lo, &hi); err == nil {
+			if in {
+				return ""
+			}
+			if in = uint64(addr) >= lo && uint64(addr) < hi; in && field == "" {
+				return strings.Fields(line)[0]
+			}
+			continue
+		}
+		if in && strings.HasPrefix(line, field) {
+			return strings.TrimSpace(strings.TrimPrefix(line, field))
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return ""
 }
 
 // TestMmapDiskPersists checks bytes written through the mapping are

@@ -114,8 +114,13 @@ func main() {
 	}
 	fmt.Printf("shard states: %v\n", states())
 
-	// Online rebuild on the failed shard, then a full byte-exact sweep.
+	// Online rebuild on the failed shard, closing the backend it
+	// displaces, then a full byte-exact sweep.
+	old := stores[1].DiskBackend(4)
 	if err := stores[1].Rebuild(store.NewMemDisk(int64(stores[1].Mapper().DiskUnits()) * storeUnit)); err != nil {
+		log.Fatal(err)
+	}
+	if err := old.Close(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("shard 1 rebuilt online; shard states: %v\n", states())

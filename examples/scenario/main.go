@@ -117,9 +117,7 @@ func main() {
 	}
 	defer c.Close()
 
-	// The scenario target moves 192 B per op: a multiple of the 64 B
-	// array unit (concurrent workers must not share one — sub-unit
-	// writes are read-modify-writes) but unaligned with the 128 B
+	// The scenario target moves 192 B per op: unaligned with the 128 B
 	// shard-unit, so ops cross shard boundaries.
 	tgt := scenario.NewClusterTarget(c, 192)
 	defer tgt.Close()

@@ -81,9 +81,14 @@ func main() {
 	fmt.Printf("served via survivor XOR: %v\n", degraded > 0)
 
 	// Rebuild online onto a replacement disk; foreground traffic keeps
-	// flowing while stripes stream across.
+	// flowing while stripes stream across. Rebuild puts the replacement in
+	// disk 5's slot, and the displaced backend is the caller's to close.
+	old := s.DiskBackend(5)
 	replacement := store.NewMemDisk(int64(s.Mapper().DiskUnits()) * unitSize)
 	if err := s.Rebuild(replacement); err != nil {
+		log.Fatal(err)
+	}
+	if err := old.Close(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("rebuilt disk 5 online; failed disk now: %d\n", s.Failed())

@@ -347,11 +347,14 @@ func (c *Client) ReadAtClass(p []byte, off int64, class serve.Class) (int, error
 // WriteAt writes len(p) bytes of the namespace starting at off, split
 // like ReadAt, started on every touched shard, then awaited; a
 // stripe-aligned span's pieces coalesce into the shard servers' WriteVec
-// batch path and promote to full-stripe writes. Pieces unaligned to a
-// shard's array unit are read-modify-writes inside that shard's
-// serve.Client, so a span is not atomic against concurrent writers of the
-// same units. On a shard failure it returns the contiguous byte count
-// confirmed before the first failing piece.
+// batch path and promote to full-stripe writes. Each leg is one
+// serve.Client byte span, so each shard writes its part one stripe at a
+// time under that stripe's lock, partial array units included: every
+// stripe's part is atomic against concurrent writers and readers, and
+// bytes no other writer touches are never undone, but the span as a
+// whole is not atomic across stripes or shards. On a shard failure it
+// returns the contiguous byte count confirmed before the first failing
+// piece.
 func (c *Client) WriteAt(p []byte, off int64) (int, error) {
 	return c.WriteAtClass(p, off, serve.Foreground)
 }

@@ -223,3 +223,52 @@ func TestClusterStats(t *testing.T) {
 		t.Fatalf("degraded read: %v", err)
 	}
 }
+
+// TestClusterDisjointWriters has two cluster clients write adjacent
+// byte ranges concurrently, round after round — each range unaligned to
+// the shards' 32-byte array unit, the second crossing from shard 0 into
+// shard 1 — then reads both back: neither write may undo the other.
+// Their pieces share array units on shard 0, so a server or client that
+// patched a partial unit by reading it, patching and writing it back
+// would lose one client's bytes whenever the two interleave.
+func TestClusterDisjointWriters(t *testing.T) {
+	const unitBytes, rounds = 64, 1000
+	tc := startCluster(t, unitBytes, []int64{8, 8}, cluster.RoundRobin, serve.Config{FlushDelay: -1})
+	var clients [2]*cluster.Client
+	for i := range clients {
+		clients[i] = tc.open(t, cluster.Options{Conns: 1})
+	}
+	// Namespace [16, 48) lies in shard 0's first two array units; [48, 80)
+	// ends shard 0's second array unit and starts shard 1's first.
+	ranges := [2][2]int64{{16, 48}, {48, 80}}
+	lost := 0
+	got := make([]byte, 64)
+	for r := 0; r < rounds; r++ {
+		var parts [2][]byte
+		errs := make(chan error, 2)
+		for i, c := range clients {
+			parts[i] = make([]byte, ranges[i][1]-ranges[i][0])
+			for j := range parts[i] {
+				parts[i][j] = byte(2*r + i + j*7)
+			}
+			go func(c *cluster.Client, p []byte, off int64) {
+				_, err := c.WriteAt(p, off)
+				errs <- err
+			}(c, parts[i], ranges[i][0])
+		}
+		for range clients {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := clients[0].ReadAt(got, 16); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got[:32], parts[0]) || !bytes.Equal(got[32:], parts[1]) {
+			lost++
+		}
+	}
+	if lost > 0 {
+		t.Errorf("%d of %d rounds lost one client's bytes", lost, rounds)
+	}
+}

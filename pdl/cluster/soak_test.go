@@ -12,10 +12,9 @@ import (
 
 // TestClusterSoak is the cluster's mid-traffic failure drill, run under
 // -race in CI, scripted through the scenario engine: workers hammer
-// 96-byte spans through one shared client — a multiple of the 32 B
-// array unit (two workers sharing one would race on its read-modify-
-// write) but deliberately unaligned with the 64 B shard-unit, so ops
-// cross shard boundaries constantly — while shard 1 loses a disk and
+// 96-byte spans through one shared client — deliberately unaligned with
+// the 64 B shard-unit, so ops cross shard boundaries constantly — while
+// shard 1 loses a disk and
 // rebuilds online, both over the admin wire. The other shards are
 // separate failure domains, so no operation may error in any phase
 // (the zero-value SLO forbids errors); verify mode checks every read
@@ -56,4 +55,27 @@ func TestClusterSoak(t *testing.T) {
 				rep.Phases[i].Name, rep.Phases[i].Errors)
 		}
 	}
+}
+
+// TestClusterSubUnitWriters runs concurrent workers whose ops are
+// smaller than, and unaligned to, the shards' array unit: 48-byte ops
+// over 32-byte array units and 64-byte shard-units, so neighbouring ops
+// of different workers share array units. Verify mode checks every read
+// against the model and sweeps the namespace at the end: a write to
+// bytes no other worker touched must never be undone.
+func TestClusterSubUnitWriters(t *testing.T) {
+	tc := scenariotest.StartCluster(t, scenariotest.Array{UnitSize: 32}, 64, []int64{24, 36, 48},
+		cluster.ByCapacity, serve.Config{FlushDelay: -1})
+	tgt := tc.NewCluster(t, 48, cluster.Options{})
+	sc := &scenario.Scenario{
+		Name:   "cluster-sub-unit",
+		Seed:   0x5AB,
+		Verify: true,
+		Phases: []scenario.Phase{{
+			Name: "sub-unit",
+			Load: scenario.Load{Workers: 6, Ops: scenariotest.Ops(4000), WriteFrac: 0.5},
+			SLO:  &scenario.SLO{},
+		}},
+	}
+	scenariotest.Run(t, sc, tgt)
 }

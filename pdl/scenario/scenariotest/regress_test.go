@@ -19,9 +19,7 @@ import (
 
 // clusterGeometry builds the canonical three-shard fleet for table
 // runs. Shard-units are 64 bytes while the scenario moves 96-byte
-// units: a multiple of the 32-byte array unit (concurrent workers must
-// not share an array unit — sub-unit writes are read-modify-writes)
-// but deliberately unaligned with the shard-unit, so ops exercise the
+// units, deliberately unaligned with the shard-unit, so ops exercise the
 // cross-shard split path.
 func clusterGeometry(t *testing.T, arr scenariotest.Array, opts cluster.Options) *scenario.ClusterTarget {
 	t.Helper()

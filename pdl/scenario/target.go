@@ -211,10 +211,9 @@ func (t *ClientTarget) FailedDisks() (int, error) {
 // cluster.Client. Each engine op moves Unit bytes at a Unit-aligned
 // offset; choosing a Unit that is not a multiple of the manifest's
 // shard-unit makes ops span shard boundaries, which is exactly the
-// hard case. With concurrent workers, Unit must still be a multiple of
-// the shards' array stripe-unit: sub-unit writes are read-modify-write
-// inside a shard, so two workers sharing one array unit would race.
-// Fail/rebuild events dial the addressed shard from the manifest and
+// hard case; a Unit that is not a multiple of the shards' array unit
+// makes concurrent workers share array units, whose partial writes each
+// shard applies under its stripe lock. Fail/rebuild events dial the addressed shard from the manifest and
 // ride pdlserve's admin opcodes; kill/restart delegate to the
 // OnKill/OnRestart hooks, which own the shard processes (in tests, the
 // self-hosted harness; in a deployment, whatever supervises the

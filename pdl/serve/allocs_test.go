@@ -51,13 +51,13 @@ func TestServeHotPathAllocs(t *testing.T) {
 }
 
 // TestTCPHotPathAllocs gates the full network path: a synchronous unit
-// write and read over a real localhost TCP connection — client encode,
-// writev, server decode into pooled frame buffers, store pass, pooled
-// response, client demux into the caller's buffer — must allocate
-// nothing end to end (AllocsPerRun counts every goroutine: both client
-// loops, both server loops, the read-span workers, and the frontend).
-// So must an aligned stream ReadAt; an aligned stream WriteAt pays one
-// allocation, the server's per-stream write state.
+// write and read over a real localhost TCP connection, each a one-unit
+// byte span — client encode, writev, server decode into pooled frame
+// buffers and pooled stream state, store pass, pooled response, client
+// demux into the caller's buffer — must allocate nothing end to end
+// (AllocsPerRun counts every goroutine: both client loops, both server
+// loops, the read-span workers, and the frontend). So must an aligned
+// 16-unit ReadAt and WriteAt.
 func TestTCPHotPathAllocs(t *testing.T) {
 	const unitSize = 1024
 	f := mustFrontend(t, 17, 4, 4, unitSize, serve.Config{FlushDelay: -1})
@@ -97,7 +97,7 @@ func TestTCPHotPathAllocs(t *testing.T) {
 		t.Errorf("TCP Read allocates %v/op, want 0", n)
 	}
 
-	// An aligned 16-unit span moves as one v2 stream whose chunk the
+	// An aligned 16-unit span moves as one byte span whose chunk the
 	// server submits as one request.
 	const spanUnits = 16
 	span := make([]byte, spanUnits*unitSize)
@@ -116,8 +116,8 @@ func TestTCPHotPathAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		i++
-	}); n > 1 {
-		t.Errorf("TCP stream WriteAt allocates %v/span, want <=1 (the server's one wstream per write stream)", n)
+	}); n != 0 {
+		t.Errorf("TCP stream WriteAt allocates %v/span, want 0", n)
 	}
 	if n := testing.AllocsPerRun(200, func() {
 		if _, err := c.ReadAt(span, int64(i%spans)*int64(len(span))); err != nil {

@@ -77,24 +77,21 @@ type dialOptions struct {
 // DefaultConns). Values below 1 mean 1.
 func WithConns(n int) Option { return func(o *dialOptions) { o.conns = n } }
 
-// call is one in-flight request's completion state. For OpReadSpan
-// streams, units/recv/unit track the chunk reassembly: the reader fills
-// dst incrementally and completes the call when every unit has arrived.
+// call is one in-flight request's completion state. An OpReadSpan
+// stream's call has a dst: the reader lands each chunk in it at recv, the
+// bytes received so far, and completes the call when dst is full.
 type call struct {
-	dst  []byte  // read destination (response payload lands here directly)
+	dst  []byte  // read stream destination (chunks land here directly)
 	out  *[]byte // generic payload destination (info, stats), allocated
 	done chan error
-
-	units int // read stream: total units expected (0 for unit ops)
-	recv  int // read stream: units received so far
-	unit  int // read stream: unit size
+	recv int // read stream: bytes landed in dst so far
 }
 
 // frame is one encoded request awaiting the writer. hdr holds the frame
-// header (and, for span ops, the count payload); payload aliases the
+// header (and, for span ops, the length payload); payload aliases the
 // caller's buffer and goes out as its own iovec — the zero-copy send.
 type frame struct {
-	hdr     [wire.ReqFrameHeaderLen + wire.SpanCountLen]byte
+	hdr     [wire.ReqFrameHeaderLen + wire.SpanLenLen]byte
 	hn      int
 	payload []byte
 }
@@ -235,16 +232,16 @@ type Client struct {
 
 	// version/features are the handshake's negotiated protocol level
 	// (the minimum across connections) — fixed at dial time.
-	version    uint8
-	features   uint64
-	useStreams bool
+	version  uint8
+	features uint64
 
 	callPool  sync.Pool
 	framePool sync.Pool
 	spanPool  sync.Pool // *Span, with its segment ring
 
-	// requests, readSpans, and writeStreams count started unit requests
-	// and opened wire v2 span streams over the client's life.
+	// requests, readSpans, and writeStreams count started non-span
+	// requests (handshake, stats, admin) and opened wire v2 span streams
+	// over the client's life.
 	requests     atomic.Int64
 	readSpans    atomic.Int64
 	writeStreams atomic.Int64
@@ -321,12 +318,13 @@ func (c *Client) addConn(nc net.Conn) {
 
 // handshake sends a v2 hello on every connection and records the
 // negotiated protocol level: the minimum version and the feature
-// intersection across connections (a v1 server answers with the plain
-// Info, which decodes as version 1 / no features — the downgrade path).
+// intersection across connections. Every data op is a byte span, so a
+// server that does not accept wire.FeatByteSpans — a v1 server answers
+// the plain Info, which decodes as version 1 / no features — is refused.
 func (c *Client) handshake() error {
 	for i, cn := range c.conns {
 		var raw []byte
-		cl, err := c.startOn(cn, wire.OpInfo, Foreground, wire.EncodeHello(wire.Version2, wire.Features), nil, nil, &raw)
+		cl, err := c.startOn(cn, wire.OpInfo, wire.EncodeHello(wire.Version2, wire.Features), &raw)
 		if err != nil {
 			return err
 		}
@@ -350,7 +348,9 @@ func (c *Client) handshake() error {
 			c.features &= feats
 		}
 	}
-	c.useStreams = c.version >= wire.Version2 && c.features&wire.FeatStreams != 0
+	if c.version < wire.Version2 || c.features&wire.FeatByteSpans == 0 {
+		return fmt.Errorf("serve: server (wire v%d, features %#x) does not accept wire.FeatByteSpans, byte-range spans", c.version, c.features)
+	}
 	return nil
 }
 
@@ -365,8 +365,7 @@ func decodeGeometry(raw []byte, in *wire.Info) (version uint8, features uint64, 
 	return version, features, err
 }
 
-// ProtocolVersion returns the wire version negotiated at dial time
-// (wire.Version1 against an old server).
+// ProtocolVersion returns the wire version negotiated at dial time.
 func (c *Client) ProtocolVersion() uint8 { return c.version }
 
 // Features returns the feature bits accepted at dial time.
@@ -378,7 +377,7 @@ func (c *Client) Features() uint64 { return c.features }
 // other clients of the same server.
 func (c *Client) RefreshInfo() error {
 	var raw []byte
-	if err := c.do(wire.OpInfo, Foreground, wire.EncodeHello(wire.Version2, wire.Features), nil, nil, &raw); err != nil {
+	if err := c.do(wire.OpInfo, wire.EncodeHello(wire.Version2, wire.Features), &raw); err != nil {
 		return err
 	}
 	var in wire.Info
@@ -418,37 +417,43 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// Read fills dst (UnitSize bytes) with a logical unit's payload.
+// Read fills dst (UnitSize bytes) with a logical unit's payload: a
+// one-unit span.
 func (c *Client) Read(logical int, dst []byte) error {
 	return c.ReadClass(logical, dst, Foreground)
 }
 
 // ReadClass is Read with an explicit priority class.
 func (c *Client) ReadClass(logical int, dst []byte, class Class) error {
-	if unit := c.UnitSize(); len(dst) != unit {
+	unit := c.UnitSize()
+	if len(dst) != unit {
 		return fmt.Errorf("serve: Read: dst is %d bytes, want unit size %d", len(dst), unit)
 	}
-	return c.do(wire.OpRead, class, uint64(logical), nil, dst, nil)
+	_, err := c.StartReadAt(dst, int64(logical)*int64(unit), class).Wait()
+	return err
 }
 
-// Write stores src (UnitSize bytes) as a logical unit's payload.
+// Write stores src (UnitSize bytes) as a logical unit's payload: a
+// one-unit span.
 func (c *Client) Write(logical int, src []byte) error {
 	return c.WriteClass(logical, src, Foreground)
 }
 
 // WriteClass is Write with an explicit priority class.
 func (c *Client) WriteClass(logical int, src []byte, class Class) error {
-	if unit := c.UnitSize(); len(src) != unit {
+	unit := c.UnitSize()
+	if len(src) != unit {
 		return fmt.Errorf("serve: Write: src is %d bytes, want unit size %d", len(src), unit)
 	}
-	return c.do(wire.OpWrite, class, uint64(logical), src, nil, nil)
+	_, err := c.StartWriteAt(src, int64(logical)*int64(unit), class).Wait()
+	return err
 }
 
 // Fail marks a server disk failed; the array serves degraded after. On
 // success the geometry is refreshed, so Failed reports the new state; a
 // refresh error is returned even though the server-side Fail succeeded.
 func (c *Client) Fail(disk int) error {
-	if err := c.do(wire.OpFail, Foreground, uint64(disk), nil, nil, nil); err != nil {
+	if err := c.do(wire.OpFail, uint64(disk), nil); err != nil {
 		return err
 	}
 	return c.RefreshInfo()
@@ -459,7 +464,7 @@ func (c *Client) Fail(disk int) error {
 // geometry is refreshed, so Failed reports the rebuilt state; a refresh
 // error is returned even though the server-side rebuild succeeded.
 func (c *Client) Rebuild() error {
-	if err := c.do(wire.OpRebuild, Foreground, 0, nil, nil, nil); err != nil {
+	if err := c.do(wire.OpRebuild, 0, nil); err != nil {
 		return err
 	}
 	return c.RefreshInfo()
@@ -469,7 +474,7 @@ func (c *Client) Rebuild() error {
 func (c *Client) Stats() (ServerStats, error) {
 	var raw []byte
 	var st ServerStats
-	if err := c.do(wire.OpStats, Foreground, 0, nil, nil, &raw); err != nil {
+	if err := c.do(wire.OpStats, 0, &raw); err != nil {
 		return st, err
 	}
 	if err := json.Unmarshal(raw, &st); err != nil {
@@ -495,8 +500,7 @@ func (c *Client) pick() *cconn {
 func (c *Client) getCall() *call { return c.callPool.Get().(*call) }
 
 func (c *Client) putCall(cl *call) {
-	cl.dst, cl.out = nil, nil
-	cl.units, cl.recv, cl.unit = 0, 0, 0
+	cl.dst, cl.out, cl.recv = nil, nil, 0
 	c.callPool.Put(cl)
 }
 
@@ -505,45 +509,51 @@ func (c *Client) putFrame(fr *frame) {
 	c.framePool.Put(fr)
 }
 
-// do issues one request and blocks for its response.
-func (c *Client) do(op uint8, class Class, arg uint64, payload, dst []byte, out *[]byte) error {
-	cl, err := c.start(op, class, arg, payload, dst, out)
+// do issues one non-span request and blocks for its response, whose
+// payload, if out is non-nil, lands in *out.
+func (c *Client) do(op uint8, arg uint64, out *[]byte) error {
+	cl, err := c.startOn(c.pick(), op, arg, out)
 	if err != nil {
 		return err
 	}
 	return c.wait(cl)
 }
 
-// start registers and sends one request without blocking for its
-// response; the returned call must be handed to wait exactly once.
-// Concurrent starts pipeline across the connections, which is how
-// ReadAt/WriteAt spans reach the server's batch path: the in-flight unit
-// ops land in the frontend queues together and coalesce into
-// ReadVec/WriteVec passes. payload, when non-nil, is aliased until the
-// call completes (the frame goes out as an iovec, not a copy).
-func (c *Client) start(op uint8, class Class, arg uint64, payload, dst []byte, out *[]byte) (*call, error) {
-	return c.startOn(c.pick(), op, class, arg, payload, dst, out)
-}
-
-func (c *Client) startOn(cn *cconn, op uint8, class Class, arg uint64, payload, dst []byte, out *[]byte) (*call, error) {
-	if err := cn.err(); err != nil {
-		return nil, err
-	}
+// startOn sends one non-span request (info, stats, admin) on cn without
+// blocking for its response; the returned call must be handed to wait
+// exactly once.
+func (c *Client) startOn(cn *cconn, op uint8, arg uint64, out *[]byte) (*call, error) {
 	c.requests.Add(1)
 	cl := c.getCall()
-	cl.dst = dst
 	cl.out = out
-	id := cn.pend.put(cl)
-
-	fr := c.framePool.Get().(*frame)
-	h := wire.AppendRequestHeader(fr.hdr[:0], &wire.Request{ID: id, Op: op, Class: uint8(class), Arg: arg}, len(payload))
-	fr.hn = len(h)
-	fr.payload = payload
-	if err := cn.enqueue(fr, id); err != nil {
-		c.putCall(cl)
+	if _, err := c.register(cn, cl, op, Foreground, arg, 0); err != nil {
 		return nil, err
 	}
 	return cl, nil
+}
+
+// register puts cl in cn's pending table and enqueues its request frame,
+// carrying spanLen as a span op's length payload when it is positive. It
+// returns the request id; on an error cl is recycled and must not be
+// waited for.
+func (c *Client) register(cn *cconn, cl *call, op uint8, class Class, arg uint64, spanLen int) (uint64, error) {
+	if err := cn.err(); err != nil {
+		c.putCall(cl)
+		return 0, err
+	}
+	id := cn.pend.put(cl)
+	fr := c.framePool.Get().(*frame)
+	req := wire.Request{ID: id, Op: op, Class: uint8(class), Arg: arg}
+	if spanLen > 0 {
+		fr.hn = len(wire.AppendSpanLen(wire.AppendRequestHeader(fr.hdr[:0], &req, wire.SpanLenLen), spanLen))
+	} else {
+		fr.hn = len(wire.AppendRequestHeader(fr.hdr[:0], &req, 0))
+	}
+	if err := cn.enqueue(fr, id); err != nil {
+		c.putCall(cl)
+		return 0, err
+	}
+	return id, nil
 }
 
 // enqueue hands fr to the connection's writer. On a poisoned connection
@@ -579,13 +589,13 @@ func (c *Client) wait(cl *call) error {
 	return err
 }
 
-// waitSpan is wait for span calls: it also returns how many whole units
-// of the stream's prefix were confirmed before any failure.
-func (c *Client) waitSpan(cl *call) (recvUnits int, err error) {
+// waitSpan is wait for span calls: it also returns how many bytes of a
+// read stream's prefix arrived before any failure.
+func (c *Client) waitSpan(cl *call) (recv int, err error) {
 	err = <-cl.done
-	recvUnits = cl.recv
+	recv = cl.recv
 	c.putCall(cl)
-	return recvUnits, err
+	return recv, err
 }
 
 // err returns the connection's sticky error.
@@ -692,7 +702,7 @@ func (cn *cconn) drainSendq() {
 }
 
 // readLoop demuxes response frames to their waiting calls, reading
-// payloads directly into the callers' destination buffers (no staging
+// read-stream chunks directly into the callers' span buffers (no staging
 // copy). On transport failure every pending and future call gets the
 // error.
 func (cn *cconn) readLoop() {
@@ -721,24 +731,23 @@ func (cn *cconn) readLoop() {
 		case wire.StatusChunk:
 			// One ordered chunk of a read stream: land it directly in the
 			// caller's span buffer at the confirmed-prefix position. The
-			// call stays registered until its last unit arrives, so a
+			// call stays registered until its last byte arrives, so a
 			// concurrent drain cannot complete it mid-ReadFull.
 			cl := cn.pend.peek(resp.ID)
-			if cl == nil || cl.units == 0 || cl.unit <= 0 {
+			if cl == nil || cl.dst == nil {
 				cn.readFail(fmt.Errorf("serve: unexpected chunk for request %d", resp.ID))
 				return
 			}
-			if pl <= 0 || pl%cl.unit != 0 || cl.recv+pl/cl.unit > cl.units {
+			if pl <= 0 || pl > len(cl.dst)-cl.recv {
 				cn.readFail(fmt.Errorf("serve: chunk of %d bytes breaks stream sequencing", pl))
 				return
 			}
-			off := cl.recv * cl.unit
-			if _, err := io.ReadFull(br, cl.dst[off:off+pl]); err != nil {
+			if _, err := io.ReadFull(br, cl.dst[cl.recv:cl.recv+pl]); err != nil {
 				cn.readFail(fmt.Errorf("serve: connection: %w", err))
 				return
 			}
-			cl.recv += pl / cl.unit
-			if cl.recv == cl.units {
+			cl.recv += pl
+			if cl.recv == len(cl.dst) {
 				if cn.pend.remove(resp.ID) == cl {
 					cl.done <- nil
 				}
@@ -750,27 +759,13 @@ func (cn *cconn) readLoop() {
 				cn.readFail(fmt.Errorf("serve: response for unknown request %d", resp.ID))
 				return
 			}
-			var cerr error
 			switch {
-			case cl.units > 0:
-				// Read streams terminate by delivering their units, never
+			case cl.dst != nil:
+				// Read streams terminate by delivering their bytes, never
 				// by a bare OK.
 				cl.done <- fmt.Errorf("serve: stray OK for read stream %d", resp.ID)
 				cn.readFail(fmt.Errorf("serve: stray OK for read stream %d", resp.ID))
 				return
-			case cl.dst != nil:
-				if pl != len(cl.dst) {
-					cerr = fmt.Errorf("serve: response payload %d bytes, want %d", pl, len(cl.dst))
-					if _, err := br.Discard(pl); err != nil {
-						cl.done <- cerr
-						cn.readFail(fmt.Errorf("serve: connection: %w", err))
-						return
-					}
-				} else if _, err := io.ReadFull(br, cl.dst); err != nil {
-					cl.done <- fmt.Errorf("serve: connection: %w", err)
-					cn.readFail(fmt.Errorf("serve: connection: %w", err))
-					return
-				}
 			case cl.out != nil:
 				b := make([]byte, pl)
 				if _, err := io.ReadFull(br, b); err != nil {
@@ -788,7 +783,7 @@ func (cn *cconn) readLoop() {
 					}
 				}
 			}
-			cl.done <- cerr
+			cl.done <- nil
 
 		case wire.StatusErr:
 			cl := cn.pend.remove(resp.ID)

@@ -169,27 +169,36 @@ func v1ClientCells(t *testing.T, format int) []string {
 }
 
 // v2ClientCells drives the current client against a v1-only server
-// (format 0: the stub of interop_test.go, which has no array behind it)
-// or against the current server over an array of the given format.
+// (format 0: the stub of interop_test.go, which has no array behind it),
+// which it must refuse at Dial, or against the current server over an
+// array of the given format.
 func v2ClientCells(t *testing.T, format int) []string {
 	t.Helper()
-	var addr string
-	var cells []string
 	if format == 0 {
-		addr = startV1Server(t, compatUnit, 256)
+		addr := startV1Server(t, compatUnit, 256)
 		// What any binary does with a manifest newer than it knows — the
 		// rule a v1-era server applies to format 2.
 		newer := fmt.Sprintf(`{"version": %d}`, array.FormatVersion+1)
 		if _, err := array.DecodeManifest([]byte(newer)); !errors.Is(err, array.ErrVersion) {
 			t.Fatalf("manifest version %d: %v, want ErrVersion", array.FormatVersion+1, err)
 		}
-		cells = append(cells, "format 1 only: a binary refuses formats newer than it knows (`ErrVersion`)")
-	} else {
-		as, _, cell := compatServer(t, format)
-		addr = as.addr
-		cells = append(cells, cell)
+		c, err := serve.Dial(addr, serve.WithConns(2))
+		if err == nil {
+			c.Close()
+			t.Fatal("Dial accepted a server without byte spans")
+		}
+		if !strings.Contains(err.Error(), "FeatByteSpans") {
+			t.Fatalf("Dial against a v1 server: %v, want the missing feature named", err)
+		}
+		cells := []string{"format 1 only: a binary refuses formats newer than it knows (`ErrVersion`)"}
+		for range compatFeatures[1:] {
+			cells = append(cells, "refused at Dial")
+		}
+		return cells
 	}
-	c, err := serve.Dial(addr, serve.WithConns(2))
+	as, _, cell := compatServer(t, format)
+	cells := []string{cell}
+	c, err := serve.Dial(as.addr, serve.WithConns(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,8 +207,8 @@ func v2ClientCells(t *testing.T, format int) []string {
 	c.RegisterMetrics(reg)
 
 	feats := "no features"
-	if c.Features()&wire.FeatStreams != 0 {
-		feats = "streams"
+	if c.Features()&wire.FeatByteSpans != 0 {
+		feats = "byte spans"
 	}
 	cells = append(cells, fmt.Sprintf("wire v%d, %s", c.ProtocolVersion(), feats))
 
@@ -225,14 +234,10 @@ func v2ClientCells(t *testing.T, format int) []string {
 	if n, err := c.ReadAt(back, compatStart); err != nil || n != len(span) || !bytes.Equal(back, span) {
 		t.Fatalf("span ReadAt: n=%d err=%v", n, err)
 	}
-	switch nStreams, nUnits := streams()-streams0, counter(t, reg, "pdl_serve_client_requests_total")-requests0; {
-	case nStreams == 0:
-		cells = append(cells, "unit ops")
-	case nUnits > 0:
-		cells = append(cells, "streams for the aligned middle, unit ops for the edges")
-	default:
-		t.Fatalf("span moved as %d streams and no unit ops", nStreams)
+	if nStreams, nOther := streams()-streams0, counter(t, reg, "pdl_serve_client_requests_total")-requests0; nStreams == 0 || nOther != 0 {
+		t.Fatalf("span moved as %d streams and %d other requests", nStreams, nOther)
 	}
+	cells = append(cells, "byte spans, partial edges under the stripe lock")
 
 	down := 0
 	for d := 0; d < c.Disks() && c.Fail(d) == nil; d++ {

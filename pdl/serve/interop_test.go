@@ -103,12 +103,14 @@ func TestInteropV1ClientAgainstV2Server(t *testing.T) {
 // parity_shards). Unit payloads and the failed disk are guarded by mu.
 func startV1Server(t *testing.T, unitSize, capacity int) (addr string) {
 	t.Helper()
-	return startV1ServerGeom(t, func() (int, int) { return unitSize, capacity })
+	return startStubServer(t, func() (int, int) { return unitSize, capacity }, false)
 }
 
-// startV1ServerGeom is startV1Server answering every Info with the unit
-// size and capacity geom returns at that moment, whatever they are.
-func startV1ServerGeom(t *testing.T, geom func() (unitSize, capacity int)) (addr string) {
+// startStubServer is startV1Server answering every Info with the unit
+// size and capacity geom returns at that moment, whatever they are. With
+// spans it answers a v2 hello with wire.FeatByteSpans and serves byte
+// spans over a sparse byte map, one chunk per read span.
+func startStubServer(t *testing.T, geom func() (unitSize, capacity int), spans bool) (addr string) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -117,6 +119,7 @@ func startV1ServerGeom(t *testing.T, geom func() (unitSize, capacity int)) (addr
 	t.Cleanup(func() { ln.Close() })
 	var mu sync.Mutex
 	units := make(map[int][]byte)
+	bytesAt := make(map[uint64]byte)
 	failed := -1
 	go func() {
 		for {
@@ -128,6 +131,7 @@ func startV1ServerGeom(t *testing.T, geom func() (unitSize, capacity int)) (addr
 				defer conn.Close()
 				br := bufio.NewReader(conn)
 				var frame []byte
+				streams := make(map[uint64]*wire.WriteStream)
 				for {
 					body, err := wire.ReadFrame(br, frame)
 					if err != nil {
@@ -144,10 +148,47 @@ func startV1ServerGeom(t *testing.T, geom func() (unitSize, capacity int)) (addr
 						// A v1 server ignores Arg: always the plain payload.
 						unitSize, capacity := geom()
 						mu.Lock()
-						resp.Payload = wire.AppendInfo(nil, &wire.Info{
-							UnitSize: unitSize, Capacity: capacity, Disks: 13, Failed: failed,
-						})
+						in := wire.Info{UnitSize: unitSize, Capacity: capacity, Disks: 13, Failed: failed}
 						mu.Unlock()
+						if v, feats := wire.DecodeHello(req.Arg); spans && v >= wire.Version2 {
+							resp.Payload = wire.AppendInfoV2(nil, &in, wire.Version2, feats&wire.FeatByteSpans)
+						} else {
+							resp.Payload = wire.AppendInfo(nil, &in)
+						}
+					case wire.OpReadSpan, wire.OpWriteSpan, wire.OpWriteChunk:
+						if !spans {
+							resp.Status = wire.StatusErr
+							resp.Payload = []byte("unknown op")
+							break
+						}
+						n, _ := wire.DecodeSpanLen(req.Payload)
+						switch req.Op {
+						case wire.OpReadSpan:
+							resp.Status = wire.StatusChunk
+							resp.Payload = make([]byte, n)
+							mu.Lock()
+							for i := range resp.Payload {
+								resp.Payload[i] = bytesAt[req.Arg+uint64(i)]
+							}
+							mu.Unlock()
+						case wire.OpWriteSpan:
+							streams[req.ID] = &wire.WriteStream{Start: req.Arg, Len: n}
+							continue // answered once its chunks are in
+						default:
+							ws := streams[req.ID]
+							if ws == nil || ws.Consume(req.Arg, len(req.Payload)) != nil {
+								return
+							}
+							mu.Lock()
+							for i, b := range req.Payload {
+								bytesAt[req.Arg+uint64(i)] = b
+							}
+							mu.Unlock()
+							if !ws.Done() {
+								continue
+							}
+							delete(streams, req.ID)
+						}
 					case wire.OpRead:
 						mu.Lock()
 						b, ok := units[int(req.Arg)]
@@ -195,55 +236,20 @@ func startV1ServerGeom(t *testing.T, geom func() (unitSize, capacity int)) (addr
 }
 
 // TestInteropV2ClientAgainstV1Server dials a v1-only server with the
-// current client: the handshake must downgrade (version 1, no
-// features), and spans — which would use streaming frames against a v2
-// server — must fall back to per-unit ops and still move the right
-// bytes.
+// current client. Every client data op is a byte span, which a v1 server
+// cannot serve and which the client will not emulate with unit-op
+// read-modify-writes, so Dial must refuse the server and name the
+// missing feature.
 func TestInteropV2ClientAgainstV1Server(t *testing.T) {
 	const unitSize, capacity = 64, 256
 	addr := startV1Server(t, unitSize, capacity)
 	c, err := serve.Dial(addr, serve.WithConns(2))
-	if err != nil {
-		t.Fatal(err)
+	if err == nil {
+		c.Close()
+		t.Fatal("Dial accepted a v1 server")
 	}
-	t.Cleanup(func() { c.Close() })
-
-	if v := c.ProtocolVersion(); v != wire.Version1 {
-		t.Fatalf("negotiated version %d against a v1 server", v)
-	}
-	if feats := c.Features(); feats != 0 {
-		t.Fatalf("negotiated features %#x against a v1 server", feats)
-	}
-	if c.UnitSize() != unitSize || c.Capacity() != capacity {
-		t.Fatalf("geometry diverges: unit %d capacity %d", c.UnitSize(), c.Capacity())
-	}
-
-	// Unit ops.
-	want := payload(make([]byte, unitSize), 3)
-	if err := c.Write(5, want); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, unitSize)
-	if err := c.Read(5, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("unit round trip diverges")
-	}
-
-	// A big unaligned span: stream-eligible geometry, but the downgraded
-	// client must route it through per-unit ops the v1 server understands.
-	span := payload(make([]byte, 20*unitSize+17), 9)
-	const off = int64(3*unitSize + 5)
-	if n, err := c.WriteAt(span, off); err != nil || n != len(span) {
-		t.Fatalf("span WriteAt: n=%d err=%v", n, err)
-	}
-	back := make([]byte, len(span))
-	if n, err := c.ReadAt(back, off); err != nil || n != len(span) {
-		t.Fatalf("span ReadAt: n=%d err=%v", n, err)
-	}
-	if !bytes.Equal(back, span) {
-		t.Fatal("span round trip diverges through the v1 fallback")
+	if !strings.Contains(err.Error(), "FeatByteSpans") {
+		t.Fatalf("Dial against a v1 server: %v, want the missing feature named", err)
 	}
 }
 
@@ -253,7 +259,7 @@ func TestInteropV2ClientAgainstV1Server(t *testing.T) {
 // geometry it had — instead of making ReadAt and WriteAt divide by zero.
 func TestClientRejectsUnusableGeometry(t *testing.T) {
 	var unitSize, capacity atomic.Int64
-	addr := startV1ServerGeom(t, func() (int, int) { return int(unitSize.Load()), int(capacity.Load()) })
+	addr := startStubServer(t, func() (int, int) { return int(unitSize.Load()), int(capacity.Load()) }, true)
 	for _, g := range [][2]int64{{0, 256}, {64, -1}} {
 		unitSize.Store(g[0])
 		capacity.Store(g[1])

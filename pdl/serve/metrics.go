@@ -25,7 +25,7 @@ func (f *Frontend) RegisterMetrics(r *obs.Registry) {
 		"Batches dispatched to the store.",
 		f.batches.Load)
 	r.CounterFunc("pdl_serve_batched_ops_total",
-		"Units carried by dispatched batches (ratio to batches is the mean units per store pass).",
+		"Unit pieces (whole or partial units) carried by dispatched batches (ratio to batches is the mean pieces per store pass).",
 		f.batchedOps.Load)
 	r.CounterFunc("pdl_serve_flush_total",
 		"Batch dispatches by flush reason.",
@@ -75,7 +75,7 @@ func (s *Server) RegisterMetrics(r *obs.Registry) {
 // collide.
 func (c *Client) RegisterMetrics(r *obs.Registry, labels ...obs.Label) {
 	r.CounterFunc("pdl_serve_client_requests_total",
-		"Unit requests started by the client.",
+		"Non-span requests (handshake, stats, admin) started by the client.",
 		c.requests.Load, labels...)
 	r.CounterFunc("pdl_serve_client_read_spans_total",
 		"Wire v2 OpReadSpan streams opened by the client.",

@@ -58,7 +58,8 @@ const (
 	Write
 )
 
-// Op is one request submitted to a Frontend: a run of consecutive units.
+// Op is one request submitted to a Frontend: a run of consecutive bytes
+// of the logical space.
 type Op struct {
 	// Kind selects read or write.
 	Kind Kind
@@ -66,12 +67,14 @@ type Op struct {
 	// Class is the priority class (zero value: Foreground).
 	Class Class
 
-	// Logical is the run's first data unit.
-	Logical int
+	// Logical is the data unit holding the run's first byte, and Within
+	// (in [0, UnitSize)) that byte's offset in it: the zero value starts
+	// the run at the unit's first byte.
+	Logical, Within int
 
-	// Buf is the payload of len(Buf)/UnitSize ≥ 1 whole units from
-	// Logical on: the destination for reads, the source for writes. The
-	// caller must not touch it until the request completes.
+	// Buf is the payload, len(Buf) ≥ 1 bytes from there on: the
+	// destination for reads, the source for writes. The caller must not
+	// touch it until the request completes.
 	Buf []byte
 }
 
@@ -131,8 +134,9 @@ type Stats struct {
 	// refused at admission (validation, cancellation, or ErrClosed).
 	Completed, Rejected int64
 
-	// Batches counts dispatched batches; BatchedOps the units they
-	// carried, so BatchedOps/Batches is the mean units per store pass.
+	// Batches counts dispatched batches; BatchedOps the unit pieces (whole
+	// or partial units) they carried, so BatchedOps/Batches is the mean
+	// pieces per store pass.
 	Batches, BatchedOps int64
 
 	// FlushFull and FlushDeadline count why batches dispatched: the batch
@@ -285,12 +289,14 @@ func (f *Frontend) Go(ctx context.Context, op Op, complete func(error)) error {
 	return err
 }
 
-// Read serves a foreground read into dst, whole units from logical on.
+// Read serves a foreground read of len(dst) bytes into dst, starting at
+// unit logical's first byte.
 func (f *Frontend) Read(ctx context.Context, logical int, dst []byte) error {
 	return f.Do(ctx, Op{Kind: Read, Logical: logical, Buf: dst})
 }
 
-// Write serves a foreground write of src, whole units from logical on.
+// Write serves a foreground write of src, starting at unit logical's
+// first byte.
 func (f *Frontend) Write(ctx context.Context, logical int, src []byte) error {
 	return f.Do(ctx, Op{Kind: Write, Logical: logical, Buf: src})
 }
@@ -307,14 +313,10 @@ func (f *Frontend) submit(ctx context.Context, op Op, cb func(error)) (*request,
 		return nil, fmt.Errorf("serve: bad class %d", op.Class)
 	}
 	unit := f.s.UnitSize()
-	n := len(op.Buf) / unit
-	if n == 0 || len(op.Buf)%unit != 0 {
+	if len(op.Buf) == 0 || op.Within < 0 || op.Within >= unit || op.Logical < 0 || op.Logical >= f.s.Capacity() ||
+		int64(op.Logical)*int64(unit)+int64(op.Within) > f.s.Size()-int64(len(op.Buf)) {
 		f.rejected.Add(1)
-		return nil, fmt.Errorf("serve: buf is %d bytes, want a positive multiple of unit size %d", len(op.Buf), unit)
-	}
-	if op.Logical < 0 || op.Logical > f.s.Capacity()-n {
-		f.rejected.Add(1)
-		return nil, fmt.Errorf("serve: units [%d,+%d) outside [0,%d)", op.Logical, n, f.s.Capacity())
+		return nil, fmt.Errorf("serve: %d bytes at byte %d of unit %d outside %d units of %d bytes", len(op.Buf), op.Within, op.Logical, f.s.Capacity(), unit)
 	}
 	r := f.reqPool.Get().(*request)
 	r.op = op
@@ -354,9 +356,10 @@ func (f *Frontend) submit(ctx context.Context, op Op, cb func(error)) (*request,
 		if op.Kind == Write {
 			kind = sim.Write
 		}
-		// One line per unit, best effort: a sticky writer error surfaces
-		// at Flush; dropping a trace op must never fail its request.
-		for i := 0; i < n; i++ {
+		// One line per unit touched, best effort: a sticky writer error
+		// surfaces at Flush; dropping a trace op must never fail its
+		// request.
+		for i, n := 0, (op.Within+len(op.Buf)+unit-1)/unit; i < n; i++ {
 			_ = tw.Record(kind, op.Logical+i, op.Class == Background, r.start)
 		}
 	}
@@ -490,8 +493,9 @@ type execState struct {
 	rreqs, wreqs []*request
 }
 
-// run executes one batch, one VecOp per unit: writes as one WriteVec
-// pass (coalescing plus full-stripe promotion), then reads as ReadVec.
+// run executes one batch, one VecOp per unit a request touches (its first
+// and last may be partial): writes as one WriteVec pass (coalescing plus
+// full-stripe promotion), then reads as ReadVec.
 func (f *Frontend) run(ex *execState, batch []*request) {
 	ex.rops, ex.wops = ex.rops[:0], ex.wops[:0]
 	ex.rreqs, ex.wreqs = ex.rreqs[:0], ex.wreqs[:0]
@@ -501,8 +505,10 @@ func (f *Frontend) run(ex *execState, batch []*request) {
 		if r.op.Kind == Write {
 			ops, reqs = &ex.wops, &ex.wreqs
 		}
-		for i, b := 0, r.op.Buf; len(b) > 0; i, b = i+1, b[unit:] {
-			*ops = append(*ops, store.VecOp{Logical: r.op.Logical + i, Buf: b[:unit]})
+		for u, w, b := r.op.Logical, r.op.Within, r.op.Buf; len(b) > 0; u, w = u+1, 0 {
+			n := min(unit-w, len(b))
+			*ops = append(*ops, store.VecOp{Logical: u, Within: w, Buf: b[:n]})
+			b = b[n:]
 		}
 		*reqs = append(*reqs, r)
 	}

@@ -360,20 +360,37 @@ func TestFrontendValidation(t *testing.T) {
 	if err := f.Do(ctx, serve.Op{Kind: serve.Read, Logical: -1, Buf: buf}); err == nil {
 		t.Error("bad logical admitted")
 	}
-	if err := f.Do(ctx, serve.Op{Kind: serve.Read, Logical: 0, Buf: buf[:3]}); err == nil {
-		t.Error("bad buffer admitted")
+	if err := f.Do(ctx, serve.Op{Kind: serve.Read, Logical: 0, Buf: buf[:0]}); err == nil {
+		t.Error("empty buffer admitted")
 	}
-	if err := f.Do(ctx, serve.Op{Kind: serve.Read, Logical: 0, Buf: make([]byte, unitSize+1)}); err == nil {
-		t.Error("buffer of a unit and a byte admitted")
+	if err := f.Do(ctx, serve.Op{Kind: serve.Read, Logical: 0, Within: unitSize, Buf: buf[:3]}); err == nil {
+		t.Error("first byte past its unit admitted")
 	}
-	if err := f.Do(ctx, serve.Op{Kind: serve.Read, Logical: f.Store().Capacity() - 1, Buf: make([]byte, 2*unitSize)}); err == nil {
+	if err := f.Do(ctx, serve.Op{Kind: serve.Read, Logical: 1, Within: -1, Buf: buf[:3]}); err == nil {
+		t.Error("negative first byte admitted")
+	}
+	last := f.Store().Capacity() - 1
+	if err := f.Do(ctx, serve.Op{Kind: serve.Read, Logical: last, Buf: make([]byte, 2*unitSize)}); err == nil {
 		t.Error("run past capacity admitted")
+	}
+	if err := f.Do(ctx, serve.Op{Kind: serve.Write, Logical: last, Within: 1, Buf: buf}); err == nil {
+		t.Error("byte run one past capacity admitted")
 	}
 	if err := f.Go(ctx, serve.Op{}, nil); err == nil {
 		t.Error("nil completion admitted")
 	}
-	if n := f.Stats().Rejected; n != 6 {
-		t.Errorf("Rejected = %d, want 6", n)
+	if n := f.Stats().Rejected; n != 8 {
+		t.Errorf("Rejected = %d, want 8", n)
+	}
+
+	// A byte run with partial first and last units is a valid request.
+	want := payload(make([]byte, 2*unitSize), 4)
+	if err := f.Do(ctx, serve.Op{Kind: serve.Write, Logical: last - 2, Within: 5, Buf: want}); err != nil {
+		t.Fatalf("partial-unit run: %v", err)
+	}
+	got := make([]byte, len(want)+5)
+	if err := f.Read(ctx, last-2, got); err != nil || !bytes.Equal(got[5:], want) {
+		t.Fatalf("partial-unit run reads back %x, %v; want %x", got[5:], err, want)
 	}
 }
 

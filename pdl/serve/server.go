@@ -131,11 +131,11 @@ type Server struct {
 	readSpans     atomic.Int64
 	writeStreams  atomic.Int64
 
-	bufPool   sync.Pool // *[]byte unit payload buffers
-	chunkPool sync.Pool // *[]byte read-span chunk buffers
+	bufPool   sync.Pool // *[]byte read payload buffers (see getBuf)
 	respPool  sync.Pool // *srvResp
 	reqPool   sync.Pool // *srvReq with a prebuilt completion closure
 	framePool sync.Pool // *frameBuf refcounted request payload buffers
+	wsPool    sync.Pool // *wstream open write streams
 }
 
 // NewServer returns a Server submitting to front. Serve it on one or
@@ -151,16 +151,7 @@ func NewServer(front *Frontend) *Server {
 		ctx:     ctx,
 		cancel:  cancel,
 	}
-	unit := s.unit
-	s.bufPool.New = func() any {
-		b := make([]byte, unit)
-		return &b
-	}
-	chunk := s.chunkUnits() * unit
-	s.chunkPool.New = func() any {
-		b := make([]byte, chunk)
-		return &b
-	}
+	s.bufPool.New = func() any { return new([]byte) }
 	s.respPool.New = func() any { return new(srvResp) }
 	s.reqPool.New = func() any {
 		sr := new(srvReq)
@@ -171,16 +162,8 @@ func NewServer(front *Frontend) *Server {
 		return sr
 	}
 	s.framePool.New = func() any { return &frameBuf{pool: &s.framePool} }
+	s.wsPool.New = func() any { return new(wstream) }
 	return s
-}
-
-// chunkUnits is how many whole units one read-span chunk carries.
-func (s *Server) chunkUnits() int {
-	cu := wire.MaxChunk / s.unit
-	if cu < 1 {
-		cu = 1
-	}
-	return cu
 }
 
 // Serve accepts connections on ln until Close (or a listener error) and
@@ -260,6 +243,19 @@ func (fb *frameBuf) release() {
 	}
 }
 
+// getBuf returns a pooled read buffer of n bytes. A pooled buffer too
+// short for n is replaced, so buffers track the sizes the server's reads
+// need (a unit for unit ops, up to a chunk for spans) and a one-unit read
+// never holds a chunk-sized buffer.
+func (s *Server) getBuf(n int) *[]byte {
+	bp := s.bufPool.Get().(*[]byte)
+	if cap(*bp) < n {
+		*bp = make([]byte, n)
+	}
+	*bp = (*bp)[:n]
+	return bp
+}
+
 // getFrame returns a frame buffer sized to n with one reference held.
 func (s *Server) getFrame(n int) *frameBuf {
 	fb := s.framePool.Get().(*frameBuf)
@@ -272,14 +268,13 @@ func (s *Server) getFrame(n int) *frameBuf {
 }
 
 // srvResp is one queued response: a fixed header plus a payload that
-// goes out as its own iovec. unitBuf/chunkBuf, when set, are pooled
-// buffers the payload aliases — returned to their pools only after the
-// writev that sends them lands (or the connection is known broken).
+// goes out as its own iovec. buf, when set, is the pooled buffer the
+// payload aliases — returned to bufPool only after the writev that sends
+// it lands (or the connection is known broken).
 type srvResp struct {
-	hdr      [wire.RespFrameHeaderLen]byte
-	payload  []byte
-	unitBuf  *[]byte
-	chunkBuf *[]byte
+	hdr     [wire.RespFrameHeaderLen]byte
+	payload []byte
+	buf     *[]byte
 }
 
 func (s *Server) getResp(id uint64, status uint8, payload []byte) *srvResp {
@@ -289,17 +284,18 @@ func (s *Server) getResp(id uint64, status uint8, payload []byte) *srvResp {
 	return r
 }
 
-// srvReq is one in-flight unit op's or stream chunk's pooled completion
+// srvReq is one in-flight unit op's or write chunk's pooled completion
 // state. cb is prebuilt at pool time and forwards to complete, so
 // submitting a request allocates nothing.
 type srvReq struct {
-	s   *Server
-	st  *connState
-	id  uint64
-	fb  *frameBuf // write: payload alias reference, released on completion
-	buf *[]byte   // read: pooled unit buffer the store fills
-	ws  *wstream  // stream chunk write: per-span state, nil for unit ops
-	cb  func(error)
+	s      *Server
+	st     *connState
+	id     uint64
+	fb     *frameBuf // write: payload alias reference, released on completion
+	buf    *[]byte   // read: pooled buffer the store fills
+	status uint8     // read: the answer's status, StatusOK or StatusChunk
+	ws     *wstream  // write chunk: its stream's state, nil for unit ops
+	cb     func(error)
 }
 
 func (s *Server) getReq(st *connState, id uint64) *srvReq {
@@ -340,8 +336,8 @@ func (sr *srvReq) complete(err error) {
 			s.bufPool.Put(sr.buf)
 			st.respondErr(sr.id, err)
 		} else {
-			r := s.getResp(sr.id, wire.StatusOK, *sr.buf)
-			r.unitBuf = sr.buf
+			r := s.getResp(sr.id, sr.status, *sr.buf)
+			r.buf = sr.buf
 			st.send(r)
 		}
 	}
@@ -367,9 +363,10 @@ type connState struct {
 
 // readSpanReq is one OpReadSpan stream, validated, awaiting a worker.
 type readSpanReq struct {
-	id           uint64
-	class        Class
-	start, count int
+	id    uint64
+	class Class
+	off   int64
+	n     int
 }
 
 func (st *connState) send(r *srvResp) { st.out <- r }
@@ -381,18 +378,19 @@ func (st *connState) respondErr(id uint64, err error) {
 	st.send(st.s.getResp(id, wire.StatusErr, []byte(err.Error())))
 }
 
-// wstream is one open write stream. The reader goroutine owns the
-// sequencing state (wire.WriteStream, seen, poisoned); outstanding
-// carries one token per in-flight chunk write plus one reader token
-// dropped when the final chunk has been submitted — whoever drops it to
-// zero sends the single stream response.
+// wstream is one open write stream, pooled by the server. The reader
+// goroutine owns the sequencing state (wire.WriteStream, seen,
+// poisoned); outstanding carries one token per in-flight chunk write
+// plus one reader token dropped when the declared length has arrived —
+// whoever drops it to zero sends the single stream response, unless an
+// early error already answered, and recycles the stream.
 type wstream struct {
 	wire.WriteStream
 	st    *connState
 	id    uint64
 	class Class
 
-	seen     int  // units arrived (reader-owned), valid or drained
+	seen     int  // bytes arrived (reader-owned), valid or drained
 	poisoned bool // reader-owned: respond sent early, drain the rest
 
 	outstanding atomic.Int64
@@ -416,21 +414,32 @@ func (ws *wstream) chunkDone(err error) {
 	ws.drop()
 }
 
-// drop releases one outstanding token; the last one answers the stream.
+// drop releases one outstanding token; the last one answers the stream
+// (unless an early error did) and recycles it.
 func (ws *wstream) drop() {
 	if ws.outstanding.Add(-1) != 0 {
 		return
 	}
-	if !ws.responded.CompareAndSwap(false, true) {
-		return
+	st := ws.st
+	if ws.responded.CompareAndSwap(false, true) {
+		if ws.firstErr != nil {
+			st.respondErr(ws.id, ws.firstErr)
+		} else {
+			st.send(st.s.getResp(ws.id, wire.StatusOK, nil))
+		}
 	}
-	ws.errMu.Lock()
-	err := ws.firstErr
-	ws.errMu.Unlock()
-	if err != nil {
-		ws.st.respondErr(ws.id, err)
-	} else {
-		ws.st.send(ws.st.s.getResp(ws.id, wire.StatusOK, nil))
+	*ws = wstream{}
+	st.s.wsPool.Put(ws)
+}
+
+// arrived accounts n bytes that reached the reader, valid or drained;
+// once the declared length is in, the reader forgets the stream and
+// drops its token. ws must not be used after.
+func (ws *wstream) arrived(n int) {
+	ws.seen += n
+	if ws.seen >= ws.Len {
+		delete(ws.st.streams, ws.id)
+		ws.drop()
 	}
 }
 
@@ -561,13 +570,9 @@ func (st *connState) writeLoop(conn net.Conn) {
 
 func (st *connState) release(r *srvResp) {
 	s := st.s
-	if r.unitBuf != nil {
-		s.bufPool.Put(r.unitBuf)
-		r.unitBuf = nil
-	}
-	if r.chunkBuf != nil {
-		s.chunkPool.Put(r.chunkBuf)
-		r.chunkBuf = nil
+	if r.buf != nil {
+		s.bufPool.Put(r.buf)
+		r.buf = nil
 	}
 	r.payload = nil
 	s.respPool.Put(r)
@@ -609,16 +614,7 @@ func (s *Server) dispatch(st *connState, req *wire.Request, fb *frameBuf) bool {
 		if !st.argBelow(req, "logical", stt.Capacity()) {
 			return true
 		}
-		bp := s.bufPool.Get().(*[]byte)
-		sr := s.getReq(st, req.ID)
-		sr.buf = bp
-		st.pending.Add(1)
-		if err := s.front.Go(s.ctx, Op{Kind: Read, Class: Class(req.Class), Logical: int(req.Arg), Buf: *bp}, sr.cb); err != nil {
-			s.bufPool.Put(bp)
-			s.putReq(sr)
-			st.pending.Done()
-			st.respondErr(req.ID, err)
-		}
+		s.goRead(st, req.ID, wire.StatusOK, Op{Kind: Read, Class: Class(req.Class), Logical: int(req.Arg)}, s.unit)
 
 	case wire.OpWrite:
 		if len(req.Payload) != s.unit {
@@ -642,23 +638,29 @@ func (s *Server) dispatch(st *connState, req *wire.Request, fb *frameBuf) bool {
 		}
 
 	case wire.OpReadSpan:
-		count, err := wire.DecodeSpanCount(req.Payload)
+		n, err := wire.DecodeSpanLen(req.Payload)
+		if err == nil {
+			err = s.spanInside(req.Arg, n)
+		}
 		if err != nil {
 			st.respondErr(req.ID, err)
 			return true
 		}
-		capa := stt.Capacity()
-		if req.Arg >= uint64(capa) || count > capa-int(req.Arg) {
-			st.respondErr(req.ID, fmt.Errorf("span [%d,+%d) outside capacity %d", req.Arg, count, capa))
+		s.readSpans.Add(1)
+		off := int64(req.Arg)
+		if within := int(off % int64(s.unit)); within+n <= s.unit {
+			// A span inside one unit is one chunk, answered straight from
+			// the Frontend's completion like a unit read; only longer
+			// spans need a span worker to keep their chunks in order.
+			s.goRead(st, req.ID, wire.StatusChunk, Op{Kind: Read, Class: Class(req.Class), Logical: int(off / int64(s.unit)), Within: within}, n)
 			return true
 		}
-		s.readSpans.Add(1)
-		st.startSpan(readSpanReq{id: req.ID, class: Class(req.Class), start: int(req.Arg), count: count})
+		st.startSpan(readSpanReq{id: req.ID, class: Class(req.Class), off: off, n: n})
 
 	case wire.OpWriteSpan:
-		count, err := wire.DecodeSpanCount(req.Payload)
+		n, err := wire.DecodeSpanLen(req.Payload)
 		if err != nil {
-			// Without a parseable count the stream cannot be drained;
+			// Without a parseable length the stream cannot be drained;
 			// drop the connection.
 			st.respondErr(req.ID, err)
 			return false
@@ -672,21 +674,17 @@ func (s *Server) dispatch(st *connState, req *wire.Request, fb *frameBuf) bool {
 		if _, dup := st.streams[req.ID]; dup {
 			return false
 		}
-		ws := &wstream{
-			WriteStream: wire.WriteStream{Start: int(req.Arg), Count: count},
-			st:          st,
-			id:          req.ID,
-			class:       Class(req.Class),
-		}
+		ws := s.wsPool.Get().(*wstream)
+		ws.WriteStream = wire.WriteStream{Start: req.Arg, Len: n}
+		ws.st, ws.id, ws.class = st, req.ID, Class(req.Class)
 		ws.outstanding.Store(1) // the reader's token
-		capa := stt.Capacity()
-		if req.Arg >= uint64(capa) || count > capa-int(req.Arg) {
+		if err := s.spanInside(req.Arg, n); err != nil {
 			// Answer now, but keep the stream registered poisoned: the
 			// client may have pipelined chunk frames before seeing the
-			// error, and they must drain by count, not kill the conn.
+			// error, and they must drain by length, not kill the conn.
 			ws.poisoned = true
 			ws.responded.Store(true)
-			st.respondErr(req.ID, fmt.Errorf("span [%d,+%d) outside capacity %d", req.Arg, count, capa))
+			st.respondErr(req.ID, err)
 		}
 		st.streams[req.ID] = ws
 		s.writeStreams.Add(1)
@@ -738,40 +736,57 @@ func (s *Server) dispatch(st *connState, req *wire.Request, fb *frameBuf) bool {
 	return true
 }
 
+// goRead submits op as a read of n bytes into a pooled buffer, answered
+// with status and the bytes from the Frontend's completion.
+func (s *Server) goRead(st *connState, id uint64, status uint8, op Op, n int) {
+	bp := s.getBuf(n)
+	op.Buf = *bp
+	sr := s.getReq(st, id)
+	sr.buf, sr.status = bp, status
+	st.pending.Add(1)
+	if err := s.front.Go(s.ctx, op, sr.cb); err != nil {
+		s.bufPool.Put(bp)
+		s.putReq(sr)
+		st.pending.Done()
+		st.respondErr(id, err)
+	}
+}
+
+// spanInside checks a span of n bytes at byte offset off against the
+// array, comparing as uint64 so an offset past 32 bits is refused, never
+// truncated onto a valid one where int is 32 bits.
+func (s *Server) spanInside(off uint64, n int) error {
+	size := uint64(s.front.Store().Size())
+	if off >= size || uint64(n) > size-off {
+		return fmt.Errorf("span of %d bytes at byte %d outside %d bytes", n, off, size)
+	}
+	return nil
+}
+
 // writeChunk feeds one OpWriteChunk frame into its stream: validate the
 // sequencing, then submit the chunk as one write request whose buffer
 // is the frame payload (fb holds a reference until its completion
-// runs).
+// runs). The store writes the chunk's partial head and tail units under
+// their stripe locks.
 func (s *Server) writeChunk(st *connState, ws *wstream, req *wire.Request, fb *frameBuf) bool {
-	unit := s.unit
+	n := len(req.Payload)
 	if ws.poisoned {
 		// The stream already answered (early error); drain the client's
-		// remaining pipelined chunks by unit count.
-		if len(req.Payload) < unit {
+		// remaining pipelined chunks by length.
+		if n == 0 {
 			return false // cannot make progress: broken peer
 		}
-		ws.seen += len(req.Payload) / unit
-		if ws.seen >= ws.Count {
-			delete(st.streams, req.ID)
-		}
+		ws.arrived(n)
 		return true
 	}
-	k, err := ws.Consume(req.Arg, len(req.Payload), unit)
-	if err != nil {
+	if err := ws.Consume(req.Arg, n); err != nil {
 		// Sequencing violation: answer once, then drain the rest of the
-		// declared count (the client may have pipelined ahead).
+		// declared length (the client may have pipelined ahead).
 		if ws.responded.CompareAndSwap(false, true) {
 			st.respondErr(req.ID, err)
 		}
 		ws.poisoned = true
-		adv := len(req.Payload) / unit
-		if adv < 1 {
-			adv = 1
-		}
-		ws.seen += adv
-		if ws.seen >= ws.Count {
-			delete(st.streams, req.ID)
-		}
+		ws.arrived(max(n, 1))
 		return true
 	}
 	fb.retain(1)
@@ -780,20 +795,17 @@ func (s *Server) writeChunk(st *connState, ws *wstream, req *wire.Request, fb *f
 	sr.ws = ws
 	st.pending.Add(1)
 	ws.outstanding.Add(1)
-	if err := s.front.Go(s.ctx, Op{Kind: Write, Class: ws.class, Logical: int(req.Arg), Buf: req.Payload}, sr.cb); err != nil {
+	op := Op{Kind: Write, Class: ws.class, Logical: int(req.Arg / uint64(s.unit)), Within: int(req.Arg % uint64(s.unit)), Buf: req.Payload}
+	if err := s.front.Go(s.ctx, op, sr.cb); err != nil {
 		fb.release()
 		s.putReq(sr)
 		st.pending.Done()
 		ws.fail(err)
 		ws.drop()
 	}
-	ws.seen += k
-	if ws.seen >= ws.Count {
-		// Final chunk submitted: drop the reader token so the last chunk
-		// completion (or this drop, if all already landed) answers.
-		delete(st.streams, req.ID)
-		ws.drop()
-	}
+	// The final chunk submitted drops the reader token, so the last chunk
+	// completion (or this drop, if all already landed) answers.
+	ws.arrived(n)
 	return true
 }
 
@@ -820,7 +832,7 @@ func (st *connState) startSpan(sp readSpanReq) {
 func (st *connState) spanWorker(sp readSpanReq) {
 	defer st.pending.Done()
 	for {
-		st.s.readSpan(st, sp.id, sp.class, sp.start, sp.count)
+		st.s.readSpan(st, sp)
 		var ok bool
 		if sp, ok = <-st.spans; !ok {
 			return
@@ -828,25 +840,25 @@ func (st *connState) spanWorker(sp readSpanReq) {
 	}
 }
 
-// readSpan streams count units starting at start back as ordered
-// StatusChunk frames. Each chunk is a pooled buffer filled by one
-// frontend read request, handed to the writer as one iovec, and
-// recycled after its writev lands.
-func (s *Server) readSpan(st *connState, id uint64, class Class, start, count int) {
-	cu := s.chunkUnits()
-	for done := 0; done < count; {
+// readSpan streams sp's bytes back as ordered StatusChunk frames. Each
+// chunk is a pooled buffer filled by one frontend read request, handed to
+// the writer as one iovec, and recycled after its writev lands.
+func (s *Server) readSpan(st *connState, sp readSpanReq) {
+	cb := streamChunkBytes(s.unit)
+	for off, end := sp.off, sp.off+int64(sp.n); off < end; {
 		// A fresh buffer per chunk: the writer owns each one sent.
-		cbp := s.chunkPool.Get().(*[]byte)
-		chunk := (*cbp)[:min(cu, count-done)*s.unit]
-		if err := s.front.Do(s.ctx, Op{Kind: Read, Class: class, Logical: start + done, Buf: chunk}); err != nil {
-			s.chunkPool.Put(cbp)
-			st.respondErr(id, err)
+		bp := s.getBuf(runLen(off, int(end-off), cb))
+		chunk := *bp
+		op := Op{Kind: Read, Class: sp.class, Logical: int(off / int64(s.unit)), Within: int(off % int64(s.unit)), Buf: chunk}
+		if err := s.front.Do(s.ctx, op); err != nil {
+			s.bufPool.Put(bp)
+			st.respondErr(sp.id, err)
 			return
 		}
-		r := s.getResp(id, wire.StatusChunk, chunk)
-		r.chunkBuf = cbp
+		r := s.getResp(sp.id, wire.StatusChunk, chunk)
+		r.buf = bp
 		st.send(r)
-		done += len(chunk) / s.unit
+		off += int64(len(chunk))
 	}
 }
 

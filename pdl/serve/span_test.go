@@ -155,3 +155,51 @@ func TestClientSpans(t *testing.T) {
 		t.Fatal("degraded full-span read diverges")
 	}
 }
+
+// TestDisjointWritersKeepBothHalves has two clients each write one half
+// of the same unit, concurrently, round after round, then reads the unit
+// back: neither write may undo the other. A client that patched partial
+// units by reading the unit, patching and writing it back would lose one
+// half whenever the two read-modify-writes interleave.
+func TestDisjointWritersKeepBothHalves(t *testing.T) {
+	const unitSize, rounds = 64, 2000
+	f := mustFrontend(t, 13, 4, 1, unitSize, serve.Config{FlushDelay: -1})
+	addr := startServer(t, f)
+	var clients [2]*serve.Client
+	for i := range clients {
+		c, err := serve.Dial(addr, serve.WithConns(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		clients[i] = c
+	}
+	const half = unitSize / 2
+	lost := 0
+	got := make([]byte, unitSize)
+	for r := 0; r < rounds; r++ {
+		var halves [2][]byte
+		errs := make(chan error, 2)
+		for i, c := range clients {
+			halves[i] = payload(make([]byte, half), 2*r+i)
+			go func(c *serve.Client, p []byte, off int64) {
+				_, err := c.WriteAt(p, off)
+				errs <- err
+			}(c, halves[i], int64(i*half))
+		}
+		for range clients {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := clients[0].Read(0, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got[:half], halves[0]) || !bytes.Equal(got[half:], halves[1]) {
+			lost++
+		}
+	}
+	if lost > 0 {
+		t.Errorf("%d of %d rounds lost one client's half of unit 0", lost, rounds)
+	}
+}

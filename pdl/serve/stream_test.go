@@ -57,7 +57,7 @@ func (r *rawV2Conn) recv(t *testing.T) wire.Response {
 	return resp
 }
 
-// TestWriteStreamEarlyErrorDrains sends an out-of-range write span with
+// TestWriteStreamEarlyErrorDrains sends an out-of-range byte span with
 // its chunks already pipelined behind it — the way the real client
 // races ahead — and checks the server answers the span once with an
 // error, absorbs every pipelined chunk, and keeps serving the
@@ -68,14 +68,13 @@ func TestWriteStreamEarlyErrorDrains(t *testing.T) {
 	addr := startServer(t, f)
 	rc := dialRawV2(t, addr)
 
-	capa := f.Store().Capacity()
-	const count = 4
-	start := capa - 2 // span sticks out past the end: rejected at open
-	rc.send(t, &wire.Request{ID: 1, Op: wire.OpWriteSpan, Arg: uint64(start),
-		Payload: wire.AppendSpanCount(nil, count)})
-	chunk := payload(make([]byte, 2*unitSize), 1)
-	rc.send(t, &wire.Request{ID: 1, Op: wire.OpWriteChunk, Arg: uint64(start), Payload: chunk})
-	rc.send(t, &wire.Request{ID: 1, Op: wire.OpWriteChunk, Arg: uint64(start + 2), Payload: chunk})
+	const n = 4*unitSize + 10
+	start := uint64(f.Store().Size() - n + 7) // span sticks out past the end: rejected at open
+	rc.send(t, &wire.Request{ID: 1, Op: wire.OpWriteSpan, Arg: start,
+		Payload: wire.AppendSpanLen(nil, n)})
+	chunk := payload(make([]byte, n/2), 1)
+	rc.send(t, &wire.Request{ID: 1, Op: wire.OpWriteChunk, Arg: start, Payload: chunk})
+	rc.send(t, &wire.Request{ID: 1, Op: wire.OpWriteChunk, Arg: start + n/2, Payload: chunk})
 
 	resp := rc.recv(t)
 	if resp.ID != 1 || resp.Status != wire.StatusErr {
@@ -112,9 +111,10 @@ func TestWriteChunkUnknownStreamDropsConn(t *testing.T) {
 	}
 }
 
-// TestUnitArgPastRangeRefused sends a unit write, a unit read and a Fail
-// whose Arg lies past the array and past 32 bits: each must be refused,
-// never truncated onto unit 0 or disk 3 where int is 32 bits.
+// TestUnitArgPastRangeRefused sends a unit write, a unit read, a Fail,
+// and a read and a write byte span whose Arg lies past the array and
+// past 32 bits: each must be refused by range, never truncated onto unit
+// 0, byte 0 or disk 3 where int is 32 bits.
 func TestUnitArgPastRangeRefused(t *testing.T) {
 	const unitSize = 32
 	f := mustFrontend(t, 13, 4, 1, unitSize, serve.Config{QueueDepth: 8, FlushDelay: -1})
@@ -130,14 +130,18 @@ func TestUnitArgPastRangeRefused(t *testing.T) {
 		{ID: 2, Op: wire.OpWrite, Arg: 1 << 32, Payload: payload(make([]byte, unitSize), 5)},
 		{ID: 3, Op: wire.OpRead, Arg: 1 << 32},
 		{ID: 4, Op: wire.OpFail, Arg: 1<<32 + 3},
+		{ID: 6, Op: wire.OpReadSpan, Arg: 1 << 32, Payload: wire.AppendSpanLen(nil, unitSize)},
+		{ID: 7, Op: wire.OpWriteSpan, Arg: 1 << 32, Payload: wire.AppendSpanLen(nil, unitSize)},
 	} {
 		rc.send(t, &req)
 		if resp := rc.recv(t); resp.ID != req.ID || resp.Status != wire.StatusErr {
 			t.Errorf("op %d arg %#x: id %d status %d, want StatusErr", req.Op, req.Arg, resp.ID, resp.Status)
 		}
 	}
+	// The refused write span drains its chunk without writing it.
+	rc.send(t, &wire.Request{ID: 7, Op: wire.OpWriteChunk, Arg: 1 << 32, Payload: payload(make([]byte, unitSize), 6)})
 	rc.send(t, &wire.Request{ID: 5, Op: wire.OpRead, Arg: 0})
-	if resp := rc.recv(t); resp.Status != wire.StatusOK || !bytes.Equal(resp.Payload, want) {
+	if resp := rc.recv(t); resp.ID != 5 || resp.Status != wire.StatusOK || !bytes.Equal(resp.Payload, want) {
 		t.Error("unit 0 changed by a write past capacity")
 	}
 	if d := f.Store().Failed(); d != -1 {
@@ -192,9 +196,9 @@ func TestServerStreamChunkIsOneRequest(t *testing.T) {
 	}
 }
 
-// TestStreamMissequencedChunk opens a valid stream, then sends a chunk
-// at the wrong offset: the server must answer the stream id once with
-// an error, drain the remaining declared units, and keep the
+// TestStreamMissequencedChunk opens a valid byte span, then sends a
+// chunk at the wrong offset: the server must answer the stream id once
+// with an error, drain the remaining declared bytes, and keep the
 // connection serving.
 func TestStreamMissequencedChunk(t *testing.T) {
 	const unitSize = 32
@@ -202,13 +206,13 @@ func TestStreamMissequencedChunk(t *testing.T) {
 	addr := startServer(t, f)
 	rc := dialRawV2(t, addr)
 
-	const count = 4
-	rc.send(t, &wire.Request{ID: 7, Op: wire.OpWriteSpan, Arg: 0,
-		Payload: wire.AppendSpanCount(nil, count)})
-	chunk := payload(make([]byte, 2*unitSize), 3)
-	// Wrong offset: chunk claims unit 1, stream expects unit 0.
-	rc.send(t, &wire.Request{ID: 7, Op: wire.OpWriteChunk, Arg: 1, Payload: chunk})
-	rc.send(t, &wire.Request{ID: 7, Op: wire.OpWriteChunk, Arg: 3, Payload: chunk})
+	const n = 4*unitSize + 6
+	rc.send(t, &wire.Request{ID: 7, Op: wire.OpWriteSpan, Arg: 5,
+		Payload: wire.AppendSpanLen(nil, n)})
+	chunk := payload(make([]byte, n/2), 3)
+	// Wrong offset: chunk claims byte 6, stream expects byte 5.
+	rc.send(t, &wire.Request{ID: 7, Op: wire.OpWriteChunk, Arg: 6, Payload: chunk})
+	rc.send(t, &wire.Request{ID: 7, Op: wire.OpWriteChunk, Arg: 6 + n/2, Payload: chunk})
 
 	if resp := rc.recv(t); resp.ID != 7 || resp.Status != wire.StatusErr {
 		t.Fatalf("missequenced stream: id %d status %d, want StatusErr", resp.ID, resp.Status)
@@ -299,8 +303,8 @@ func TestStreamRoundTripLarge(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	if c.ProtocolVersion() != wire.Version2 || c.Features()&wire.FeatStreams == 0 {
-		t.Fatalf("handshake: v%d feats %#x, want v2 streams", c.ProtocolVersion(), c.Features())
+	if c.ProtocolVersion() != wire.Version2 || c.Features()&wire.FeatByteSpans == 0 {
+		t.Fatalf("handshake: v%d feats %#x, want v2 byte spans", c.ProtocolVersion(), c.Features())
 	}
 
 	size := c.Size()
@@ -345,7 +349,7 @@ func (d *readGatedDisk) ReadAt(p []byte, off int64) (int, error) {
 func TestConnSpanBound(t *testing.T) {
 	const (
 		unitSize  = 64
-		spanUnits = 4 // the shortest aligned span that moves as a stream
+		spanUnits = 4
 		spans     = 40
 		bound     = 32
 		spanBytes = spanUnits * unitSize

@@ -12,7 +12,7 @@ import (
 // must never panic, and everything it accepts must re-encode to the
 // same body (the round-trip property). The v2 ops ride the same body
 // format, so they are covered here too; accepted span ops additionally
-// have their count payload decoded, and the header-only decoder
+// have their byte-length payload decoded, and the header-only decoder
 // (DecodeRequestHeader, the server's streaming read path) must agree
 // with the full decoder on every accepted frame. Run as a CI smoke
 // with -fuzztime 10s.
@@ -21,14 +21,14 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add(make([]byte, wire.ReqHeaderLen))
 	for _, seed := range []wire.Request{
 		{ID: 1, Op: wire.OpInfo},
-		{ID: 2, Op: wire.OpInfo, Arg: wire.EncodeHello(wire.Version2, wire.FeatStreams)},
+		{ID: 2, Op: wire.OpInfo, Arg: wire.EncodeHello(wire.Version2, wire.FeatByteSpans)},
 		{ID: 42, Op: wire.OpRead, Class: 1, Arg: 7},
 		{ID: 9, Op: wire.OpWrite, Arg: 3, Payload: []byte("payload")},
 		{ID: 8, Op: wire.OpStats, Class: 200, Arg: ^uint64(0)},
-		{ID: 7, Op: wire.OpReadSpan, Arg: 5, Payload: wire.AppendSpanCount(nil, 16)},
-		{ID: 6, Op: wire.OpWriteSpan, Arg: 5, Payload: wire.AppendSpanCount(nil, 1<<20)},
+		{ID: 7, Op: wire.OpReadSpan, Arg: 5, Payload: wire.AppendSpanLen(nil, 16)},
+		{ID: 6, Op: wire.OpWriteSpan, Arg: 5, Payload: wire.AppendSpanLen(nil, 1<<20)},
 		{ID: 6, Op: wire.OpWriteChunk, Arg: 5, Payload: bytes.Repeat([]byte{0xAA}, 128)},
-		{ID: 5, Op: wire.OpReadSpan, Arg: 0, Payload: wire.AppendSpanCount(nil, wire.MaxSpanUnits)},
+		{ID: 5, Op: wire.OpReadSpan, Arg: 1<<32 + 3, Payload: wire.AppendSpanLen(nil, wire.MaxSpanBytes)},
 	} {
 		f.Add(wire.AppendRequest(nil, &seed)[4:])
 	}
@@ -56,39 +56,43 @@ func FuzzDecodeRequest(f *testing.F) {
 			t.Fatalf("header decoder diverges: n=%d %+v vs %+v", n, hreq, req)
 		}
 
-		// Span ops: the count payload decoder must never panic, and an
-		// accepted count must re-encode identically.
+		// Span ops: the length payload decoder must never panic, and an
+		// accepted length must lie in [1, MaxSpanBytes] and re-encode
+		// identically.
 		if req.Op == wire.OpReadSpan || req.Op == wire.OpWriteSpan {
-			count, err := wire.DecodeSpanCount(req.Payload)
+			n, err := wire.DecodeSpanLen(req.Payload)
 			if err != nil {
 				return
 			}
-			if !bytes.Equal(wire.AppendSpanCount(nil, count), req.Payload) {
-				t.Fatalf("span count round trip diverges: %d from %x", count, req.Payload)
+			if n < 1 || n > wire.MaxSpanBytes {
+				t.Fatalf("span length %d accepted outside [1,%d]", n, wire.MaxSpanBytes)
+			}
+			if !bytes.Equal(wire.AppendSpanLen(nil, n), req.Payload) {
+				t.Fatalf("span length round trip diverges: %d from %x", n, req.Payload)
 			}
 		}
 	})
 }
 
 // FuzzWriteStream drives the chunked write-stream sequencer with
-// hostile frame sequences — wrong-offset chunks, ragged lengths,
-// over-count chunks, frames interleaved across two stream ids — and
-// checks its invariants: consumed units never exceed the declared
-// count, accepted chunks are exactly sequential, Done() iff every unit
+// hostile frame sequences — wrong-offset chunks, empty chunks, chunks
+// past the declared length, frames interleaved across two stream ids —
+// and checks its invariants: consumed bytes never exceed the declared
+// length, accepted chunks are non-empty and exactly sequential, every
+// in-sequence chunk that fits is accepted, Done() iff every byte
 // arrived, and a rejected chunk leaves the stream state untouched. The
-// input encodes a frame script: each 11-byte record is
-// stream(1) argDelta(2) units(8... truncated) — see parse below. Run
-// as a CI smoke with -fuzztime 10s.
+// input is the two streams' declared lengths and a frame script of
+// 4-byte records: stream(1) argDelta(1, signed) length(2). Run as a CI
+// smoke.
 func FuzzWriteStream(f *testing.F) {
 	// A clean two-chunk stream, an interleaved pair, and a hostile mix.
-	f.Add(uint16(4), uint16(8), []byte{0, 0, 0, 2, 0, 0, 0, 2, 1, 0, 0, 8})
+	f.Add(uint16(64), uint16(128), []byte{0, 0, 0, 32, 0, 0, 0, 32, 1, 0, 0, 128})
 	f.Add(uint16(1), uint16(1), []byte{0, 0, 0, 1, 1, 0, 0, 1, 0, 0, 1, 1})
 	f.Add(uint16(3), uint16(0), []byte{0, 255, 255, 9, 0, 0, 0, 0, 1, 1, 1, 1})
-	f.Fuzz(func(t *testing.T, count0, count1 uint16, script []byte) {
-		const unit = 16
+	f.Fuzz(func(t *testing.T, len0, len1 uint16, script []byte) {
 		streams := [2]wire.WriteStream{
-			{Start: 100, Count: int(count0)},
-			{Start: 5000, Count: int(count1)},
+			{Start: 100, Len: int(len0)},
+			{Start: 1<<32 + 5000, Len: int(len1)},
 		}
 		consumed := [2]int{}
 		for len(script) >= 4 {
@@ -96,36 +100,37 @@ func FuzzWriteStream(f *testing.F) {
 			script = script[4:]
 			s := int(rec[0]) & 1
 			ws := &streams[s]
-			// argDelta biases around the expected next unit so the fuzzer
+			// argDelta biases around the expected next byte so the fuzzer
 			// can find both the valid path and near-miss offsets.
-			argDelta := int(int8(rec[1]))
-			arg := uint64(ws.Next() + argDelta)
-			// Payload length in bytes: units*unit plus a possible ragged
-			// remainder bit.
+			argDelta := int64(int8(rec[1]))
+			arg := uint64(int64(ws.Next()) + argDelta)
 			n := int(binary.BigEndian.Uint16(rec[2:4]))
 			before := *ws
-			k, err := ws.Consume(arg, n, unit)
+			err := ws.Consume(arg, n)
 			if err != nil {
 				if *ws != before {
 					t.Fatalf("rejected chunk mutated stream: %+v -> %+v", before, *ws)
+				}
+				if argDelta == 0 && n >= 1 && n <= before.Remaining() {
+					t.Fatalf("in-sequence chunk of %d bytes with %d remaining rejected: %v", n, before.Remaining(), err)
 				}
 				continue
 			}
 			if argDelta != 0 {
 				t.Fatalf("non-sequential chunk accepted: delta %d", argDelta)
 			}
-			if n%unit != 0 || n == 0 || k != n/unit {
-				t.Fatalf("ragged chunk accepted: n=%d k=%d", n, k)
+			if n == 0 || n > wire.MaxChunk {
+				t.Fatalf("chunk of %d bytes accepted", n)
 			}
-			consumed[s] += k
-			if consumed[s] > int(ws.Count) {
-				t.Fatalf("stream %d over-consumed: %d of %d units", s, consumed[s], ws.Count)
+			consumed[s] += n
+			if consumed[s] > ws.Len {
+				t.Fatalf("stream %d over-consumed: %d of %d bytes", s, consumed[s], ws.Len)
 			}
-			if ws.Remaining() != ws.Count-consumed[s] {
-				t.Fatalf("remaining diverges: %d vs %d", ws.Remaining(), ws.Count-consumed[s])
+			if ws.Remaining() != ws.Len-consumed[s] {
+				t.Fatalf("remaining diverges: %d vs %d", ws.Remaining(), ws.Len-consumed[s])
 			}
-			if ws.Done() != (consumed[s] == ws.Count) {
-				t.Fatalf("Done()=%v with %d of %d units", ws.Done(), consumed[s], ws.Count)
+			if ws.Done() != (consumed[s] == ws.Len) {
+				t.Fatalf("Done()=%v with %d of %d bytes", ws.Done(), consumed[s], ws.Len)
 			}
 		}
 	})

@@ -13,9 +13,10 @@
 // all integers big-endian. id correlates a response with its request, so
 // a connection may have many requests in flight and responses may arrive
 // in any order. arg carries the operand (logical unit for OpRead/OpWrite,
-// disk for OpFail, unused otherwise). payload carries the unit bytes for
-// OpWrite requests and OpRead responses, the error text for StatusErr
-// responses, and op-specific encodings elsewhere (see the serve package).
+// byte offset for the span ops, disk for OpFail, unused otherwise).
+// payload carries the unit bytes for OpWrite requests and OpRead
+// responses, the error text for StatusErr responses, and op-specific
+// encodings elsewhere (see the serve package).
 //
 // # Versioning
 //
@@ -30,27 +31,35 @@
 //     both lengths). Answering Arg 0 — a v1 client — it sends the plain
 //     v1 Info, so old clients decode exactly what they always did.
 //   - A v1 server ignores Arg and answers the plain Info; the v2 client
-//     sees no extension and downgrades to the v1 feature set.
+//     sees no extension, so no feature was accepted (serve.Client refuses
+//     such a server at dial: it moves every data op as a byte span).
 //
 // Negotiated features gate everything new: a client must not send a v2
 // op unless the handshake accepted the corresponding feature bit.
 //
-// # Chunked span streams (FeatStreams)
+// # Byte-range spans (FeatByteSpans)
 //
-// Version 2's FeatStreams moves a large unit-aligned span as a stream of
-// bounded chunk frames instead of per-unit request/response pairs:
+// Version 2's FeatByteSpans moves any byte range of the logical space —
+// a single unit, a partial unit, or many units with unaligned edges — as
+// a stream of bounded chunk frames:
 //
-//   - OpReadSpan (Arg = first logical unit, payload = 4-byte unit
-//     count): the server answers with ordered StatusChunk frames, each
-//     carrying one or more whole units (at most MaxChunk bytes, floor
-//     one unit), sharing the request id. The stream ends implicitly when
-//     count units have been delivered, or terminally with StatusErr.
-//   - OpWriteSpan (Arg = first logical unit, payload = 4-byte unit
-//     count) opens a write stream. The data follows in OpWriteChunk
-//     frames with the same id, each carrying whole units with Arg = the
-//     chunk's first logical unit, strictly sequential (WriteStream is
+//   - OpReadSpan (Arg = first byte offset, payload = 4-byte byte
+//     length, at most MaxSpanBytes): the server answers with ordered
+//     StatusChunk frames sharing the request id, each carrying the next
+//     run of at most MaxChunk bytes. The stream ends implicitly when the
+//     declared length has been delivered, or terminally with StatusErr.
+//   - OpWriteSpan (Arg = first byte offset, payload = 4-byte byte
+//     length) opens a write stream. The data follows in OpWriteChunk
+//     frames with the same id, each a run of 1..MaxChunk bytes with Arg =
+//     the chunk's first byte offset, strictly sequential (WriteStream is
 //     the canonical sequencing validator). One response — StatusOK or
 //     StatusErr — acknowledges the whole stream.
+//
+// serve.Server applies each chunk as one request to the store, which
+// writes a partial unit under the stripe lock like any other piece:
+// there is no read-modify-write on the wire. Bit 0 (the unit-granularity
+// streams of earlier v2 peers) is reserved and no longer accepted, so such
+// a client negotiates no features and keeps to the v1 unit ops.
 package wire
 
 import (
@@ -83,16 +92,16 @@ const (
 	// OpStats asks for server statistics; the response payload is JSON.
 	OpStats
 
-	// OpReadSpan (v2, FeatStreams) streams Payload's unit count back as
-	// StatusChunk frames starting at logical unit Arg.
+	// OpReadSpan (v2, FeatByteSpans) streams Payload's byte length back
+	// as StatusChunk frames starting at byte offset Arg.
 	OpReadSpan
 
-	// OpWriteSpan (v2, FeatStreams) opens a write stream of Payload's
-	// unit count starting at logical unit Arg.
+	// OpWriteSpan (v2, FeatByteSpans) opens a write stream of Payload's
+	// byte length starting at byte offset Arg.
 	OpWriteSpan
 
-	// OpWriteChunk (v2, FeatStreams) carries one write stream's next
-	// chunk: whole units, Arg = the chunk's first logical unit.
+	// OpWriteChunk (v2, FeatByteSpans) carries one write stream's next
+	// run of bytes, Arg = the chunk's first byte offset.
 	OpWriteChunk
 
 	opMax = OpWriteChunk
@@ -106,7 +115,7 @@ const (
 	// StatusErr carries the error text as the payload.
 	StatusErr
 
-	// StatusChunk (v2, FeatStreams) carries one ordered chunk of an
+	// StatusChunk (v2, FeatByteSpans) carries one ordered chunk of an
 	// OpReadSpan stream; the frame id names the stream.
 	StatusChunk
 )
@@ -122,13 +131,14 @@ const (
 
 // Feature bits proposed and accepted in the hello handshake.
 const (
-	// FeatStreams enables the chunked span stream ops (OpReadSpan,
-	// OpWriteSpan, OpWriteChunk, StatusChunk).
-	FeatStreams uint64 = 1 << 0
+	// FeatByteSpans enables the byte-range span ops (OpReadSpan,
+	// OpWriteSpan, OpWriteChunk, StatusChunk). Bit 0 is reserved: it
+	// named the unit-granularity streams of earlier v2 peers.
+	FeatByteSpans uint64 = 1 << 1
 
 	// Features is every feature this package implements — what a v2
 	// endpoint proposes and the mask it accepts.
-	Features = FeatStreams
+	Features = FeatByteSpans
 
 	// helloFeatMask bounds the feature bits representable in a hello.
 	helloFeatMask = 1<<56 - 1
@@ -155,19 +165,15 @@ const (
 	MaxFrame = 1<<20 + ReqHeaderLen
 
 	// MaxChunk is the most payload bytes one stream chunk frame carries.
-	// Chunks hold whole units, so the effective bound is the largest
-	// unit multiple <= MaxChunk, with a floor of one unit (a unit larger
-	// than MaxChunk travels as one single-unit chunk; MaxFrame still
-	// bounds it).
 	MaxChunk = 256 << 10
 
-	// SpanCountLen is the encoded span unit-count length (the OpReadSpan
+	// SpanLenLen is the encoded span byte-length length (the OpReadSpan
 	// and OpWriteSpan payload).
-	SpanCountLen = 4
+	SpanLenLen = 4
 
-	// MaxSpanUnits bounds one span stream's unit count against hostile
+	// MaxSpanBytes bounds one span stream's byte length against hostile
 	// or absurd requests; real spans segment well below it.
-	MaxSpanUnits = 1 << 28
+	MaxSpanBytes = 1 << 28
 )
 
 // EncodeHello packs a client's protocol version and proposed feature
@@ -321,65 +327,63 @@ func AppendResponseHeader(dst []byte, id uint64, status uint8, payloadLen int) [
 	return append(dst, status)
 }
 
-// AppendSpanCount appends a span stream's unit count — the OpReadSpan
+// AppendSpanLen appends a span stream's byte length — the OpReadSpan
 // and OpWriteSpan payload.
-func AppendSpanCount(dst []byte, count int) []byte {
-	return binary.BigEndian.AppendUint32(dst, uint32(count))
+func AppendSpanLen(dst []byte, n int) []byte {
+	return binary.BigEndian.AppendUint32(dst, uint32(n))
 }
 
-// DecodeSpanCount parses an OpReadSpan/OpWriteSpan payload.
-func DecodeSpanCount(payload []byte) (count int, err error) {
-	if len(payload) != SpanCountLen {
-		return 0, fmt.Errorf("wire: span payload %d bytes, want %d", len(payload), SpanCountLen)
+// DecodeSpanLen parses an OpReadSpan/OpWriteSpan payload.
+func DecodeSpanLen(payload []byte) (n int, err error) {
+	if len(payload) != SpanLenLen {
+		return 0, fmt.Errorf("wire: span payload %d bytes, want %d", len(payload), SpanLenLen)
 	}
-	count = int(binary.BigEndian.Uint32(payload))
-	if count < 1 || count > MaxSpanUnits {
-		return 0, fmt.Errorf("wire: span count %d outside [1,%d]", count, MaxSpanUnits)
+	// Compared as uint32: the length must not wrap negative where int is
+	// 32 bits.
+	v := binary.BigEndian.Uint32(payload)
+	if v < 1 || v > MaxSpanBytes {
+		return 0, fmt.Errorf("wire: span length %d outside [1,%d]", v, MaxSpanBytes)
 	}
-	return count, nil
+	return int(v), nil
 }
 
 // WriteStream validates and sequences one v2 write stream's chunks: the
 // canonical chunked-stream decoder the server runs per open stream (and
-// the fuzz target hammers). Chunks must carry whole units, stay inside
-// the declared count, and arrive strictly sequentially.
+// the fuzz target hammers). Chunks must be 1..MaxChunk bytes, stay inside
+// the declared length, and arrive strictly sequentially.
 type WriteStream struct {
-	// Start is the stream's first logical unit; Count its declared
-	// length in units.
-	Start, Count int
+	// Start is the stream's first byte offset; Len its declared length in
+	// bytes.
+	Start uint64
+	Len   int
 
 	consumed int
 }
 
-// Remaining returns the units not yet consumed.
-func (w *WriteStream) Remaining() int { return w.Count - w.consumed }
+// Remaining returns the bytes not yet consumed.
+func (w *WriteStream) Remaining() int { return w.Len - w.consumed }
 
-// Next returns the logical unit the next chunk must start at.
-func (w *WriteStream) Next() int { return w.Start + w.consumed }
+// Next returns the byte offset the next chunk must start at.
+func (w *WriteStream) Next() uint64 { return w.Start + uint64(w.consumed) }
 
-// Done reports whether every declared unit has been consumed.
-func (w *WriteStream) Done() bool { return w.consumed >= w.Count }
+// Done reports whether every declared byte has been consumed.
+func (w *WriteStream) Done() bool { return w.consumed >= w.Len }
 
 // Consume validates one chunk frame — arg is the frame's Arg, n its
-// payload length, unit the array's unit size — and accounts its units,
-// returning how many it carried. A non-nil error means the stream is
-// violated (the chunk was not consumed).
-func (w *WriteStream) Consume(arg uint64, n, unit int) (k int, err error) {
-	if unit <= 0 {
-		return 0, fmt.Errorf("wire: stream unit size %d", unit)
+// payload length — and accounts its bytes. A non-nil error means the
+// stream is violated (the chunk was not consumed).
+func (w *WriteStream) Consume(arg uint64, n int) error {
+	if n < 1 || n > MaxChunk {
+		return fmt.Errorf("wire: stream chunk %d bytes, want 1..%d", n, MaxChunk)
 	}
-	if n < unit || n%unit != 0 {
-		return 0, fmt.Errorf("wire: stream chunk %d bytes, want a positive multiple of unit %d", n, unit)
+	if n > w.Remaining() {
+		return fmt.Errorf("wire: stream chunk of %d bytes exceeds remaining %d", n, w.Remaining())
 	}
-	k = n / unit
-	if k > w.Remaining() {
-		return 0, fmt.Errorf("wire: stream chunk of %d units exceeds remaining %d", k, w.Remaining())
+	if want := w.Next(); arg != want {
+		return fmt.Errorf("wire: stream chunk starts at byte %d, want %d", arg, want)
 	}
-	if want := w.Next(); arg != uint64(want) {
-		return 0, fmt.Errorf("wire: stream chunk starts at unit %d, want %d", arg, want)
-	}
-	w.consumed += k
-	return k, nil
+	w.consumed += n
+	return nil
 }
 
 // ErrFrameTooLarge reports a length prefix above MaxFrame — a corrupt or

@@ -130,11 +130,11 @@ func TestHelloRoundTrip(t *testing.T) {
 	if v, f := wire.DecodeHello(0); v != wire.Version1 || f != 0 {
 		t.Fatalf("zero arg: got v%d feats %#x", v, f)
 	}
-	arg := wire.EncodeHello(wire.Version2, wire.FeatStreams)
+	arg := wire.EncodeHello(wire.Version2, wire.FeatByteSpans)
 	if arg == 0 {
 		t.Fatal("v2 hello encodes to zero — indistinguishable from a v1 client")
 	}
-	if v, f := wire.DecodeHello(arg); v != wire.Version2 || f != wire.FeatStreams {
+	if v, f := wire.DecodeHello(arg); v != wire.Version2 || f != wire.FeatByteSpans {
 		t.Fatalf("hello round trip: got v%d feats %#x", v, f)
 	}
 }
@@ -150,10 +150,10 @@ func TestInfoAny(t *testing.T) {
 	}
 
 	// Extended payload carries version + accepted features.
-	b := wire.AppendInfoV2(nil, &want, wire.Version2, wire.FeatStreams)
+	b := wire.AppendInfoV2(nil, &want, wire.Version2, wire.FeatByteSpans)
 	got = wire.Info{}
 	v, feats, err = wire.DecodeInfoAny(b, &got)
-	if err != nil || v != wire.Version2 || feats != wire.FeatStreams || got != want {
+	if err != nil || v != wire.Version2 || feats != wire.FeatByteSpans || got != want {
 		t.Fatalf("v2 payload: v%d feats %#x info %+v err %v", v, feats, got, err)
 	}
 
@@ -212,48 +212,60 @@ func TestHeaderDecoders(t *testing.T) {
 }
 
 func TestSpanCount(t *testing.T) {
-	b := wire.AppendSpanCount(nil, 12345)
-	if n, err := wire.DecodeSpanCount(b); err != nil || n != 12345 {
-		t.Fatalf("span count round trip: %d %v", n, err)
+	b := wire.AppendSpanLen(nil, 12345)
+	if n, err := wire.DecodeSpanLen(b); err != nil || n != 12345 {
+		t.Fatalf("span length round trip: %d %v", n, err)
 	}
-	if _, err := wire.DecodeSpanCount(b[:3]); err == nil {
+	if _, err := wire.DecodeSpanLen(b[:3]); err == nil {
 		t.Error("short span payload accepted")
 	}
-	if _, err := wire.DecodeSpanCount(wire.AppendSpanCount(nil, 0)); err == nil {
-		t.Error("zero span count accepted")
+	if _, err := wire.DecodeSpanLen(wire.AppendSpanLen(nil, 0)); err == nil {
+		t.Error("zero span length accepted")
 	}
-	if _, err := wire.DecodeSpanCount(wire.AppendSpanCount(nil, wire.MaxSpanUnits+1)); err == nil {
-		t.Error("oversized span count accepted")
+	if _, err := wire.DecodeSpanLen(wire.AppendSpanLen(nil, wire.MaxSpanBytes+1)); err == nil {
+		t.Error("oversized span length accepted")
+	}
+	// A length with the top bit set must not wrap negative where int is
+	// 32 bits.
+	if _, err := wire.DecodeSpanLen([]byte{0x80, 0, 0, 1}); err == nil {
+		t.Error("span length past 2^31 accepted")
 	}
 }
 
 func TestWriteStream(t *testing.T) {
-	const unit = 64
-	ws := wire.WriteStream{Start: 10, Count: 5}
+	ws := wire.WriteStream{Start: 10, Len: 5}
 
-	// Sequential whole-unit chunks are accepted, anything else rejected.
-	if k, err := ws.Consume(10, 2*unit, unit); err != nil || k != 2 {
-		t.Fatalf("first chunk: k=%d err=%v", k, err)
+	// Sequential non-empty chunks inside the length are accepted,
+	// anything else rejected.
+	if err := ws.Consume(10, 2); err != nil {
+		t.Fatalf("first chunk: %v", err)
 	}
-	if _, err := ws.Consume(10, unit, unit); err == nil {
+	if err := ws.Consume(10, 1); err == nil {
 		t.Error("replayed chunk accepted")
 	}
-	if _, err := ws.Consume(12, unit-1, unit); err == nil {
-		t.Error("ragged chunk accepted")
+	if err := ws.Consume(13, 1); err == nil {
+		t.Error("chunk past a gap accepted")
 	}
-	if _, err := ws.Consume(12, 0, unit); err == nil {
+	if err := ws.Consume(12, 0); err == nil {
 		t.Error("empty chunk accepted")
 	}
-	if _, err := ws.Consume(12, 4*unit, unit); err == nil {
-		t.Error("over-count chunk accepted")
+	if err := ws.Consume(12, 4); err == nil {
+		t.Error("over-length chunk accepted")
 	}
-	if k, err := ws.Consume(12, 3*unit, unit); err != nil || k != 3 {
-		t.Fatalf("final chunk: k=%d err=%v", k, err)
+	if err := ws.Consume(12, 3); err != nil {
+		t.Fatalf("final chunk: %v", err)
 	}
 	if !ws.Done() || ws.Remaining() != 0 {
-		t.Fatalf("stream not done after count units: remaining %d", ws.Remaining())
+		t.Fatalf("stream not done after its length: remaining %d", ws.Remaining())
 	}
-	if _, err := ws.Consume(15, unit, unit); err == nil {
+	if err := ws.Consume(15, 1); err == nil {
 		t.Error("chunk past end accepted")
+	}
+	big := wire.WriteStream{Start: 1 << 32, Len: 2 * wire.MaxChunk}
+	if err := big.Consume(1<<32, wire.MaxChunk+1); err == nil {
+		t.Error("chunk over MaxChunk accepted")
+	}
+	if err := big.Consume(1<<32, wire.MaxChunk); err != nil || big.Next() != 1<<32+wire.MaxChunk {
+		t.Fatalf("MaxChunk chunk past 2^32: next %d, %v", big.Next(), err)
 	}
 }

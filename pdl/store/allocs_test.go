@@ -61,6 +61,18 @@ func TestVecHotPathAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("ReadVec allocates %v/batch, want 0", n)
 	}
+	// Partial pieces: each op writes bytes [100, 1100) of its unit.
+	for j := range wops {
+		wops[j].Within, wops[j].Buf = 100, wops[j].Buf[:1000]
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		setAddrs(wops)
+		if err := s.WriteVec(wops); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("partial-piece WriteVec allocates %v/batch, want 0", n)
+	}
 }
 
 // TestMmapHotPathAllocs pins the acceptance criterion for the mmap

@@ -7,18 +7,23 @@ import (
 	"time"
 )
 
-// VecOp is one unit-granularity operation of a batched request vector
-// passed to ReadVec or WriteVec.
+// VecOp is one operation of a batched request vector passed to ReadVec
+// or WriteVec: all or part of one data unit.
 type VecOp struct {
 	// Logical is the data unit addressed.
 	Logical int
 
-	// Buf is the unit payload: the destination for ReadVec, the source
-	// for WriteVec. It must be exactly UnitSize bytes.
+	// Within is the first byte of the unit addressed; the zero value with
+	// a UnitSize Buf is the whole unit.
+	Within int
+
+	// Buf is the payload, bytes [Within, Within+len(Buf)) of the unit:
+	// the destination for ReadVec, the source for WriteVec. It must be
+	// non-empty and end inside the unit.
 	Buf []byte
 }
 
-// ReadVec serves a batch of unit reads in one pass: ops are grouped by
+// ReadVec serves a batch of reads in one pass: ops are grouped by
 // parity stripe and each stripe's lock is acquired once for all of its
 // ops, so a batch touching b stripes costs b lock acquisitions instead
 // of len(ops), and the ops of one stripe never mix bytes from before and
@@ -30,21 +35,21 @@ type VecOp struct {
 // behind).
 func (s *Store) ReadVec(ops []VecOp) error { return s.runVec("ReadVec", ops, false) }
 
-// WriteVec stores a batch of unit writes in one pass: ops are grouped by
+// WriteVec stores a batch of writes in one pass: ops are grouped by
 // parity stripe, each stripe's write lock is acquired once for all of
 // its ops, so concurrent reads of a stripe see all of its ops or none,
 // and — the batching payoff — a group that covers every data unit of its
 // stripe is promoted to a single Condition 5 full-stripe write (parity
 // from the new payloads alone, no pre-reads) instead of len(group)
 // read-modify-writes. Groups that do not cover their stripe, or contain
-// duplicate addresses, fall back to per-unit small writes in address
-// order, duplicates in submission order (last writer wins). Ops on
-// distinct stripes execute in an unspecified order. Zero-allocation in
-// steady state and safe for concurrent use. On error some ops may
-// already have been applied.
+// duplicate addresses or partial units, fall back to per-op small writes
+// in address order, duplicates in submission order (the last writer of
+// each byte wins). Ops on distinct stripes execute in an unspecified
+// order. Zero-allocation in steady state and safe for concurrent use. On
+// error some ops may already have been applied.
 func (s *Store) WriteVec(ops []VecOp) error { return s.runVec("WriteVec", ops, true) }
 
-// runVec runs a batch of unit ops as one request: one piece per op,
+// runVec runs a batch of ops as one request: one piece per op,
 // sorted by (stripe, logical) — stably, so duplicate writes to one
 // address keep submission order.
 func (s *Store) runVec(op string, ops []VecOp, write bool) error {
@@ -55,14 +60,14 @@ func (s *Store) runVec(op string, ops []VecOp, write bool) error {
 	defer s.finish(sc, write, time.Now())
 	for i := range ops {
 		o := &ops[i]
-		if len(o.Buf) != s.unitSize {
-			return fmt.Errorf("store: %s: op %d: buf is %d bytes, want unit size %d", op, i, len(o.Buf), s.unitSize)
+		if len(o.Buf) == 0 || o.Within < 0 || o.Within > s.unitSize-len(o.Buf) {
+			return fmt.Errorf("store: %s: op %d: bytes [%d,+%d) of a unit of %d", op, i, o.Within, len(o.Buf), s.unitSize)
 		}
 		stripe, _, err := s.mapper.StripeOf(o.Logical)
 		if err != nil {
 			return fmt.Errorf("store: %s: op %d: %w", op, i, err)
 		}
-		sc.pieces = append(sc.pieces, piece{stripe: stripe, logical: o.Logical, buf: o.Buf})
+		sc.pieces = append(sc.pieces, piece{stripe: stripe, logical: o.Logical, within: o.Within, buf: o.Buf})
 	}
 	slices.SortStableFunc(sc.pieces, func(a, b piece) int {
 		return cmp.Or(cmp.Compare(a.stripe, b.stripe), cmp.Compare(a.logical, b.logical))

@@ -2,9 +2,11 @@ package store_test
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"repro/pdl/layout"
 	"repro/pdl/store"
 )
 
@@ -191,8 +193,9 @@ func TestVecDegraded(t *testing.T) {
 	}
 }
 
-// TestVecErrors pins the validation behavior: bad buffer sizes and bad
-// addresses are rejected before any op executes.
+// TestVecErrors pins the validation behavior: byte ranges that are empty
+// or leave their unit, and bad addresses, are rejected before any op
+// executes.
 func TestVecErrors(t *testing.T) {
 	const unitSize = 16
 	s := mustStore(t, 9, 3, 1, unitSize)
@@ -202,12 +205,17 @@ func TestVecErrors(t *testing.T) {
 	if err := s.WriteVec(nil); err != nil {
 		t.Errorf("empty WriteVec: %v", err)
 	}
-	short := []store.VecOp{{Logical: 0, Buf: make([]byte, unitSize-1)}}
-	if err := s.ReadVec(short); err == nil {
-		t.Error("ReadVec accepted a short buffer")
-	}
-	if err := s.WriteVec(short); err == nil {
-		t.Error("WriteVec accepted a short buffer")
+	for _, bad := range [][]store.VecOp{
+		{{Logical: 0, Buf: make([]byte, unitSize+1)}},
+		{{Logical: 0, Within: 1, Buf: make([]byte, unitSize)}},
+		{{Logical: 0, Buf: nil}},
+	} {
+		if err := s.ReadVec(bad); err == nil {
+			t.Errorf("ReadVec accepted %d bytes at byte %d of a unit", len(bad[0].Buf), bad[0].Within)
+		}
+		if err := s.WriteVec(bad); err == nil {
+			t.Errorf("WriteVec accepted %d bytes at byte %d of a unit", len(bad[0].Buf), bad[0].Within)
+		}
 	}
 	oob := []store.VecOp{{Logical: s.Capacity(), Buf: make([]byte, unitSize)}}
 	if err := s.ReadVec(oob); err == nil {
@@ -216,4 +224,161 @@ func TestVecErrors(t *testing.T) {
 	if err := s.WriteVec(oob); err == nil {
 		t.Error("WriteVec accepted an out-of-range address")
 	}
+}
+
+// TestVecPartialUnits runs ReadVec and WriteVec with partial pieces
+// (VecOp.Within) on XOR and on two-parity Reed–Solomon with 0…m disks
+// failed, against pdl/layout's Data model: overlapping partial pieces of
+// one unit in one batch apply in submission order, a partial piece beside
+// a whole stripe leaves that stripe's full-stripe promotion alone, and a
+// batch holding an empty or out-of-unit range is refused before it
+// changes anything.
+func TestVecPartialUnits(t *testing.T) {
+	const unitSize = 16
+	for _, tc := range []codeRow{codeRows(t)[0], codeRows(t)[2]} {
+		for nfail := 0; nfail <= tc.code.ParityShards(); nfail++ {
+			t.Run(fmt.Sprintf("%s/%d-down", tc.name, nfail), func(t *testing.T) {
+				s, l := tc.newStore(t, unitSize)
+				model, err := layout.NewDataCode(l, unitSize, tc.code)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Fill every unit, so partial writes patch non-zero bytes.
+				all := make([]store.VecOp, s.Capacity())
+				for i := range all {
+					all[i] = store.VecOp{Logical: i, Buf: payload(make([]byte, unitSize), i)}
+					if err := model.WriteLogical(i, all[i].Buf); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := s.WriteVec(all); err != nil {
+					t.Fatal(err)
+				}
+				for _, d := range rand.New(rand.NewSource(int64(nfail))).Perm(l.V)[:nfail] {
+					if err := s.Fail(d); err != nil {
+						t.Fatal(err)
+					}
+				}
+				apply := func(ops []store.VecOp) {
+					t.Helper()
+					if err := s.WriteVec(ops); err != nil {
+						t.Fatal(err)
+					}
+					for _, o := range ops {
+						u, err := model.ReadLogical(o.Logical)
+						if err != nil {
+							t.Fatal(err)
+						}
+						copy(u[o.Within:], o.Buf)
+						if err := model.WriteLogical(o.Logical, u); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				// check reads every unit back, whole and as two partial
+				// pieces in one batch, and compares with the model.
+				check := func(what string) {
+					t.Helper()
+					for i := range all {
+						w, err := model.ReadLogical(i)
+						if err != nil {
+							t.Fatal(err)
+						}
+						cut := 1 + i%(unitSize-1)
+						ops := []store.VecOp{
+							{Logical: i, Buf: make([]byte, unitSize)},
+							{Logical: i, Within: cut, Buf: make([]byte, unitSize-cut)},
+							{Logical: i, Buf: make([]byte, cut)},
+						}
+						if err := s.ReadVec(ops); err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(ops[0].Buf, w) || !bytes.Equal(ops[2].Buf, w[:cut]) || !bytes.Equal(ops[1].Buf, w[cut:]) {
+							t.Fatalf("%s: logical %d reads %x | %x %x, model %x", what, i, ops[0].Buf, ops[2].Buf, ops[1].Buf, w)
+						}
+					}
+				}
+
+				// Two overlapping partial pieces of one unit, then the same
+				// in the other order on the next unit: per byte, the later
+				// piece wins.
+				for i, order := range [][2]int{{0, 1}, {1, 0}} {
+					pieces := [2]store.VecOp{
+						{Logical: 5 + i, Within: 2, Buf: payload(make([]byte, 10), 100+i)},
+						{Logical: 5 + i, Within: 7, Buf: payload(make([]byte, 6), 200+i)},
+					}
+					apply([]store.VecOp{pieces[order[0]], pieces[order[1]]})
+				}
+				check("overlapping partial pieces")
+
+				// A partial piece beside a whole stripe: the stripe still
+				// promotes, so on a healthy array only the partial piece's
+				// read-modify-write pre-reads (its data unit and every
+				// parity, as in TestWriteVecPromotion).
+				first := 1
+				for stripeOf(t, s, first) == stripeOf(t, s, 0) {
+					first++
+				}
+				var whole []store.VecOp
+				for i := first; i < s.Capacity() && stripeOf(t, s, i) == stripeOf(t, s, first); i++ {
+					whole = append(whole, store.VecOp{Logical: i, Buf: payload(make([]byte, unitSize), 300+i)})
+				}
+				if len(whole) != tc.k-tc.code.ParityShards() {
+					t.Fatalf("stripe of unit %d has %d data units, want %d", first, len(whole), tc.k-tc.code.ParityShards())
+				}
+				ops := append([]store.VecOp{{Logical: 0, Within: 3, Buf: payload(make([]byte, 9), 400)}}, whole...)
+				before := totalReads(s)
+				apply(ops)
+				if nfail == 0 {
+					if got, want := totalReads(s)-before, int64(1+tc.code.ParityShards()); got != want {
+						t.Errorf("partial piece beside stripe of %d units: %d pre-reads, want %d", len(whole), got, want)
+					}
+				}
+				check("partial piece beside a whole stripe")
+
+				// Refusals: the batch's valid piece is not applied either.
+				for _, bad := range []store.VecOp{
+					{Logical: 1, Within: -1, Buf: make([]byte, 4)},
+					{Logical: 1, Within: 13, Buf: make([]byte, 4)},
+					{Logical: 1, Buf: []byte{}},
+				} {
+					writes := totalWrites(s)
+					batch := []store.VecOp{{Logical: 2, Within: 1, Buf: payload(make([]byte, 5), 500)}, bad}
+					if err := s.WriteVec(batch); err == nil {
+						t.Errorf("WriteVec accepted %d bytes at byte %d of a unit", len(bad.Buf), bad.Within)
+					}
+					if err := s.ReadVec(batch); err == nil {
+						t.Errorf("ReadVec accepted %d bytes at byte %d of a unit", len(bad.Buf), bad.Within)
+					}
+					if d := totalWrites(s) - writes; d != 0 {
+						t.Errorf("refused batch with %d bytes at byte %d wrote %d units", len(bad.Buf), bad.Within, d)
+					}
+				}
+				check("refused batches")
+				if nfail == 0 {
+					if err := s.VerifyParity(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// stripeOf returns the stripe holding logical unit i.
+func stripeOf(t *testing.T, s *store.Store, i int) int {
+	t.Helper()
+	st, _, err := s.Mapper().StripeOf(i)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+func totalWrites(s *store.Store) int64 {
+	var n int64
+	for _, d := range s.Stats().Disks {
+		n += d.Writes
+	}
+	return n
 }

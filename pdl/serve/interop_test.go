@@ -59,7 +59,8 @@ func (r *rawV1Client) do(t *testing.T, op uint8, arg uint64, payload []byte) wir
 // TestInteropV1ClientAgainstV2Server drives a hand-rolled v1 client
 // against the current server: the plain Info payload (no version
 // extension), unit writes and reads, and error responses must all be
-// exactly what a v1 peer expects.
+// exactly what a v1 peer expects; a pre-byte-span v2 hello negotiates no
+// feature.
 func TestInteropV1ClientAgainstV2Server(t *testing.T) {
 	const unitSize = 64
 	f := mustFrontend(t, 13, 4, 1, unitSize, serve.Config{QueueDepth: 8, FlushDelay: -1})
@@ -77,6 +78,14 @@ func TestInteropV1ClientAgainstV2Server(t *testing.T) {
 	}
 	if in.UnitSize != unitSize || in.Capacity != f.Store().Capacity() {
 		t.Fatalf("v1 info diverges: %+v", in)
+	}
+
+	// A v2 client from before byte spans proposes only bit 0, the
+	// retired unit streams: it is answered with no feature, so it keeps
+	// to the unit ops below.
+	resp = rc.do(t, wire.OpInfo, wire.EncodeHello(wire.Version2, 1<<0), nil)
+	if v, feats, err := wire.DecodeInfoAny(resp.Payload, &in); err != nil || v != wire.Version2 || feats != 0 {
+		t.Fatalf("hello proposing bit 0: v%d features %#x, %v; want v2 and none", v, feats, err)
 	}
 
 	// Unit write and read round-trip.

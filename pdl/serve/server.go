@@ -284,9 +284,9 @@ func (s *Server) getResp(id uint64, status uint8, payload []byte) *srvResp {
 	return r
 }
 
-// srvReq is one in-flight unit op's or write chunk's pooled completion
-// state. cb is prebuilt at pool time and forwards to complete, so
-// submitting a request allocates nothing.
+// srvReq is the pooled completion state of one in-flight unit op, write
+// chunk, or read span inside one unit. cb is prebuilt at pool time and
+// forwards to complete, so submitting a request allocates nothing.
 type srvReq struct {
 	s      *Server
 	st     *connState

@@ -349,7 +349,7 @@ func (d *readGatedDisk) ReadAt(p []byte, off int64) (int, error) {
 func TestConnSpanBound(t *testing.T) {
 	const (
 		unitSize  = 64
-		spanUnits = 4
+		spanUnits = 4 // longer than a unit: served by the span workers
 		spans     = 40
 		bound     = 32
 		spanBytes = spanUnits * unitSize

@@ -100,19 +100,23 @@ func cmdInit(args []string) error {
 			return fmt.Errorf("init: shard %s: %w", addr, err)
 		}
 		size := c.Size()
+		stats, err := c.Stats()
+		c.Close()
+		if err != nil {
+			return fmt.Errorf("init: shard %s: %w", addr, err)
+		}
 		st := cluster.ShardHealthy
-		if c.Failed() >= 0 {
+		if len(stats.Store.FailedDisks) > 0 {
 			st = cluster.ShardDegraded
 		}
 		sh := cluster.ShardInfo{Addr: addr, State: st}
 		// Record the shard's codec only when it tolerates more than one
 		// failure: the default stays off the wire format, so clusters of
 		// classic XOR shards keep writing format-1 manifests.
-		if stats, err := c.Stats(); err == nil && stats.Store.ParityShards > 1 {
+		if stats.Store.ParityShards > 1 {
 			sh.Codec = stats.Store.Codec
 			sh.ParityShards = stats.Store.ParityShards
 		}
-		c.Close()
 		n := size / *unit
 		if n < 1 {
 			return fmt.Errorf("init: shard %s holds %d B, less than one %d B shard-unit", addr, size, *unit)
@@ -171,13 +175,10 @@ func cmdStatus(args []string) error {
 				switch {
 				case st.Store.Rebuilding:
 					state = cluster.ShardRebuilding
-					detail = fmt.Sprintf("rebuilding disk %d", st.Store.FailedDisk)
-				case len(st.Store.FailedDisks) > 1:
+					detail = fmt.Sprintf("rebuilding, disks %v down", st.Store.FailedDisks)
+				case len(st.Store.FailedDisks) > 0:
 					state = cluster.ShardDegraded
 					detail = fmt.Sprintf("disks %v down, %d degraded ops", st.Store.FailedDisks, st.Store.Degraded)
-				case st.Store.FailedDisk >= 0:
-					state = cluster.ShardDegraded
-					detail = fmt.Sprintf("disk %d down, %d degraded ops", st.Store.FailedDisk, st.Store.Degraded)
 				default:
 					state = cluster.ShardHealthy
 					detail = fmt.Sprintf("%d reads, %d writes", st.Store.Reads, st.Store.Writes)

@@ -184,7 +184,6 @@ func serveAdmin(addr string, front *serve.Frontend, srv *serve.Server) (net.List
 			"codec":           s.Code().Name(),
 			"kernel":          code.Kernel(),
 			"parity_shards":   s.Code().ParityShards(),
-			"failed_disk":     st.Failed,
 			"failed_disks":    st.FailedDisks,
 			"rebuilding":      st.Rebuilding,
 			"rebuilt_stripes": st.RebuiltStripes,

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"time"
 
 	"repro/cmd/internal/loadgen"
@@ -248,13 +249,17 @@ func cmdRebuild(args []string) error {
 		return err
 	}
 	defer arr.Close()
-	failed := arr.Store().Failed()
-	// Sample how wide the rebuild runs (it fans out while nothing else
-	// reads or writes the array, which here nothing does).
+	failed := arr.Store().FailedDisks()
+	if len(failed) == 0 {
+		return fmt.Errorf("rebuild: no failed disk")
+	}
+	// Rebuild takes the lowest failed disk. Sample how wide it runs (it
+	// fans out while nothing else reads or writes the array, which here
+	// nothing does).
 	widest, done := 0, make(chan struct{})
 	go func() {
 		defer close(done)
-		for tick := time.NewTicker(time.Millisecond); arr.Store().Failed() == failed; <-tick.C {
+		for tick := time.NewTicker(time.Millisecond); slices.Contains(arr.Store().FailedDisks(), failed[0]); <-tick.C {
 			widest = max(widest, arr.Store().Stats().RebuildWorkers)
 		}
 	}()
@@ -266,7 +271,7 @@ func cmdRebuild(args []string) error {
 	m := arr.Manifest()
 	diskBytes := int64(m.DiskUnits) * int64(m.UnitSize)
 	fmt.Printf("rebuilt disk %d: %d bytes in %v (%s, up to %d workers)\n",
-		failed, diskBytes, elapsed.Round(time.Millisecond), units.FormatMBPerSec(diskBytes, elapsed), widest)
+		failed[0], diskBytes, elapsed.Round(time.Millisecond), units.FormatMBPerSec(diskBytes, elapsed), widest)
 	return nil
 }
 
@@ -283,8 +288,8 @@ func cmdVerify(args []string) error {
 	if err := arr.Store().VerifyParity(); err != nil {
 		return err
 	}
-	if f := arr.Store().Failed(); f >= 0 {
-		fmt.Printf("parity OK on all stripes not crossing failed disk %d\n", f)
+	if f := arr.Store().FailedDisks(); len(f) > 0 {
+		fmt.Printf("parity OK on all stripes not crossing failed disks %v\n", f)
 	} else {
 		fmt.Println("parity OK on all stripes")
 	}

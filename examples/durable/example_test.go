@@ -7,7 +7,7 @@ func Example() {
 	// Output:
 	// created: method ring, v=9 k=3, 24 units of 64 B per disk
 	// after unclean reopen: "bytes that outlive the process"
-	// after failure + reopen: failed disk 2, state "failed"
+	// after failure + reopen: failed disks [2], state "failed"
 	// degraded read via survivor XOR: "bytes that outlive the process" (intact: true)
-	// rebuilt: failed disk -1, state "rebuilt", parity verified
+	// rebuilt: failed disks [], state "rebuilt", parity verified
 }

@@ -59,8 +59,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("after failure + reopen: failed disk %d, state %q\n",
-		arr.Store().Failed(), arr.Manifest().Disks[2].State)
+	fmt.Printf("after failure + reopen: failed disks %v, state %q\n",
+		arr.Store().FailedDisks(), arr.Manifest().Disks[2].State)
 	if _, err := arr.Store().ReadAt(got, 128); err != nil {
 		log.Fatal(err)
 	}
@@ -74,8 +74,8 @@ func main() {
 	if err := arr.Store().VerifyParity(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("rebuilt: failed disk %d, state %q, parity verified\n",
-		arr.Store().Failed(), arr.Manifest().Disks[2].State)
+	fmt.Printf("rebuilt: failed disks %v, state %q, parity verified\n",
+		arr.Store().FailedDisks(), arr.Manifest().Disks[2].State)
 
 	if err := arr.Close(); err != nil {
 		log.Fatal(err)

@@ -12,6 +12,6 @@ func Example() {
 	// disk 5 failed; degraded read: "parity declustering over the network"
 	// degraded sweep over the wire matches: true
 	// served via survivor XOR: true
-	// rebuilt online; failed disk now: -1
+	// rebuilt online; failed disks now: []
 	// parity verified; healthy sweep matches: true
 }

@@ -118,7 +118,7 @@ func main() {
 	if err := c.Rebuild(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("rebuilt online; failed disk now: %d\n", s.Failed())
+	fmt.Printf("rebuilt online; failed disks now: %v\n", s.FailedDisks())
 	if err := s.VerifyParity(); err != nil {
 		log.Fatal(err)
 	}

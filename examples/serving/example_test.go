@@ -12,6 +12,6 @@ func Example() {
 	// ReadAt(100) with disk 5 down: "parity declustering serves bytes"
 	// degraded full sweep matches the mirror: true
 	// served via survivor XOR: true
-	// rebuilt disk 5 online; failed disk now: -1
+	// rebuilt disk 5 online; failed disks now: []
 	// healthy full sweep matches the mirror: true
 }

@@ -91,7 +91,7 @@ func main() {
 	if err := old.Close(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("rebuilt disk 5 online; failed disk now: %d\n", s.Failed())
+	fmt.Printf("rebuilt disk 5 online; failed disks now: %v\n", s.FailedDisks())
 	if err := s.VerifyParity(); err != nil {
 		log.Fatal(err)
 	}

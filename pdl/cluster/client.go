@@ -562,7 +562,7 @@ func (c *Client) Stats() []ShardStats {
 			switch {
 			case srv.Store.Rebuilding:
 				st.State = ShardRebuilding
-			case srv.Store.FailedDisk >= 0:
+			case len(srv.Store.FailedDisks) > 0:
 				st.State = ShardDegraded
 			default:
 				st.State = ShardHealthy

@@ -64,11 +64,11 @@ func oneShard(target string, shard int) error {
 // and closes the backend that the rebuild displaced, which the caller
 // owns. If Rebuild fails, the old backend is back in its slot and stays.
 func rebuild(s *store.Store) error {
-	failed := s.Failed()
-	if failed < 0 {
+	failed := s.FailedDisks()
+	if len(failed) == 0 {
 		return errors.New("scenario: rebuild: no failed disk")
 	}
-	old := s.DiskBackend(failed)
+	old := s.DiskBackend(failed[0])
 	rep := store.NewMemDisk(int64(s.Mapper().DiskUnits()) * int64(s.UnitSize()))
 	if err := s.Rebuild(rep); err != nil {
 		rep.Close()

@@ -224,11 +224,9 @@ type Client struct {
 	rr     atomic.Uint32
 	closed atomic.Bool
 
-	// infoMu guards info, the server geometry: set by the handshake and
-	// refreshed after Fail/Rebuild acks (or by RefreshInfo), so Failed
-	// and Size track same-session state changes made through this client.
-	infoMu sync.RWMutex
-	info   wire.Info
+	// info is the server geometry from the handshake, fixed for the
+	// client's life. Failure state is not geometry: Stats reports it.
+	info wire.Info
 
 	// version/features are the handshake's negotiated protocol level
 	// (the minimum across connections) — fixed at dial time.
@@ -337,10 +335,7 @@ func (c *Client) handshake() error {
 			return err
 		}
 		if i == 0 {
-			c.version, c.features = v, feats
-			c.infoMu.Lock()
-			c.info = in
-			c.infoMu.Unlock()
+			c.version, c.features, c.info = v, feats, in
 		} else {
 			if v < c.version {
 				c.version = v
@@ -371,41 +366,14 @@ func (c *Client) ProtocolVersion() uint8 { return c.version }
 // Features returns the feature bits accepted at dial time.
 func (c *Client) Features() uint64 { return c.features }
 
-// RefreshInfo re-issues the geometry handshake, updating what UnitSize,
-// Capacity, Disks, Size, and Failed report. Fail and Rebuild call it
-// after their acks; call it directly to observe state changes made by
-// other clients of the same server.
-func (c *Client) RefreshInfo() error {
-	var raw []byte
-	if err := c.do(wire.OpInfo, wire.EncodeHello(wire.Version2, wire.Features), &raw); err != nil {
-		return err
-	}
-	var in wire.Info
-	if _, _, err := decodeGeometry(raw, &in); err != nil {
-		return err
-	}
-	c.infoMu.Lock()
-	c.info = in
-	c.infoMu.Unlock()
-	return nil
-}
-
-// geom snapshots the current geometry.
-func (c *Client) geom() wire.Info {
-	c.infoMu.RLock()
-	in := c.info
-	c.infoMu.RUnlock()
-	return in
-}
-
 // UnitSize returns the server's stripe-unit payload size in bytes.
-func (c *Client) UnitSize() int { return c.geom().UnitSize }
+func (c *Client) UnitSize() int { return c.info.UnitSize }
 
 // Capacity returns the server's number of addressable logical units.
-func (c *Client) Capacity() int { return c.geom().Capacity }
+func (c *Client) Capacity() int { return c.info.Capacity }
 
 // Disks returns the server's disk count.
-func (c *Client) Disks() int { return c.geom().Disks }
+func (c *Client) Disks() int { return c.info.Disks }
 
 // Close closes every connection; in-flight and later calls fail with
 // ErrClientClosed.
@@ -449,25 +417,19 @@ func (c *Client) WriteClass(logical int, src []byte, class Class) error {
 	return err
 }
 
-// Fail marks a server disk failed; the array serves degraded after. On
-// success the geometry is refreshed, so Failed reports the new state; a
-// refresh error is returned even though the server-side Fail succeeded.
+// Fail marks a server disk failed; the array serves degraded after. The
+// server refuses it while a rebuild is in progress. Stats reports the
+// failed set.
 func (c *Client) Fail(disk int) error {
-	if err := c.do(wire.OpFail, uint64(disk), nil); err != nil {
-		return err
-	}
-	return c.RefreshInfo()
+	return c.do(wire.OpFail, uint64(disk), nil)
 }
 
-// Rebuild reconstructs the failed disk onto a fresh replacement on the
-// server, blocking until the array is healthy again. On success the
-// geometry is refreshed, so Failed reports the rebuilt state; a refresh
-// error is returned even though the server-side rebuild succeeded.
+// Rebuild reconstructs the server's lowest-numbered failed disk onto a
+// replacement, blocking until that disk is rebuilt. With several disks
+// down the array is still degraded when it returns: call it once per
+// failed disk (Stats().Store.FailedDisks lists them).
 func (c *Client) Rebuild() error {
-	if err := c.do(wire.OpRebuild, 0, nil); err != nil {
-		return err
-	}
-	return c.RefreshInfo()
+	return c.do(wire.OpRebuild, 0, nil)
 }
 
 // Stats fetches the server's store and frontend counters.

@@ -36,16 +36,7 @@ func runLen(off int64, n, lim int) int {
 }
 
 // Size returns the server's logical byte capacity (Capacity × UnitSize).
-func (c *Client) Size() int64 {
-	in := c.geom()
-	return int64(in.Capacity) * int64(in.UnitSize)
-}
-
-// Failed returns the failed disk, -1 when the array is healthy, as of
-// the last geometry refresh: the handshake, this client's own Fail or
-// Rebuild, or an explicit RefreshInfo. State changed by other clients is
-// visible after RefreshInfo (or in Stats).
-func (c *Client) Failed() int { return c.geom().Failed }
+func (c *Client) Size() int64 { return int64(c.info.Capacity) * int64(c.info.UnitSize) }
 
 // flight is one in-flight segment of a span: one OpReadSpan or
 // OpWriteSpan stream of n bytes.
@@ -178,13 +169,12 @@ func (c *Client) ReadAtClass(p []byte, off int64, class Class) (int, error) {
 // p belongs to the span until Wait returns. StartReadAt blocks only
 // while the span has more segments than its window keeps in flight (64).
 func (c *Client) StartReadAt(p []byte, off int64, class Class) *Span {
-	in := c.geom()
 	s := c.getSpan()
 	if off < 0 {
 		s.err = fmt.Errorf("serve: ReadAt: negative offset %d", off)
 		return s
 	}
-	size := int64(in.Capacity) * int64(in.UnitSize)
+	size := c.Size()
 	if off >= size {
 		s.err = io.EOF
 		return s
@@ -193,7 +183,7 @@ func (c *Client) StartReadAt(p []byte, off int64, class Class) *Span {
 		p = p[:size-off]
 		s.eof = true
 	}
-	s.issue(p, off, in.UnitSize, class, false)
+	s.issue(p, off, c.info.UnitSize, class, false)
 	return s
 }
 
@@ -223,18 +213,17 @@ func (c *Client) WriteAtClass(p []byte, off int64, class Class) (int, error) {
 // returns; its frames go out straight from it. StartWriteAt blocks only
 // while the span has more segments than its window keeps in flight (64).
 func (c *Client) StartWriteAt(p []byte, off int64, class Class) *Span {
-	in := c.geom()
 	s := c.getSpan()
 	if off < 0 {
 		s.err = fmt.Errorf("serve: WriteAt: negative offset %d", off)
 		return s
 	}
-	size := int64(in.Capacity) * int64(in.UnitSize)
+	size := c.Size()
 	if off > size-int64(len(p)) {
 		s.err = fmt.Errorf("serve: WriteAt: %d bytes at %d outside array of %d bytes", len(p), off, size)
 		return s
 	}
-	s.issue(p, off, in.UnitSize, class, true)
+	s.issue(p, off, c.info.UnitSize, class, true)
 	return s
 }
 

@@ -11,61 +11,6 @@ import (
 	"repro/pdl/serve"
 )
 
-// TestClientGeometryRefresh is the regression test for stale client
-// geometry: Failed() used to report the handshake-time wire.Info
-// forever, so a same-session Fail or Rebuild left the client believing
-// the old state. Fail/Rebuild now re-issue OpInfo after their acks, and
-// other clients of the same server catch up via RefreshInfo.
-func TestClientGeometryRefresh(t *testing.T) {
-	const unitSize = 32
-	f := mustFrontend(t, 13, 4, 1, unitSize, serve.Config{FlushDelay: -1})
-	addr := startServer(t, f)
-
-	c1, err := serve.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c1.Close()
-	c2, err := serve.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	if got := c1.Failed(); got != -1 {
-		t.Fatalf("healthy handshake: Failed() = %d, want -1", got)
-	}
-	size := c1.Size()
-
-	// The failing client sees the new state immediately.
-	if err := c1.Fail(5); err != nil {
-		t.Fatal(err)
-	}
-	if got := c1.Failed(); got != 5 {
-		t.Fatalf("after Fail(5) on same client: Failed() = %d, want 5", got)
-	}
-	// A second connection still holds its handshake view until it asks.
-	if got := c2.Failed(); got != -1 {
-		t.Fatalf("other client before RefreshInfo: Failed() = %d, want -1 (stale by design)", got)
-	}
-	if err := c2.RefreshInfo(); err != nil {
-		t.Fatal(err)
-	}
-	if got := c2.Failed(); got != 5 {
-		t.Fatalf("other client after RefreshInfo: Failed() = %d, want 5", got)
-	}
-
-	// Rebuild flips the same-session view back to healthy.
-	if err := c1.Rebuild(); err != nil {
-		t.Fatal(err)
-	}
-	if got := c1.Failed(); got != -1 {
-		t.Fatalf("after Rebuild on same client: Failed() = %d, want -1", got)
-	}
-	if got := c1.Size(); got != size {
-		t.Fatalf("Size() changed across Fail/Rebuild: %d -> %d", size, got)
-	}
-}
-
 // TestClientClosedTyped pins the typed close error: calls racing or
 // following the caller's own Close fail with ErrClientClosed (a caller
 // bug), never a bare connection error.

@@ -247,16 +247,16 @@ func v2ClientCells(t *testing.T, format int) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Failed() != 0 {
-		t.Fatalf("Failed() = %d after failing disk 0", c.Failed())
+	if fd := st.Store.FailedDisks; len(fd) != down || fd[0] != 0 {
+		t.Fatalf("FailedDisks = %v after failing disks 0..%d", fd, down-1)
 	}
 	for i := 0; i < down; i++ {
 		if err := c.Rebuild(); err != nil {
 			t.Fatalf("rebuild %d: %v", i, err)
 		}
 	}
-	if c.Failed() != -1 {
-		t.Fatalf("Failed() = %d after rebuilding", c.Failed())
+	if healed, err := c.Stats(); err != nil || len(healed.Store.FailedDisks) != 0 {
+		t.Fatalf("after rebuilding: FailedDisks = %v, err %v", healed.Store.FailedDisks, err)
 	}
 	cells = append(cells, fmt.Sprintf("ok; up to %d down at once", down), multiFailCell(&st.Store))
 	return cells

@@ -71,7 +71,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	h := obs.NewHandler(reg)
 	h.AddStatus("array", func() any {
 		st := s.Stats()
-		return map[string]any{"failed_disk": st.Failed, "rebuilding": st.Rebuilding}
+		return map[string]any{"failed_disks": st.FailedDisks, "rebuilding": st.Rebuilding}
 	})
 	web := httptest.NewServer(h)
 	defer web.Close()
@@ -188,8 +188,8 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if v, _ := metricValue(t, text, "pdl_store_rebuild_workers", ""); v != 0 {
 		t.Errorf("pdl_store_rebuild_workers = %v after rebuild, want 0", v)
 	}
-	if v, _ := metricValue(t, text, "pdl_store_failed_disk", ""); v != -1 {
-		t.Errorf("pdl_store_failed_disk = %v after rebuild, want -1", v)
+	if v, _ := metricValue(t, text, "pdl_store_failed_disks", ""); v != 0 {
+		t.Errorf("pdl_store_failed_disks = %v after rebuild, want 0", v)
 	}
 
 	// /statusz carries the status sections and the metric snapshot;

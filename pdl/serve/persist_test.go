@@ -92,16 +92,16 @@ func TestServePersistenceAcrossRestart(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reopen after kill: %v", err)
 			}
-			if arr2.Store().Failed() != 5 {
-				t.Fatalf("restart forgot degraded state: Failed() = %d, want 5", arr2.Store().Failed())
+			if fd := arr2.Store().FailedDisks(); len(fd) != 1 || fd[0] != 5 {
+				t.Fatalf("restart forgot degraded state: FailedDisks = %v, want [5]", fd)
 			}
 			as2 := startArrayServer(t, arr2)
 			c2, err := serve.Dial(as2.addr)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if c2.Failed() != 5 {
-				t.Fatalf("handshake Failed = %d, want 5", c2.Failed())
+			if st, err := c2.Stats(); err != nil || len(st.Store.FailedDisks) != 1 || st.Store.FailedDisks[0] != 5 {
+				t.Fatalf("Stats after restart: FailedDisks = %v, err %v, want [5]", st.Store.FailedDisks, err)
 			}
 			got := make([]byte, size)
 			if _, err := c2.ReadAt(got, 0); err != nil {
@@ -130,8 +130,8 @@ func TestServePersistenceAcrossRestart(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer arr3.Close()
-			if arr3.Store().Failed() != -1 {
-				t.Fatalf("after rebuild+restart: Failed() = %d, want -1", arr3.Store().Failed())
+			if fd := arr3.Store().FailedDisks(); len(fd) != 0 {
+				t.Fatalf("after rebuild+restart: FailedDisks = %v, want []", fd)
 			}
 			if m := arr3.Manifest(); m.Disks[5].State != array.DiskRebuilt {
 				t.Fatalf("rebuild history lost: disk 5 state %q", m.Disks[5].State)

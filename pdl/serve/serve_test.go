@@ -539,8 +539,8 @@ func TestServerClient(t *testing.T) {
 	if err := c.Rebuild(); err != nil {
 		t.Fatal(err)
 	}
-	if f.Store().Failed() != -1 {
-		t.Errorf("failed disk after rebuild: %d", f.Store().Failed())
+	if fd := f.Store().FailedDisks(); len(fd) != 0 {
+		t.Errorf("failed disks after rebuild: %v", fd)
 	}
 	if err := f.Store().VerifyParity(); err != nil {
 		t.Fatal(err)

@@ -28,6 +28,8 @@ type ServerStats struct {
 // StoreStats mirrors store.Stats for the wire (kept separate so the
 // protocol schema is explicit and stable).
 type StoreStats struct {
+	// FailedDisk is the lowest failed disk, -1 when healthy: a wire v1
+	// field that older clients still decode. Read FailedDisks.
 	FailedDisk int `json:"failed_disk"`
 
 	// FailedDisks lists every currently-failed disk in increasing order
@@ -86,7 +88,9 @@ const (
 type Server struct {
 	// FailDisk, when non-nil, handles wire.OpFail instead of the store's
 	// in-memory Fail. Durable servers point it at array.Fail so the
-	// scrub and the persisted failure state survive a restart.
+	// scrub and the persisted failure state survive a restart. Like the
+	// store's Fail, it is not called while a rebuild runs: the server
+	// refuses the OpFail.
 	FailDisk func(disk int) error
 
 	// RebuildDisk, when non-nil, handles wire.OpRebuild instead of the
@@ -122,7 +126,10 @@ type Server struct {
 
 	// rebuilding gates OpRebuild: one replacement disk is provisioned at
 	// a time, so a burst of rebuild frames cannot amplify a few bytes of
-	// input into many disk-sized allocations.
+	// input into many disk-sized allocations. It also refuses OpFail, so
+	// the failed set a rebuild reads stays put until it ends; admin
+	// orders that refusal against the rebuild setting the flag.
+	admin      sync.Mutex
 	rebuilding atomic.Bool
 
 	// connsAccepted, readSpans, and writeStreams count accepted
@@ -700,11 +707,7 @@ func (s *Server) dispatch(st *connState, req *wire.Request, fb *frameBuf) bool {
 		if !st.argBelow(req, "disk", stt.Mapper().Disks()) {
 			return true
 		}
-		fail := stt.Fail
-		if s.FailDisk != nil {
-			fail = s.FailDisk
-		}
-		if err := fail(int(req.Arg)); err != nil {
+		if err := s.fail(int(req.Arg)); err != nil {
 			st.respondErr(req.ID, err)
 		} else {
 			st.send(s.getResp(req.ID, wire.StatusOK, nil))
@@ -862,41 +865,58 @@ func (s *Server) readSpan(st *connState, sp readSpanReq) {
 	}
 }
 
-func (s *Server) rebuild() error {
-	st := s.front.Store()
-	// Validate before provisioning: the replacement is a disk-sized
-	// allocation, and a hostile peer can send rebuild frames for free.
-	failed := st.Failed()
-	if failed < 0 {
-		return errors.New("rebuild: no failed disk")
+// fail answers OpFail, refused while a rebuild runs.
+func (s *Server) fail(disk int) error {
+	s.admin.Lock()
+	defer s.admin.Unlock()
+	if s.rebuilding.Load() {
+		return fmt.Errorf("fail: disk %d: rebuild in progress", disk)
 	}
-	if !s.rebuilding.CompareAndSwap(false, true) {
+	if s.FailDisk != nil {
+		return s.FailDisk(disk)
+	}
+	return s.front.Store().Fail(disk)
+}
+
+// rebuild answers OpRebuild: it rebuilds the lowest failed disk. No disk
+// fails while it runs (fail refuses), so the failed set read here is the
+// one the rebuild works on.
+func (s *Server) rebuild() error {
+	s.admin.Lock()
+	started := s.rebuilding.CompareAndSwap(false, true)
+	s.admin.Unlock()
+	if !started {
 		return errors.New("rebuild: already in progress")
 	}
 	defer s.rebuilding.Store(false)
+	st := s.front.Store()
+	// Validate before provisioning: the replacement is a disk-sized
+	// allocation, and a hostile peer can send rebuild frames for free.
+	failed := st.FailedDisks()
+	if len(failed) == 0 {
+		return errors.New("rebuild: no failed disk")
+	}
 	if s.RebuildDisk != nil {
 		return s.RebuildDisk()
 	}
 	// Rebuild displaces the failed disk's backend, and the caller owns it:
 	// close it once the rebuild has put rep in its slot.
-	old := st.DiskBackend(failed)
+	old := st.DiskBackend(failed[0])
 	rep := store.NewMemDisk(int64(st.Mapper().DiskUnits()) * int64(st.UnitSize()))
 	if err := st.Rebuild(rep); err != nil {
 		rep.Close()
 		return err
 	}
-	if st.DiskBackend(failed) != rep { // a lower disk failed meanwhile and was rebuilt instead
-		return nil
-	}
 	return old.Close()
 }
 
 func (s *Server) stats() ServerStats {
-	st := s.front.Store().Stats()
+	stt := s.front.Store()
+	st := stt.Stats()
 	out := ServerStats{Frontend: s.front.Stats()}
-	out.Store.FailedDisk = st.Failed
+	out.Store.FailedDisk = stt.Failed()
 	out.Store.FailedDisks = st.FailedDisks
-	c := s.front.Store().Code()
+	c := stt.Code()
 	out.Store.Codec = c.Name()
 	out.Store.ParityShards = c.ParityShards()
 	out.Store.Rebuilding = st.Rebuilding

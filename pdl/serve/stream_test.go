@@ -144,8 +144,8 @@ func TestUnitArgPastRangeRefused(t *testing.T) {
 	if resp := rc.recv(t); resp.ID != 5 || resp.Status != wire.StatusOK || !bytes.Equal(resp.Payload, want) {
 		t.Error("unit 0 changed by a write past capacity")
 	}
-	if d := f.Store().Failed(); d != -1 {
-		t.Errorf("disk %d failed by a Fail past the disk count", d)
+	if fd := f.Store().FailedDisks(); len(fd) != 0 {
+		t.Errorf("disks %v failed by a Fail past the disk count", fd)
 	}
 }
 

@@ -83,10 +83,11 @@ const (
 	// OpWrite writes Payload (one unit) to the logical unit in Arg.
 	OpWrite
 
-	// OpFail marks disk Arg failed.
+	// OpFail marks disk Arg failed; refused while a rebuild runs.
 	OpFail
 
-	// OpRebuild rebuilds the failed disk onto a fresh replacement.
+	// OpRebuild rebuilds the lowest-numbered failed disk onto a
+	// replacement. With several disks down, send it once per failed disk.
 	OpRebuild
 
 	// OpStats asks for server statistics; the response payload is JSON.
@@ -425,7 +426,9 @@ type Info struct {
 	// Disks is the number of disks in the array.
 	Disks int
 
-	// Failed is the failed disk, -1 when healthy.
+	// Failed is the lowest failed disk, -1 when healthy: a wire v1 field
+	// kept for older clients. The serve.Client reads the failed set from
+	// OpStats instead.
 	Failed int
 }
 

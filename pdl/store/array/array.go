@@ -390,10 +390,11 @@ func (a *Array) Fail(d int) error {
 func (a *Array) Rebuild() (time.Duration, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	failed := a.man.Failed()
-	if failed < 0 {
+	down := a.man.FailedDisks()
+	if len(down) == 0 {
 		return 0, fmt.Errorf("array: Rebuild: no failed disk")
 	}
+	failed := down[0]
 	disk := a.s.DiskBackend(failed)
 	var fd uintptr
 	var flush func() error

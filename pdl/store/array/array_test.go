@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/pdl"
@@ -16,6 +17,15 @@ import (
 // backends are the persistent BackendKinds every lifecycle test runs
 // against (Mmap resolves to the platform fallback where unsupported).
 var backends = []array.BackendKind{array.File, array.Mmap}
+
+// downSet is the failed set of a test that keeps at most one disk
+// down: [d], or none when d < 0.
+func downSet(d int) []int {
+	if d < 0 {
+		return nil
+	}
+	return []int{d}
+}
 
 // payload fills a deterministic, unit-distinct pattern.
 func payload(buf []byte, seed int) []byte {
@@ -112,8 +122,8 @@ func TestArrayLifecycleCrashRecovery(t *testing.T) {
 					if err != nil {
 						t.Fatalf("reopen after crash: %v", err)
 					}
-					if got := arr.Store().Failed(); got != failed {
-						t.Fatalf("reopen forgot failure state: Failed() = %d, want %d", got, failed)
+					if got := arr.Store().FailedDisks(); !slices.Equal(got, downSet(failed)) {
+						t.Fatalf("reopen forgot failure state: FailedDisks = %v, want %v", got, downSet(failed))
 					}
 					check("after crash", 20)
 				}
@@ -173,7 +183,7 @@ func TestArrayFailPersistsAcrossCrash(t *testing.T) {
 			if err := arr.Fail(2); err != nil {
 				t.Fatal(err)
 			}
-			if m := arr.Manifest(); m.Disks[2].State != array.DiskFailed || m.Failed() != 2 {
+			if m := arr.Manifest(); m.Disks[2].State != array.DiskFailed || !slices.Equal(m.FailedDisks(), []int{2}) {
 				t.Fatalf("manifest after Fail: %+v", m.Disks)
 			}
 
@@ -182,8 +192,8 @@ func TestArrayFailPersistsAcrossCrash(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if arr.Store().Failed() != 2 {
-				t.Fatalf("restart forgot the scrubbed disk: Failed() = %d, want 2", arr.Store().Failed())
+			if got := arr.Store().FailedDisks(); !slices.Equal(got, []int{2}) {
+				t.Fatalf("restart forgot the scrubbed disk: FailedDisks = %v, want [2]", got)
 			}
 			got := make([]byte, unitSize)
 			for i := 0; i < arr.Store().Capacity(); i++ {
@@ -222,8 +232,8 @@ func TestArrayFailPersistsAcrossCrash(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer arr.Close()
-			if arr.Store().Failed() != -1 {
-				t.Fatalf("after rebuild+restart: Failed() = %d, want -1", arr.Store().Failed())
+			if got := arr.Store().FailedDisks(); len(got) != 0 {
+				t.Fatalf("after rebuild+restart: FailedDisks = %v, want []", got)
 			}
 			if m := arr.Manifest(); m.Disks[2].State != array.DiskRebuilt {
 				t.Fatalf("rebuild history not recorded: disk 2 state %q", m.Disks[2].State)
@@ -423,8 +433,8 @@ func TestOpenResizesShortFailedDisk(t *testing.T) {
 				t.Fatalf("Open with a failed disk cut short by a crash mid-scrub: %v", err)
 			}
 			defer func() { arr.Close() }()
-			if got := arr.Store().Failed(); got != 2 {
-				t.Fatalf("Failed() = %d after reopen, want 2", got)
+			if got := arr.Store().FailedDisks(); !slices.Equal(got, []int{2}) {
+				t.Fatalf("FailedDisks = %v after reopen, want [2]", got)
 			}
 			checkPayloads := func(tag string) {
 				t.Helper()
@@ -494,8 +504,8 @@ func TestRebuildSyncErrorKeepsDiskFailed(t *testing.T) {
 			if !errors.Is(err, injected) {
 				t.Fatalf("Rebuild with a failing sync: %v, want the sync error", err)
 			}
-			if got := arr.Store().Failed(); got != 2 {
-				t.Fatalf("store Failed() = %d after the failed sync, want 2 (the manifest's)", got)
+			if got := arr.Store().FailedDisks(); !slices.Equal(got, []int{2}) {
+				t.Fatalf("store FailedDisks = %v after the failed sync, want [2] (the manifest's)", got)
 			}
 			if m := arr.Manifest(); m.Disks[2].State != array.DiskFailed {
 				t.Fatalf("manifest says disk 2 is %q after the failed sync, want %q", m.Disks[2].State, array.DiskFailed)
@@ -525,8 +535,8 @@ func TestRebuildSyncErrorKeepsDiskFailed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := arr.Store().Failed(); got != -1 {
-				t.Fatalf("Failed() = %d after reopen, want -1", got)
+			if got := arr.Store().FailedDisks(); len(got) != 0 {
+				t.Fatalf("FailedDisks = %v after reopen, want []", got)
 			}
 			checkPayloads("reopened")
 		})
@@ -603,8 +613,8 @@ func TestInPlaceRebuildCrash(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := arr.Store().Failed(); got != failDisk {
-				t.Fatalf("Failed() = %d after reopen, want %d", got, failDisk)
+			if got := arr.Store().FailedDisks(); !slices.Equal(got, []int{failDisk}) {
+				t.Fatalf("FailedDisks = %v after reopen, want [%d]", got, failDisk)
 			}
 			checkModel("degraded over a garbage disk file")
 
@@ -655,8 +665,8 @@ func TestInPlaceRebuildCrash(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer arr.Close()
-			if got := arr.Store().Failed(); got != -1 {
-				t.Fatalf("Failed() = %d after the rebuilt array reopened, want -1", got)
+			if got := arr.Store().FailedDisks(); len(got) != 0 {
+				t.Fatalf("FailedDisks = %v after the rebuilt array reopened, want []", got)
 			}
 			checkModel("reopened")
 			if err := arr.Store().VerifyParity(); err != nil {

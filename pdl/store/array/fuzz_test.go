@@ -38,8 +38,11 @@ func FuzzOpenManifest(f *testing.F) {
 		if len(m.Disks) != m.V || m.V < 2 || m.K < 2 || m.K > m.V || m.UnitSize < 1 || m.DiskUnits < 1 {
 			t.Fatalf("decoder accepted out-of-invariant manifest: %+v", m)
 		}
-		if f := m.Failed(); f < -1 || f >= m.V {
-			t.Fatalf("Failed() = %d outside [-1,%d)", f, m.V)
+		fd := m.FailedDisks()
+		for i, f := range fd {
+			if f < 0 || f >= m.V || i > 0 && f <= fd[i-1] {
+				t.Fatalf("FailedDisks() = %v: not increasing in [0,%d)", fd, m.V)
+			}
 		}
 		re, err := json.Marshal(m)
 		if err != nil {

@@ -110,18 +110,6 @@ func (m *Manifest) Code() (code.Code, error) {
 	return code.New(m.Codec, m.parityShards())
 }
 
-// Failed returns the lowest-numbered failed disk, -1 when every disk
-// serves its own bytes. (The disk the next Rebuild reconstructs; see
-// FailedDisks for the whole set.)
-func (m *Manifest) Failed() int {
-	for d := range m.Disks {
-		if m.Disks[d].State == DiskFailed {
-			return d
-		}
-	}
-	return -1
-}
-
 // FailedDisks returns every failed disk in increasing order (nil when
 // none). DecodeManifest bounds the count by the array's parity shards.
 func (m *Manifest) FailedDisks() []int {

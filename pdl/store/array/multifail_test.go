@@ -310,8 +310,8 @@ func TestManifestFormatCompat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.Failed() != 1 || len(m.FailedDisks()) != 1 {
-			t.Fatalf("v1 fixture: Failed=%d FailedDisks=%v", m.Failed(), m.FailedDisks())
+		if fd := m.FailedDisks(); len(fd) != 1 || fd[0] != 1 {
+			t.Fatalf("v1 fixture: FailedDisks=%v, want [1]", fd)
 		}
 		c, err := m.Code()
 		if err != nil {

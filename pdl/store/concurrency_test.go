@@ -121,8 +121,8 @@ func TestConcurrentHammer(t *testing.T) {
 	if err := <-rebuildErr; err != nil {
 		t.Fatal(err)
 	}
-	if s.Failed() != -1 {
-		t.Fatalf("after rebuild: Failed() = %d", s.Failed())
+	if got := s.FailedDisks(); len(got) != 0 {
+		t.Fatalf("after rebuild: FailedDisks = %v", got)
 	}
 	if err := s.VerifyParity(); err != nil {
 		t.Fatal(err)

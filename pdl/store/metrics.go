@@ -30,10 +30,15 @@ func (s *Store) RegisterMetrics(r *obs.Registry) {
 		r.CounterFunc("pdl_store_disk_degraded_total",
 			"Physical operations issued to the disk on behalf of degraded-mode work (survivor XOR reads, rebuild traffic).",
 			c.degraded.Load, lbl)
+		r.GaugeFunc("pdl_store_disk_failed",
+			"1 while the disk is failed (served degraded until a rebuild restores it), else 0.",
+			func() int64 {
+				if s.fails.Load().has(d) {
+					return 1
+				}
+				return 0
+			}, lbl)
 	}
-	r.GaugeFunc("pdl_store_failed_disk",
-		"Index of the lowest failed disk, -1 when the array is healthy.",
-		func() int64 { return int64(s.Failed()) })
 	r.GaugeFunc("pdl_store_failed_disks",
 		"Number of currently-failed disks (multi-parity codes tolerate up to the code's parity count).",
 		func() int64 { return int64(len(s.fails.Load().disks)) })

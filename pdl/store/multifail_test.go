@@ -184,13 +184,13 @@ func TestStoreTwoFailureMatchesDataModel(t *testing.T) {
 			// model's raw disk bytes; the array must end healthy and
 			// parity-consistent.
 			rebuildOne(f1)
-			if s.Failed() != f2 {
-				t.Fatalf("after first rebuild: Failed() = %d, want %d", s.Failed(), f2)
+			if got := s.FailedDisks(); len(got) != 1 || got[0] != f2 {
+				t.Fatalf("after first rebuild: FailedDisks = %v, want [%d]", got, f2)
 			}
 			hammer(s.Capacity()/2, f2)
 			rebuildOne(f2)
-			if s.Failed() != -1 || len(s.FailedDisks()) != 0 {
-				t.Fatalf("after second rebuild: Failed() = %d, FailedDisks = %v", s.Failed(), s.FailedDisks())
+			if got := s.FailedDisks(); len(got) != 0 {
+				t.Fatalf("after second rebuild: FailedDisks = %v", got)
 			}
 			if err := s.VerifyParity(); err != nil {
 				t.Fatalf("disks %d,%d: %v", f1, f2, err)
@@ -271,8 +271,8 @@ func TestTwoFailureRebuildUnderLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if subject.Failed() != -1 {
-		t.Fatalf("Failed() = %d after both rebuilds", subject.Failed())
+	if got := subject.FailedDisks(); len(got) != 0 {
+		t.Fatalf("FailedDisks = %v after both rebuilds", got)
 	}
 	for i := 0; i < 500; i++ {
 		writeBoth(rng.Intn(subject.Capacity()))
@@ -422,8 +422,8 @@ func TestMultiFailValidation(t *testing.T) {
 		t.Errorf("FailedDisks() = %v, want [3 5]", got)
 	}
 	st := s.Stats()
-	if st.Failed != 3 || len(st.FailedDisks) != 2 {
-		t.Errorf("Stats: Failed=%d FailedDisks=%v", st.Failed, st.FailedDisks)
+	if got := st.FailedDisks; len(got) != 2 || got[0] != 3 || got[1] != 5 {
+		t.Errorf("Stats: FailedDisks=%v, want [3 5]", got)
 	}
 }
 

@@ -83,8 +83,8 @@ func TestRebuildUnderLoad(t *testing.T) {
 	if err := <-rebuildErr; err != nil {
 		t.Fatal(err)
 	}
-	if subject.Failed() != -1 {
-		t.Fatalf("Failed() = %d after rebuild", subject.Failed())
+	if got := subject.FailedDisks(); len(got) != 0 {
+		t.Fatalf("FailedDisks = %v after rebuild", got)
 	}
 	// A tail of post-rebuild traffic, still in lockstep.
 	for i := 0; i < 500; i++ {

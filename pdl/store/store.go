@@ -79,10 +79,6 @@ type DiskStats struct {
 
 // Stats is a point-in-time snapshot of a Store's state.
 type Stats struct {
-	// Failed is the lowest-numbered failed disk, -1 when the array is
-	// healthy. (The first disk Rebuild will reconstruct.)
-	Failed int
-
 	// FailedDisks lists every currently-failed disk in increasing order;
 	// empty when healthy. Multi-parity codes tolerate up to
 	// Code().ParityShards() simultaneous entries.
@@ -398,9 +394,9 @@ func (s *Store) Capacity() int { return s.capacity }
 // Size returns the logical byte capacity (Capacity * UnitSize).
 func (s *Store) Size() int64 { return s.size }
 
-// Failed returns the lowest-numbered failed disk, -1 when healthy. (The
-// disk the next Rebuild will reconstruct; see FailedDisks for the whole
-// set.)
+// Failed returns the lowest-numbered failed disk, -1 when healthy. It
+// serves only the single-disk fields of wire v1 that a serve.Server still
+// sends older clients, and the bench harness; read FailedDisks instead.
 func (s *Store) Failed() int { return s.fails.Load().first() }
 
 // FailedDisks returns the currently-failed disks in increasing order
@@ -426,7 +422,6 @@ func (s *Store) DiskBackend(d int) Backend {
 // Stats snapshots the per-disk counters and failure state.
 func (s *Store) Stats() Stats {
 	st := Stats{
-		Failed:         s.Failed(),
 		FailedDisks:    s.FailedDisks(),
 		Rebuilding:     s.rebuilding.Load(),
 		RebuiltStripes: int(s.rebuiltStripes.Load()),

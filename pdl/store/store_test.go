@@ -113,8 +113,8 @@ func testStoreMatchesDataModel(t *testing.T, tc codeRow) {
 		if err := s.Rebuild(replacement); err != nil {
 			t.Fatal(err)
 		}
-		if s.Failed() != -1 {
-			t.Fatalf("after rebuild of disk %d: Failed() = %d, want -1", f, s.Failed())
+		if got := s.FailedDisks(); len(got) != 0 {
+			t.Fatalf("after rebuild of disk %d: FailedDisks = %v, want []", f, got)
 		}
 		rebuilt := make([]byte, l.Size*unitSize)
 		if _, err := replacement.ReadAt(rebuilt, 0); err != nil && err != io.EOF {
@@ -363,8 +363,8 @@ func TestStoreValidation(t *testing.T) {
 		t.Error("undersized replacement accepted")
 	}
 	st := s.Stats()
-	if st.Failed != 1 || len(st.Disks) != 9 {
-		t.Errorf("Stats: failed %d disks %d", st.Failed, len(st.Disks))
+	if len(st.FailedDisks) != 1 || st.FailedDisks[0] != 1 || len(st.Disks) != 9 {
+		t.Errorf("Stats: failed %v disks %d", st.FailedDisks, len(st.Disks))
 	}
 }
 

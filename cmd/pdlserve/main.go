@@ -184,7 +184,7 @@ func serveAdmin(addr string, front *serve.Frontend, srv *serve.Server) (net.List
 			"codec":           s.Code().Name(),
 			"kernel":          code.Kernel(),
 			"parity_shards":   s.Code().ParityShards(),
-			"failed_disks":    st.FailedDisks,
+			"failed_disks":    append([]int{}, st.FailedDisks...), // [] when healthy, not null
 			"rebuilding":      st.Rebuilding,
 			"rebuilt_stripes": st.RebuiltStripes,
 			"rebuild_workers": st.RebuildWorkers,

@@ -75,12 +75,10 @@ func TestVecHotPathAllocs(t *testing.T) {
 	}
 }
 
-// TestMmapHotPathAllocs pins the acceptance criterion for the mmap
-// backend: a healthy Read or Write against MmapDisk disks is locks, a
-// plan lookup, and memory copies — 0 allocs/op, like MemDisk — and a
-// bulk WriteAt, a pwrite, allocates nothing either.
-func TestMmapHotPathAllocs(t *testing.T) {
-	const unitSize = 4096
+// backendStore builds a (17, 4) store of four layout copies over one
+// file-backed disk per disk, made by mk.
+func backendStore(t *testing.T, unitSize int, mk func(path string, size int64) (store.Backend, error)) (*store.Store, []store.Backend) {
+	t.Helper()
 	res, err := pdl.Build(17, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +87,7 @@ func TestMmapHotPathAllocs(t *testing.T) {
 	dir := t.TempDir()
 	backends := make([]store.Backend, res.Layout.V)
 	for d := range backends {
-		backends[d], err = store.CreateMmapDisk(filepath.Join(dir, fmt.Sprintf("disk%02d.dat", d)), int64(diskUnits)*unitSize)
+		backends[d], err = mk(filepath.Join(dir, fmt.Sprintf("disk%02d.dat", d)), int64(diskUnits)*int64(unitSize))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +96,42 @@ func TestMmapHotPathAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	t.Cleanup(func() { s.Close() })
+	return s, backends
+}
+
+// windowAllocs checks that a WriteAt of two windows of whole stripes —
+// one vectored write per disk per window — allocates nothing.
+func windowAllocs(t *testing.T, s *store.Store, name string) {
+	t.Helper()
+	units, err := s.Mapper().AppendStripeUnits(nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := len(units) - s.Mapper().ParityShards()
+	p := payload(make([]byte, 2*store.RebuildChunk*k*s.UnitSize()), 3)
+	if _, err := s.WriteAt(p, 0); err != nil { // warm the pooled window state
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := s.WriteAt(p, 0); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("two-window %s WriteAt allocates %v/op, want 0", name, n)
+	}
+}
+
+// TestMmapHotPathAllocs pins the acceptance criterion for the mmap
+// backend: a healthy Read or Write against MmapDisk disks is locks, a
+// plan lookup, and memory copies — 0 allocs/op, like MemDisk — and a
+// bulk WriteAt, a pwrite, and a two-window WriteAt, a pwritev per disk
+// per window, allocate nothing either.
+func TestMmapHotPathAllocs(t *testing.T) {
+	const unitSize = 4096
+	s, backends := backendStore(t, unitSize, func(path string, size int64) (store.Backend, error) {
+		return store.CreateMmapDisk(path, size)
+	})
 	src := make([]byte, unitSize)
 	dst := make([]byte, unitSize)
 	payload(src, 7)
@@ -136,6 +169,16 @@ func TestMmapHotPathAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("bulk MmapDisk.WriteAt allocates %v/op, want 0", n)
 	}
+	windowAllocs(t, s, "MmapDisk")
+}
+
+// TestFileWindowAllocs is TestMmapHotPathAllocs's two-window row on
+// FileDisk: a pwritev per disk per window allocates nothing.
+func TestFileWindowAllocs(t *testing.T) {
+	s, _ := backendStore(t, 4096, func(path string, size int64) (store.Backend, error) {
+		return store.CreateFileDisk(path, size)
+	})
+	windowAllocs(t, s, "FileDisk")
 }
 
 // TestRebuildAllocs pins that Rebuild streams its per-stripe plans

@@ -24,6 +24,11 @@ import (
 //   - A ReadAt sees every write that returned before it started, short
 //     or bulk alike, even where a backend writes the two differently.
 //   - Negative offsets are errors.
+//
+// A write of whole stripes reaches each disk as runs of units at
+// consecutive offsets. On Linux, FileDisk and MmapDisk take each run in
+// one vectored write; any other Backend, and every backend elsewhere,
+// gets one WriteAt per unit of it.
 type Backend interface {
 	io.ReaderAt
 	io.WriterAt
@@ -34,6 +39,28 @@ type Backend interface {
 	// Close releases the backend's resources. The Store's Close calls it
 	// on every disk.
 	Close() error
+}
+
+// vectorWriter is the in-tree file backends' vectored write: writev
+// writes bufs back to back from off, and like WriteAt never grows the
+// disk.
+type vectorWriter interface {
+	writev(bufs [][]byte, off int64) error
+}
+
+// writeRun writes bufs to b back to back from off: in one vectored write
+// where b has one, one WriteAt per buffer otherwise.
+func writeRun(b Backend, bufs [][]byte, off int64) error {
+	if v, ok := b.(vectorWriter); ok {
+		return v.writev(bufs, off)
+	}
+	for _, p := range bufs {
+		if _, err := b.WriteAt(p, off); err != nil {
+			return err
+		}
+		off += int64(len(p))
+	}
+	return nil
 }
 
 // MemDisk is a Backend over an in-memory byte slab: the fastest backend
@@ -116,7 +143,9 @@ func (d *MemDisk) Close() error {
 }
 
 // FileDisk is a Backend over an *os.File using positioned I/O
-// (ReadAt/WriteAt), so concurrent requests need no seek coordination.
+// (ReadAt/WriteAt), so concurrent requests need no seek coordination. A
+// Store writing whole stripes hands it each disk run as one pwritev(2)
+// on Linux, one pwrite per unit elsewhere.
 type FileDisk struct {
 	f    *os.File
 	size int64

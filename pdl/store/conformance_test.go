@@ -219,3 +219,36 @@ func TestMmapDiskPersists(t *testing.T) {
 		}
 	}
 }
+
+// TestFileDiskRunPast4GiB writes a vectored run 4 KiB past 4 GiB into a
+// sparse 5 GiB FileDisk: it must land there, not 4 GiB lower where an
+// offset cut to its low 32 bits would put it (CI runs it under
+// GOARCH=386 too). A run that would end past the disk fails and writes
+// nothing.
+func TestFileDiskRunPast4GiB(t *testing.T) {
+	const size, off = 5 << 30, 4<<30 + 4<<10
+	d, err := store.CreateFileDisk(filepath.Join(t.TempDir(), "disk.dat"), size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	bufs := [][]byte{payload(make([]byte, 4096), 1), payload(make([]byte, 100), 2), payload(make([]byte, 8192), 3)}
+	if err := store.WriteRun(d, bufs, off); err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Join(bufs, nil)
+	got := make([]byte, len(want))
+	if _, err := d.ReadAt(got, off); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("the run does not read back at %d (%v)", int64(off), err)
+	}
+	if _, err := d.ReadAt(got, off-4<<30); err != nil || !bytes.Equal(got, make([]byte, len(got))) {
+		t.Fatalf("bytes at %d are not zero (%v)", int64(off-4<<30), err)
+	}
+	var end int64 = size - 100
+	if err := store.WriteRun(d, bufs, end); err == nil {
+		t.Fatalf("a run of %d bytes at %d of a %d-byte disk did not fail", len(want), end, int64(size))
+	}
+	if _, err := d.ReadAt(got[:100], end); err != nil || !bytes.Equal(got[:100], make([]byte, 100)) {
+		t.Fatalf("a failed run wrote at %d (%v)", end, err)
+	}
+}

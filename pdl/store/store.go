@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,10 +50,17 @@ import (
 const maxLockStripes = 256
 
 const (
-	// rebuildChunk is how many consecutive stripes a rebuild worker claims
-	// at once: few enough that the workers finish together and foreground
-	// ops queue behind a chunk's locks only briefly, enough that the lost
-	// units of a chunk land on the replacement as one long write.
+	// rebuildChunk is how many consecutive stripes one hold of a chunk's
+	// locks covers: what a rebuild worker claims at once, and the longest
+	// window of whole stripes a WriteAt or WriteVec writes (see window).
+	// Few enough that rebuild workers finish together and foreground ops
+	// queue behind a chunk's locks only briefly; enough that each disk's
+	// units of a chunk land as one long write. On G17 a chunk is one run of
+	// 16 or 28 units per disk (64 or 112 KiB at 4 KiB units, past
+	// MmapDisk's bulkWrite). Written a window at a time, the 1 MiB chunks
+	// (64 XOR stripes each) that fill a fresh 32-copy G17 MmapDisk array
+	// took 0.058 s (median of 10 runs, 0.050–0.076) instead of 0.130 s
+	// (0.103–0.143) with a write per unit, on a 2-vCPU Xeon with ext4.
 	rebuildChunk = 64
 
 	// rebuildIdleWait is how long the store must go without a foreground
@@ -183,6 +191,22 @@ type scratch struct {
 	// run). Entries past len are zero, so a pooled scratch pins no caller
 	// buffer.
 	pieces []piece
+
+	// win holds a write window's units in stripe order, byDisk the same
+	// units bucketed by disk, and diskPos the bucketing's per-disk cursor
+	// (see window and writeWindowLocked). iov is one run's buffers, cleared
+	// after its write; slots holds the run's parity units.
+	win, byDisk []windowUnit
+	diskPos     []int
+	iov         [][]byte
+	slots       []byte
+}
+
+// windowUnit is one unit of a write window: its place on disk, its
+// stripe, and its shard of the stripe, whose k data pieces start at
+// pieces[first] of the window.
+type windowUnit struct {
+	disk, off, stripe, first, k, shard int
 }
 
 // piece is one unit's part of a request: bytes [within, within+len(buf))
@@ -347,11 +371,12 @@ func NewCode(mapper *pdl.Mapper, unitSize int, disks []Backend, c code.Code) (*S
 	}
 	s.pool.New = func() any {
 		sc := &scratch{
-			pln:  plan.NewPlanner(mapper),
-			a:    make([]byte, unitSize),
-			b:    make([]byte, unitSize),
-			coef: make([]byte, s.maxShards),
-			par:  make([][]byte, pm),
+			pln:     plan.NewPlanner(mapper),
+			a:       make([]byte, unitSize),
+			b:       make([]byte, unitSize),
+			coef:    make([]byte, s.maxShards),
+			par:     make([][]byte, pm),
+			diskPos: make([]int, mapper.Disks()+1),
 		}
 		for j := range sc.par {
 			sc.par[j] = make([]byte, unitSize)
@@ -477,17 +502,22 @@ func (s *Store) unlockAll() {
 // lockAll, another chunk holder, or a caller holding one lock.
 func (s *Store) chunkLocks(lo, hi int, unlock bool) {
 	first, last := lo&s.lockMask, (hi-1)&s.lockMask
-	if hi-lo >= len(s.locks) {
-		first, last = 0, s.lockMask
+	var ranges [2][]sync.RWMutex
+	switch {
+	case hi-lo >= len(s.locks):
+		ranges[0] = s.locks
+	case first <= last:
+		ranges[0] = s.locks[first : last+1]
+	default: // wrapped: the table's head comes first
+		ranges[0], ranges[1] = s.locks[:last+1], s.locks[first:]
 	}
-	for i := range s.locks {
-		if (first <= last && (i < first || i > last)) || (first > last && i > last && i < first) {
-			continue
-		}
-		if unlock {
-			s.locks[i].Unlock()
-		} else {
-			s.locks[i].Lock()
+	for _, r := range ranges {
+		for i := range r {
+			if unlock {
+				r[i].Unlock()
+			} else {
+				r[i].Lock()
+			}
 		}
 	}
 }
@@ -574,10 +604,15 @@ func (s *Store) ReadAt(p []byte, off int64) (int, error) {
 // WriteAt implements io.WriterAt over the logical byte space. Each
 // stripe's part of p is written under one hold of the stripe's lock, so
 // concurrent reads of that stripe see all of it or none of it; the
-// request as a whole is not atomic across stripes. A part covering every
-// data unit of its stripe takes the no-preread full-stripe path
-// (Condition 5); the rest are per-unit read-modify-writes. On an error
-// the count is the bytes of the units that finished.
+// request as a whole is not atomic across stripes. Parts covering every
+// data unit of their stripes take the no-preread full-stripe path
+// (Condition 5), up to rebuildChunk consecutive stripes at a time: such a
+// window holds all of its stripes' locks and writes each disk's units of
+// it with one vectored write per run of consecutive offsets. The other
+// parts are per-unit read-modify-writes. On an error the count is the
+// bytes of the windows and read-modify-write units that finished; a
+// window that fails counts none of its bytes, though some of its disks
+// may hold them.
 func (s *Store) WriteAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("store: WriteAt: negative offset %d", off)
@@ -601,9 +636,9 @@ func (s *Store) runUnit(logical int, buf []byte, write bool) error {
 	return err
 }
 
-// runSpan runs a byte-range request one stripe at a time: the pieces of
-// p that fall in one stripe's data span are one group. A read that runs
-// past Size stops there with io.EOF.
+// runSpan runs a byte-range request a window at a time: the pieces of p
+// in up to rebuildChunk consecutive stripes' data spans go to run
+// together. A read that runs past Size stops there with io.EOF.
 func (s *Store) runSpan(p []byte, off int64, write bool) (n int, err error) {
 	sc := s.pool.Get().(*scratch)
 	defer s.finish(sc, write, time.Now())
@@ -611,7 +646,7 @@ func (s *Store) runSpan(p []byte, off int64, write bool) (n int, err error) {
 		var done int
 		if off+int64(n) >= s.size {
 			err = io.EOF
-		} else if err = s.stripePieces(sc, p[n:], off+int64(n)); err == nil {
+		} else if err = s.spanPieces(sc, p[n:], off+int64(n)); err == nil {
 			done, err = s.run(sc, sc.pieces, write)
 		}
 		n += done
@@ -619,30 +654,33 @@ func (s *Store) runSpan(p []byte, off int64, write bool) (n int, err error) {
 	return n, err
 }
 
-// stripePieces sets sc.pieces to the pieces of p, placed at byte off, that
-// fall in the data span of the stripe holding off.
-func (s *Store) stripePieces(sc *scratch, p []byte, off int64) error {
+// spanPieces sets sc.pieces to the pieces of p, placed at byte off, that
+// fall in the data spans of the stripe holding off and of the stripes
+// after it, up to rebuildChunk stripes or the end of the store.
+func (s *Store) spanPieces(sc *scratch, p []byte, off int64) error {
 	logical := int(off / int64(s.unitSize))
 	within := int(off % int64(s.unitSize))
-	stripe, home, err := s.mapper.StripeOf(logical)
-	if err != nil {
-		return err
-	}
-	units, err := s.mapper.AppendStripeUnits(sc.units[:0], stripe)
-	sc.units = units[:0]
-	if err != nil {
-		return err
-	}
-	// A stripe's data units hold consecutive logical addresses in shard
-	// order, so the span ends k - shard units past the home unit.
-	end := logical - s.mapper.ShardAt(home) + len(units) - s.pm
 	clear(sc.pieces)
 	sc.pieces = sc.pieces[:0]
-	for ; logical < end && len(p) > 0; logical++ {
-		c := min(s.unitSize-within, len(p))
-		sc.pieces = append(sc.pieces, piece{stripe: stripe, logical: logical, within: within, buf: p[:c]})
-		p = p[c:]
-		within = 0
+	for w := 0; w < rebuildChunk && len(p) > 0 && logical < s.capacity; w++ {
+		stripe, home, err := s.mapper.StripeOf(logical)
+		if err != nil {
+			return err
+		}
+		units, err := s.mapper.AppendStripeUnits(sc.units[:0], stripe)
+		sc.units = units[:0]
+		if err != nil {
+			return err
+		}
+		// A stripe's data units hold consecutive logical addresses in shard
+		// order, so the span ends k - shard units past the home unit.
+		end := logical - s.mapper.ShardAt(home) + len(units) - s.pm
+		for ; logical < end && len(p) > 0; logical++ {
+			c := min(s.unitSize-within, len(p))
+			sc.pieces = append(sc.pieces, piece{stripe: stripe, logical: logical, within: within, buf: p[:c]})
+			p = p[c:]
+			within = 0
+		}
 	}
 	return nil
 }
@@ -662,13 +700,27 @@ func (s *Store) finish(sc *scratch, write bool, start time.Time) {
 
 // run executes one request's pieces, grouped by stripe, holding each
 // stripe's lock once for its whole group: shared for a read, exclusive
-// for a write. Every plan is compiled under that lock against
+// for a write. Consecutive write groups that each cover their whole
+// stripe are one window (see window), written under all of its locks,
+// taken with chunkLocks. Every plan is compiled under the lock against
 // failsFor(stripe), so a group sees one failure state and no other write
 // to the stripe lands inside it. It returns the bytes of the pieces that
 // completed.
 func (s *Store) run(sc *scratch, ps []piece, write bool) (int, error) {
 	n := 0
 	for len(ps) > 0 {
+		if w, g := s.window(sc, ps, write); w > 0 {
+			lo := ps[0].stripe
+			s.chunkLocks(lo, lo+w, false)
+			err := s.writeWindowLocked(sc, ps[:g])
+			s.chunkLocks(lo, lo+w, true)
+			if err != nil {
+				return n, err
+			}
+			n += g * s.unitSize
+			ps = ps[g:]
+			continue
+		}
 		g := 1
 		for g < len(ps) && ps[g].stripe == ps[0].stripe {
 			g++
@@ -692,6 +744,44 @@ func (s *Store) run(sc *scratch, ps []piece, write bool) (int, error) {
 		ps = ps[g:]
 	}
 	return n, nil
+}
+
+// window holds the store's one full-stripe check. It returns how many
+// stripes, and how many pieces, make up the write window ps starts with:
+// the groups of consecutive stripes from ps[0].stripe on, up to
+// rebuildChunk of them, that are each exactly their stripe's k whole
+// data units in order — k distinct, increasing addresses of a stripe are
+// its k data units in shard order. It leaves the window's units in
+// sc.win, and returns 0 stripes for a read or when the first group is
+// not whole.
+func (s *Store) window(sc *scratch, ps []piece, write bool) (stripes, pieces int) {
+	sc.win = sc.win[:0]
+	for write && stripes < rebuildChunk && pieces < len(ps) {
+		stripe := ps[pieces].stripe
+		end := pieces + 1
+		for end < len(ps) && ps[end].stripe == stripe {
+			end++
+		}
+		if stripe != ps[0].stripe+stripes || end-pieces < s.minData {
+			break
+		}
+		units, err := s.mapper.AppendStripeUnits(sc.units[:0], stripe)
+		sc.units = units[:0]
+		g := ps[pieces:end]
+		whole := err == nil && len(g) == len(units)-s.pm
+		for i := 0; whole && i < len(g); i++ {
+			whole = len(g[i].buf) == s.unitSize && (i == 0 || g[i].logical > g[i-1].logical)
+		}
+		if !whole {
+			break
+		}
+		for _, u := range units {
+			sc.win = append(sc.win, windowUnit{disk: u.Disk, off: u.Offset, stripe: stripe, first: pieces, k: len(g), shard: s.mapper.ShardAt(u)})
+		}
+		stripes++
+		pieces = end
+	}
+	return stripes, pieces
 }
 
 // failsFor returns the failed set a stripe's plans compile against: the
@@ -760,34 +850,12 @@ func (s *Store) execReadLocked(sc *scratch, within int, p []byte) error {
 	return nil
 }
 
-// writeGroupLocked writes one stripe's group of pieces; the caller holds
-// the stripe's write lock. It holds the store's one full-stripe check: a
-// group that is exactly the stripe's k whole data units, in order, is one
-// Condition 5 write with no pre-reads. Any other group is one
-// read-modify-write per piece, in order, so the last of duplicate writes
-// wins. It returns the bytes of the pieces written.
+// writeGroupLocked writes one stripe's group of pieces that does not
+// cover the stripe (see window) as one read-modify-write per piece, in
+// order, so the last of duplicate writes wins; the caller holds the
+// stripe's write lock. It returns the bytes of the pieces written.
 func (s *Store) writeGroupLocked(sc *scratch, g []piece) (int, error) {
-	stripe := g[0].stripe
-	if len(g) >= s.minData {
-		units, err := s.mapper.AppendStripeUnits(sc.units[:0], stripe)
-		sc.units = units[:0]
-		if err != nil {
-			return 0, err
-		}
-		// k distinct, increasing addresses of the stripe are its k data
-		// units in shard order.
-		whole := len(g) == len(units)-s.pm
-		for i := 0; whole && i < len(g); i++ {
-			whole = len(g[i].buf) == s.unitSize && (i == 0 || g[i].logical > g[i-1].logical)
-		}
-		if whole {
-			if err := s.writeStripeLocked(sc, stripe, units, g); err != nil {
-				return 0, err
-			}
-			return len(g) * s.unitSize, nil
-		}
-	}
-	fs := s.failsFor(stripe)
+	fs := s.failsFor(g[0].stripe)
 	n := 0
 	for i := range g {
 		pc := &g[i]
@@ -943,41 +1011,84 @@ func (s *Store) execWriteLocked(sc *scratch, within int, p []byte) error {
 	}
 }
 
-// writeStripeLocked writes one whole stripe with no pre-reads (the
-// Condition 5 large-write path): the new parity units are encoded from
-// the new data payloads alone. g[i].buf is the payload of data shard i;
-// units holds the stripe's units (parity included) and the caller holds
-// the stripe's write lock.
-func (s *Store) writeStripeLocked(sc *scratch, stripe int, units []layout.Unit, g []piece) error {
-	k := len(units) - s.pm
-	// Encode each parity from the new data: parity[j] = sum Coef(j,i) *
-	// g[i].buf. Under XOR this is the plain XOR of the payloads.
-	for j := 0; j < s.pm; j++ {
-		pj := sc.par[j][:s.unitSize]
-		clear(pj)
-		for i := 0; i < k; i++ {
-			code.MulAdd(pj, g[i].buf, s.codec.Coef(j, i))
-		}
+// writeWindowLocked writes a window of whole stripes with no pre-reads
+// (the Condition 5 large-write path): ps holds the window's pieces and
+// sc.win its units (see window), and the caller holds every stripe's
+// write lock. Each disk's units go out in runs of consecutive offsets,
+// one vectored write per run, so that a layout placing a disk's units of
+// consecutive stripes side by side costs about one write per disk per
+// window. A parity unit is encoded from its stripe's new data alone, into
+// the next of the run's slots, when its run is assembled. A unit on a
+// disk failsFor(stripe) has down is skipped: Rebuild reconstructs it from
+// the survivors written here. Stats still counts one write per unit.
+func (s *Store) writeWindowLocked(sc *scratch, ps []piece) error {
+	// Bucket the units by disk, keeping stripe order within each disk:
+	// afterwards disk d's units are byDisk[pos[d-1]:pos[d]].
+	pos := sc.diskPos
+	clear(pos)
+	for _, u := range sc.win {
+		pos[u.disk+1]++
 	}
-	fs := s.failsFor(stripe)
-	idx := 0
-	for _, u := range units {
-		var payload []byte
-		if sh := s.mapper.ShardAt(u); sh >= k {
-			payload = sc.par[sh-k][:s.unitSize]
-		} else {
-			payload = g[idx].buf
-			idx++
+	for d := 1; d < len(pos); d++ {
+		pos[d] += pos[d-1]
+	}
+	byDisk := slices.Grow(sc.byDisk[:0], len(sc.win))[:len(sc.win)]
+	sc.byDisk = byDisk
+	for _, u := range sc.win {
+		byDisk[pos[u.disk]] = u
+		pos[u.disk]++
+	}
+	// A run's parity units fit in slots for the most any disk holds.
+	most, from := 0, 0
+	for _, to := range pos[:len(pos)-1] {
+		n := 0
+		for _, u := range byDisk[from:to] {
+			if u.shard >= u.k {
+				n++
+			}
 		}
-		// A unit on a failed disk is simply skipped: Rebuild reconstructs
-		// it from the survivors just written.
-		if fs.has(u.Disk) {
+		most, from = max(most, n), to
+	}
+	if len(sc.slots) < most*s.unitSize {
+		sc.slots = make([]byte, most*s.unitSize)
+	}
+	for i := 0; i < len(byDisk); {
+		d, off := byDisk[i].disk, byDisk[i].off
+		j := i
+		for j < len(byDisk) && byDisk[j].disk == d && byDisk[j].off == off+j-i && !s.failsFor(byDisk[j].stripe).has(d) {
+			j++
+		}
+		if j == i { // a unit on a failed disk
+			i++
 			continue
 		}
-		if _, err := s.disks[u.Disk].WriteAt(payload, s.byteOff(u, 0)); err != nil {
-			return fmt.Errorf("store: full-stripe write disk %d: %w", u.Disk, err)
+		iov, slots := sc.iov[:0], sc.slots
+		for _, u := range byDisk[i:j] {
+			data := ps[u.first : u.first+u.k]
+			if u.shard < u.k {
+				iov = append(iov, data[u.shard].buf)
+				continue
+			}
+			// Parity j is sum Coef(j, i) * data[i]: under XOR the plain XOR
+			// of the payloads.
+			pj := slots[:s.unitSize]
+			slots = slots[s.unitSize:]
+			clear(pj)
+			for i := range data {
+				code.MulAdd(pj, data[i].buf, s.codec.Coef(u.shard-u.k, i))
+			}
+			iov = append(iov, pj)
 		}
-		s.noteIO(u.Disk, true, false, len(payload))
+		err := writeRun(s.disks[d], iov, int64(off)*int64(s.unitSize))
+		clear(iov)
+		sc.iov = iov[:0]
+		if err != nil {
+			return fmt.Errorf("store: full-stripe write disk %d: %w", d, err)
+		}
+		for range j - i {
+			s.noteIO(d, true, false, s.unitSize)
+		}
+		i = j
 	}
 	return nil
 }

@@ -191,11 +191,16 @@ type scratch struct {
 	// run). Entries past len are zero, so a pooled scratch pins no caller
 	// buffer.
 	pieces []piece
+}
 
-	// win holds a write window's units in stripe order, byDisk the same
-	// units bucketed by disk, and diskPos the bucketing's per-disk cursor
-	// (see window and writeWindowLocked). iov is one run's buffers, cleared
-	// after its write; slots holds the run's parity units.
+// windowState is a write window's working set, pooled apart from
+// scratch so that only window writers hold one: the unit reads and
+// writes that recycle a scratch do not keep it alive. win holds the
+// window's units in stripe order, byDisk the same units bucketed by
+// disk, and diskPos the bucketing's per-disk cursor (see window and
+// writeWindowLocked). iov is one run's buffers, cleared after its write;
+// slots holds the run's parity units.
+type windowState struct {
 	win, byDisk []windowUnit
 	diskPos     []int
 	iov         [][]byte
@@ -280,8 +285,9 @@ type Store struct {
 	// opHist records per-operation wall latency of the public I/O entry
 	// points (Read/ReadAt/ReadVec and Write/WriteAt/WriteVec), indexed by
 	// histRead/histWrite: a single lock-free histogram record per op.
-	opHist [2]obs.Hist
-	pool   sync.Pool
+	opHist  [2]obs.Hist
+	pool    sync.Pool
+	windows sync.Pool // *windowState
 }
 
 // opHist indexes.
@@ -371,18 +377,18 @@ func NewCode(mapper *pdl.Mapper, unitSize int, disks []Backend, c code.Code) (*S
 	}
 	s.pool.New = func() any {
 		sc := &scratch{
-			pln:     plan.NewPlanner(mapper),
-			a:       make([]byte, unitSize),
-			b:       make([]byte, unitSize),
-			coef:    make([]byte, s.maxShards),
-			par:     make([][]byte, pm),
-			diskPos: make([]int, mapper.Disks()+1),
+			pln:  plan.NewPlanner(mapper),
+			a:    make([]byte, unitSize),
+			b:    make([]byte, unitSize),
+			coef: make([]byte, s.maxShards),
+			par:  make([][]byte, pm),
 		}
 		for j := range sc.par {
 			sc.par[j] = make([]byte, unitSize)
 		}
 		return sc
 	}
+	s.windows.New = func() any { return &windowState{diskPos: make([]int, mapper.Disks()+1)} }
 	return s, nil
 }
 
@@ -709,11 +715,12 @@ func (s *Store) finish(sc *scratch, write bool, start time.Time) {
 func (s *Store) run(sc *scratch, ps []piece, write bool) (int, error) {
 	n := 0
 	for len(ps) > 0 {
-		if w, g := s.window(sc, ps, write); w > 0 {
+		if ws, w, g := s.window(sc, ps, write); w > 0 {
 			lo := ps[0].stripe
 			s.chunkLocks(lo, lo+w, false)
-			err := s.writeWindowLocked(sc, ps[:g])
+			err := s.writeWindowLocked(ws, ps[:g])
 			s.chunkLocks(lo, lo+w, true)
+			s.windows.Put(ws)
 			if err != nil {
 				return n, err
 			}
@@ -751,11 +758,10 @@ func (s *Store) run(sc *scratch, ps []piece, write bool) (int, error) {
 // the groups of consecutive stripes from ps[0].stripe on, up to
 // rebuildChunk of them, that are each exactly their stripe's k whole
 // data units in order — k distinct, increasing addresses of a stripe are
-// its k data units in shard order. It leaves the window's units in
-// sc.win, and returns 0 stripes for a read or when the first group is
-// not whole.
-func (s *Store) window(sc *scratch, ps []piece, write bool) (stripes, pieces int) {
-	sc.win = sc.win[:0]
+// its k data units in shard order. It returns 0 stripes for a read or
+// when the first group is not whole, and otherwise a pooled windowState
+// whose win lists the window's units.
+func (s *Store) window(sc *scratch, ps []piece, write bool) (ws *windowState, stripes, pieces int) {
 	for write && stripes < rebuildChunk && pieces < len(ps) {
 		stripe := ps[pieces].stripe
 		end := pieces + 1
@@ -775,13 +781,17 @@ func (s *Store) window(sc *scratch, ps []piece, write bool) (stripes, pieces int
 		if !whole {
 			break
 		}
+		if ws == nil {
+			ws = s.windows.Get().(*windowState)
+			ws.win = ws.win[:0]
+		}
 		for _, u := range units {
-			sc.win = append(sc.win, windowUnit{disk: u.Disk, off: u.Offset, stripe: stripe, first: pieces, k: len(g), shard: s.mapper.ShardAt(u)})
+			ws.win = append(ws.win, windowUnit{disk: u.Disk, off: u.Offset, stripe: stripe, first: pieces, k: len(g), shard: s.mapper.ShardAt(u)})
 		}
 		stripes++
 		pieces = end
 	}
-	return stripes, pieces
+	return ws, stripes, pieces
 }
 
 // failsFor returns the failed set a stripe's plans compile against: the
@@ -1013,7 +1023,7 @@ func (s *Store) execWriteLocked(sc *scratch, within int, p []byte) error {
 
 // writeWindowLocked writes a window of whole stripes with no pre-reads
 // (the Condition 5 large-write path): ps holds the window's pieces and
-// sc.win its units (see window), and the caller holds every stripe's
+// ws.win its units (see window), and the caller holds every stripe's
 // write lock. Each disk's units go out in runs of consecutive offsets,
 // one vectored write per run, so that a layout placing a disk's units of
 // consecutive stripes side by side costs about one write per disk per
@@ -1021,20 +1031,20 @@ func (s *Store) execWriteLocked(sc *scratch, within int, p []byte) error {
 // the next of the run's slots, when its run is assembled. A unit on a
 // disk failsFor(stripe) has down is skipped: Rebuild reconstructs it from
 // the survivors written here. Stats still counts one write per unit.
-func (s *Store) writeWindowLocked(sc *scratch, ps []piece) error {
+func (s *Store) writeWindowLocked(ws *windowState, ps []piece) error {
 	// Bucket the units by disk, keeping stripe order within each disk:
 	// afterwards disk d's units are byDisk[pos[d-1]:pos[d]].
-	pos := sc.diskPos
+	pos := ws.diskPos
 	clear(pos)
-	for _, u := range sc.win {
+	for _, u := range ws.win {
 		pos[u.disk+1]++
 	}
 	for d := 1; d < len(pos); d++ {
 		pos[d] += pos[d-1]
 	}
-	byDisk := slices.Grow(sc.byDisk[:0], len(sc.win))[:len(sc.win)]
-	sc.byDisk = byDisk
-	for _, u := range sc.win {
+	byDisk := slices.Grow(ws.byDisk[:0], len(ws.win))[:len(ws.win)]
+	ws.byDisk = byDisk
+	for _, u := range ws.win {
 		byDisk[pos[u.disk]] = u
 		pos[u.disk]++
 	}
@@ -1049,8 +1059,8 @@ func (s *Store) writeWindowLocked(sc *scratch, ps []piece) error {
 		}
 		most, from = max(most, n), to
 	}
-	if len(sc.slots) < most*s.unitSize {
-		sc.slots = make([]byte, most*s.unitSize)
+	if len(ws.slots) < most*s.unitSize {
+		ws.slots = make([]byte, most*s.unitSize)
 	}
 	for i := 0; i < len(byDisk); {
 		d, off := byDisk[i].disk, byDisk[i].off
@@ -1062,7 +1072,7 @@ func (s *Store) writeWindowLocked(sc *scratch, ps []piece) error {
 			i++
 			continue
 		}
-		iov, slots := sc.iov[:0], sc.slots
+		iov, slots := ws.iov[:0], ws.slots
 		for _, u := range byDisk[i:j] {
 			data := ps[u.first : u.first+u.k]
 			if u.shard < u.k {
@@ -1081,7 +1091,7 @@ func (s *Store) writeWindowLocked(sc *scratch, ps []piece) error {
 		}
 		err := writeRun(s.disks[d], iov, int64(off)*int64(s.unitSize))
 		clear(iov)
-		sc.iov = iov[:0]
+		ws.iov = iov[:0]
 		if err != nil {
 			return fmt.Errorf("store: full-stripe write disk %d: %w", d, err)
 		}

@@ -25,10 +25,11 @@ import (
 //     or bulk alike, even where a backend writes the two differently.
 //   - Negative offsets are errors.
 //
-// A write of whole stripes reaches each disk as runs of units at
-// consecutive offsets. On Linux, FileDisk and MmapDisk take each run in
-// one vectored write; any other Backend, and every backend elsewhere,
-// gets one WriteAt per unit of it.
+// A write of whole stripes reaches each disk, and a rebuild its
+// replacement, as runs of units at consecutive offsets. On Linux, FileDisk
+// and MmapDisk take each run in one vectored write; any other Backend, and
+// every backend elsewhere, gets one WriteAt per buffer of it, where units
+// adjacent in memory are one buffer (a rebuild's run is always one).
 type Backend interface {
 	io.ReaderAt
 	io.WriterAt
@@ -49,8 +50,24 @@ type vectorWriter interface {
 }
 
 // writeRun writes bufs to b back to back from off: in one vectored write
-// where b has one, one WriteAt per buffer otherwise.
+// where b has one, one WriteAt per buffer otherwise. It first merges, in
+// bufs itself, each buffer that starts where the one before it ends in
+// memory, within that one's capacity, so a run packed in one array goes
+// out as one buffer.
 func writeRun(b Backend, bufs [][]byte, off int64) error {
+	n := 0
+	for _, p := range bufs {
+		if n > 0 {
+			q := bufs[n-1]
+			if len(p) == 0 || cap(q)-len(q) >= len(p) && &q[:len(q)+1][len(q)] == &p[0] {
+				bufs[n-1] = q[:len(q)+len(p)]
+				continue
+			}
+		}
+		bufs[n] = p
+		n++
+	}
+	bufs = bufs[:n]
 	if v, ok := b.(vectorWriter); ok {
 		return v.writev(bufs, off)
 	}
@@ -145,7 +162,7 @@ func (d *MemDisk) Close() error {
 // FileDisk is a Backend over an *os.File using positioned I/O
 // (ReadAt/WriteAt), so concurrent requests need no seek coordination. A
 // Store writing whole stripes hands it each disk run as one pwritev(2)
-// on Linux, one pwrite per unit elsewhere.
+// on Linux, one pwrite per buffer elsewhere (see Backend).
 type FileDisk struct {
 	f    *os.File
 	size int64

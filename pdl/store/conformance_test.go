@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -250,5 +251,44 @@ func TestFileDiskRunPast4GiB(t *testing.T) {
 	}
 	if _, err := d.ReadAt(got[:100], end); err != nil || !bytes.Equal(got[:100], make([]byte, 100)) {
 		t.Fatalf("a failed run wrote at %d (%v)", end, err)
+	}
+}
+
+// TestWriteRunMergesAdjacentBuffers pins writeRun's merge: buffers that
+// follow one another in one array, within the first one's capacity, reach
+// a WriteAt-only backend as one WriteAt; buffers with a gap between them,
+// or a capacity that stops short of the next one's end, as one each. The disk's bytes
+// are the buffers back to back either way.
+func TestWriteRunMergesAdjacentBuffers(t *testing.T) {
+	const off = 96
+	arr := payload(make([]byte, 4*64), 5)
+	for _, tc := range []struct {
+		name   string
+		bufs   [][]byte
+		writes int64
+	}{
+		{"adjacent", [][]byte{arr[:64], arr[64:128], arr[128:192]}, 1},
+		{"gap", [][]byte{arr[:64], arr[128:192]}, 2},
+		{"capped", [][]byte{arr[:64:64], arr[64:128]}, 2},
+		{"capped inside the next", [][]byte{arr[:64:96], arr[64:128]}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := bytes.Join(tc.bufs, nil)
+			var writes atomic.Int64
+			d := store.NewMemDisk(512)
+			if err := store.WriteRun(countingDisk{d, &writes}, tc.bufs, off); err != nil {
+				t.Fatal(err)
+			}
+			if n := writes.Load(); n != tc.writes {
+				t.Errorf("%d WriteAt calls, want %d", n, tc.writes)
+			}
+			got := make([]byte, 512)
+			if _, err := d.ReadAt(got, 0); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got[off:off+len(want)], want) || !bytes.Equal(got[:off], make([]byte, off)) || !bytes.Equal(got[off+len(want):], make([]byte, 512-off-len(want))) {
+				t.Fatal("the disk does not hold the buffers back to back at the run's offset and nothing else")
+			}
+		})
 	}
 }

@@ -22,8 +22,9 @@ const RebuildIdleWait = rebuildIdleWait
 // memory in /proc/self/maps and /proc/self/smaps.
 func SlabAddr(d *MemDisk) uintptr { return uintptr(unsafe.Pointer(unsafe.SliceData(d.b))) }
 
-// WriteRun writes bufs to b back to back from off, as a full-stripe
-// window writes one disk's run: in one vectored write where b has one.
+// WriteRun writes bufs to b back to back from off, as a window writes
+// one disk's run: buffers adjacent in memory merged, then in one
+// vectored write where b has one.
 func WriteRun(b Backend, bufs [][]byte, off int64) error { return writeRun(b, bufs, off) }
 
 // VecDisk gives a Backend the vectored write FileDisk and MmapDisk have

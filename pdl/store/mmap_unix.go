@@ -13,9 +13,9 @@ import (
 // writes are plain memory copies against the shared mapping (no syscalls
 // on the hot path, zero allocations), and the kernel's page cache carries
 // the bytes back to the file. A write longer than bulkWrite — in the
-// Store, a rebuild's runs and a full-stripe window's run on one disk —
-// goes through the file descriptor (pwrite, or pwritev for a window's
-// run on Linux) instead: a rebuild writes a disk Fail truncated, and
+// Store, a window's run on one disk, a rebuild's runs included — goes
+// through the file descriptor (pwrite, or pwritev for a run on Linux)
+// instead: a rebuild writes a disk Fail truncated, and
 // filling a fresh array writes a file of holes, where a copy would take
 // a page fault per page. Linux and macOS
 // share one page cache between the mapping and the file, so reads

@@ -299,6 +299,102 @@ func TestRebuildReadErrorLeavesStoreDegraded(t *testing.T) {
 	checkReads("rebuilt")
 }
 
+// errInjectedWrite is what a failingWriteDisk past its first write returns.
+var errInjectedWrite = errors.New("injected write fault")
+
+// failingWriteDisk lets its first WriteAt through and fails every later
+// one, writing nothing.
+type failingWriteDisk struct {
+	store.Backend
+	writes *atomic.Int64
+}
+
+func (d failingWriteDisk) WriteAt(p []byte, off int64) (int, error) {
+	if d.writes.Add(1) > 1 {
+		return 0, errInjectedWrite
+	}
+	return d.Backend.WriteAt(p, off)
+}
+
+// TestRebuildWriteErrorLeavesStoreDegraded is the write side of the
+// fan-out's error path: a replacement whose second write fails — one
+// WriteAt per run, or one vectored write per run — makes Rebuild return
+// that error, and the store is exactly as degraded as before: the old
+// backend back in the target's slot, the same failed set, reads still
+// right, though the replacement's first run landed and marked its
+// stripes rebuilt. A second Rebuild onto a good disk then succeeds.
+func TestRebuildWriteErrorLeavesStoreDegraded(t *testing.T) {
+	const unitSize, copies, target = 32, 8, 3
+	setProcs(t, 4)
+	res, err := pdl.Build(17, 5, pdl.WithParityShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	diskBytes := int64(copies*res.Layout.Size) * unitSize
+	for _, tc := range []struct {
+		name    string
+		want    error
+		replace func() store.Backend
+	}{
+		{"WriteAt", errInjectedWrite, func() store.Backend {
+			return failingWriteDisk{store.NewMemDisk(diskBytes), new(atomic.Int64)}
+		}},
+		{"VecDisk", store.ErrVecDisk, func() store.Backend {
+			return &store.VecDisk{Backend: store.NewMemDisk(diskBytes), FailAfter: 1}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := store.Open(res, copies*res.Layout.Size, unitSize, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mirror := payload(make([]byte, s.Size()), 13)
+			if _, err := s.WriteAt(mirror, 0); err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range []int{target, 9} {
+				if err := s.Fail(d); err != nil {
+					t.Fatal(err)
+				}
+			}
+			checkReads := func(tag string) {
+				t.Helper()
+				got := make([]byte, len(mirror))
+				if _, err := s.ReadAt(got, 0); err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				if !bytes.Equal(got, mirror) {
+					t.Fatalf("%s: store diverges from mirror", tag)
+				}
+			}
+
+			old := s.DiskBackend(target)
+			if err := s.Rebuild(tc.replace()); !errors.Is(err, tc.want) {
+				t.Fatalf("Rebuild onto a replacement failing its second write returned %v, want %v", err, tc.want)
+			}
+			if s.DiskBackend(target) != old {
+				t.Fatalf("after the failed Rebuild, disk %d is not served by its old backend", target)
+			}
+			st := s.Stats()
+			if !slices.Equal(st.FailedDisks, []int{target, 9}) || st.Rebuilding || st.RebuiltStripes != 0 {
+				t.Fatalf("after the failed Rebuild: %+v", st)
+			}
+			checkReads("after the failed Rebuild")
+
+			if err := s.Rebuild(store.NewMemDisk(diskBytes)); err != nil {
+				t.Fatal(err)
+			}
+			if failed := s.FailedDisks(); !slices.Equal(failed, []int{9}) {
+				t.Fatalf("FailedDisks() = %v after the second Rebuild, want [9]", failed)
+			}
+			if err := s.VerifyParity(); err != nil {
+				t.Fatal(err)
+			}
+			checkReads("rebuilt")
+		})
+	}
+}
+
 // heldDisk lets its first WriteAt through and holds every later one until
 // open is closed, closing holding when the second arrives: a one-worker
 // rebuild onto it stops with its first chunk on the replacement and the
@@ -592,7 +688,9 @@ func (d countingDisk) WriteAt(p []byte, off int64) (int, error) {
 // one per unit — on G17 at most one write per eight disk units, for XOR,
 // Reed–Solomon at one parity shard and at two (with a second disk down),
 // on one layout copy and on eight — and the replacement's bytes equal
-// pdl/layout's Data model, one model per copy.
+// pdl/layout's Data model, one model per copy. The _vec rows rebuild onto
+// a VecDisk: at most as many vectored writes, each reaching the disk
+// below as one WriteAt, since a run's units are packed in one buffer.
 func TestRebuildWritesRuns(t *testing.T) {
 	const unitSize, target = 32, 2
 	setProcs(t, 4)
@@ -601,8 +699,12 @@ func TestRebuildWritesRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range []code.Code{code.Default(1), rs1, code.Default(2)} {
-		for _, copies := range []int{1, 8} {
-			t.Run(fmt.Sprintf("%s_m%d_copies%d", c.Name(), c.ParityShards(), copies), func(t *testing.T) {
+		for _, row := range []struct {
+			copies int
+			vec    string
+		}{{1, ""}, {8, ""}, {1, "_vec"}, {8, "_vec"}} {
+			copies := row.copies
+			t.Run(fmt.Sprintf("%s_m%d_copies%d%s", c.Name(), c.ParityShards(), copies, row.vec), func(t *testing.T) {
 				res, err := pdl.Build(17, 5, pdl.WithParityShards(c.ParityShards()))
 				if err != nil {
 					t.Fatal(err)
@@ -649,12 +751,21 @@ func TestRebuildWritesRuns(t *testing.T) {
 				before := s.Stats().Disks[target].Writes
 				var writes atomic.Int64
 				replacement := store.NewMemDisk(int64(diskUnits) * unitSize)
-				if err := s.Rebuild(countingDisk{replacement, &writes}); err != nil {
+				var onto store.Backend = countingDisk{replacement, &writes}
+				calls := &writes
+				if row.vec != "" {
+					vd := &store.VecDisk{Backend: onto}
+					onto, calls = vd, &vd.Calls
+				}
+				if err := s.Rebuild(onto); err != nil {
 					t.Fatal(err)
 				}
-				t.Logf("%d WriteAt calls for %d units", writes.Load(), diskUnits)
-				if n := writes.Load(); n > int64(diskUnits/8) {
-					t.Errorf("replacement took %d WriteAt calls for %d units, want <= %d", n, diskUnits, diskUnits/8)
+				t.Logf("%d write calls for %d units", calls.Load(), diskUnits)
+				if n := calls.Load(); n > int64(diskUnits/8) {
+					t.Errorf("replacement took %d write calls for %d units, want <= %d", n, diskUnits, diskUnits/8)
+				}
+				if n := writes.Load(); n != calls.Load() {
+					t.Errorf("%d vectored writes reached the disk as %d WriteAt calls, want one each", calls.Load(), n)
 				}
 				got := make([]byte, replacement.Size())
 				if _, err := replacement.ReadAt(got, 0); err != nil && err != io.EOF {

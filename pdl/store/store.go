@@ -51,8 +51,9 @@ const maxLockStripes = 256
 
 const (
 	// rebuildChunk is how many consecutive stripes one hold of a chunk's
-	// locks covers: what a rebuild worker claims at once, and the longest
-	// window of whole stripes a WriteAt or WriteVec writes (see window).
+	// locks covers: what a rebuild worker claims and writes as one window,
+	// and the longest window of whole stripes a WriteAt or WriteVec writes
+	// (see window).
 	// Few enough that rebuild workers finish together and foreground ops
 	// queue behind a chunk's locks only briefly; enough that each disk's
 	// units of a chunk land as one long write. On G17 a chunk is one run of
@@ -198,8 +199,10 @@ type scratch struct {
 // writes that recycle a scratch do not keep it alive. win holds the
 // window's units in stripe order, byDisk the same units bucketed by
 // disk, and diskPos the bucketing's per-disk cursor (see window and
-// writeWindowLocked). iov is one run's buffers, cleared after its write;
-// slots holds the run's parity units.
+// writeWindowLocked). iov is one run's buffers, cleared after its write.
+// slots holds the run's parity units, or, for a rebuild worker, which
+// keeps one windowState for its whole life, its chunk's lost units,
+// reconstructed and packed in stripe order (see rebuildStripes).
 type windowState struct {
 	win, byDisk []windowUnit
 	diskPos     []int
@@ -208,10 +211,14 @@ type windowState struct {
 }
 
 // windowUnit is one unit of a write window: its place on disk, its
-// stripe, and its shard of the stripe, whose k data pieces start at
-// pieces[first] of the window.
+// stripe, and its bytes. A unit listed without bytes is a parity unit,
+// encoded from its stripe's k data pieces, which start at pieces[first]
+// of the window, and it is shard shard of the stripe. A rebuild unit is
+// a lost unit whose stripe is marked rebuilt once its run has landed.
 type windowUnit struct {
 	disk, off, stripe, first, k, shard int
+	buf                                []byte
+	rebuild                            bool
 }
 
 // piece is one unit's part of a request: bytes [within, within+len(buf))
@@ -220,15 +227,6 @@ type windowUnit struct {
 type piece struct {
 	stripe, logical, within int
 	buf                     []byte
-}
-
-// rebuildBuf is one rebuild worker's chunk: the lost units of the chunk's
-// crossing stripes, reconstructed and packed in stripe order, with each
-// unit's stripe and offset on the rebuilt disk.
-type rebuildBuf struct {
-	data    []byte
-	stripes []int
-	offs    []int
 }
 
 // Store serves reads and writes against real bytes under a
@@ -277,9 +275,6 @@ type Store struct {
 	// (see failsFor).
 	rebuiltFails *failSet
 	rebuilt      []bool
-	// rebuildBufs holds one chunk buffer per rebuild worker index, grown
-	// by the first Rebuild that runs that many workers and reused after.
-	rebuildBufs []*rebuildBuf
 
 	counters []diskCounters
 	// opHist records per-operation wall latency of the public I/O entry
@@ -708,18 +703,23 @@ func (s *Store) finish(sc *scratch, write bool, start time.Time) {
 // stripe's lock once for its whole group: shared for a read, exclusive
 // for a write. Consecutive write groups that each cover their whole
 // stripe are one window (see window), written under all of its locks,
-// taken with chunkLocks. Every plan is compiled under the lock against
-// failsFor(stripe), so a group sees one failure state and no other write
-// to the stripe lands inside it. It returns the bytes of the pieces that
-// completed.
+// taken with chunkLocks, less its units on disks down. Every plan is
+// compiled under the lock against failsFor(stripe), so a group sees one
+// failure state and no other write to the stripe lands inside it. It
+// returns the bytes of the pieces that completed.
 func (s *Store) run(sc *scratch, ps []piece, write bool) (int, error) {
 	n := 0
 	for len(ps) > 0 {
 		if ws, w, g := s.window(sc, ps, write); w > 0 {
 			lo := ps[0].stripe
 			s.chunkLocks(lo, lo+w, false)
+			// A unit on a disk its stripe has down is left out: Rebuild
+			// reconstructs it from the survivors written here.
+			ws.win = slices.DeleteFunc(ws.win, func(u windowUnit) bool { return s.failsFor(u.stripe).has(u.disk) })
 			err := s.writeWindowLocked(ws, ps[:g])
 			s.chunkLocks(lo, lo+w, true)
+			clear(ws.win) // drop the caller's buffers before pooling
+			clear(ws.byDisk)
 			s.windows.Put(ws)
 			if err != nil {
 				return n, err
@@ -786,7 +786,11 @@ func (s *Store) window(sc *scratch, ps []piece, write bool) (ws *windowState, st
 			ws.win = ws.win[:0]
 		}
 		for _, u := range units {
-			ws.win = append(ws.win, windowUnit{disk: u.Disk, off: u.Offset, stripe: stripe, first: pieces, k: len(g), shard: s.mapper.ShardAt(u)})
+			wu := windowUnit{disk: u.Disk, off: u.Offset, stripe: stripe, first: pieces, k: len(g), shard: s.mapper.ShardAt(u)}
+			if wu.shard < wu.k {
+				wu.buf = g[wu.shard].buf
+			}
+			ws.win = append(ws.win, wu)
 		}
 		stripes++
 		pieces = end
@@ -1021,16 +1025,17 @@ func (s *Store) execWriteLocked(sc *scratch, within int, p []byte) error {
 	}
 }
 
-// writeWindowLocked writes a window of whole stripes with no pre-reads
-// (the Condition 5 large-write path): ps holds the window's pieces and
-// ws.win its units (see window), and the caller holds every stripe's
-// write lock. Each disk's units go out in runs of consecutive offsets,
-// one vectored write per run, so that a layout placing a disk's units of
-// consecutive stripes side by side costs about one write per disk per
-// window. A parity unit is encoded from its stripe's new data alone, into
-// the next of the run's slots, when its run is assembled. A unit on a
-// disk failsFor(stripe) has down is skipped: Rebuild reconstructs it from
-// the survivors written here. Stats still counts one write per unit.
+// writeWindowLocked writes the units ws.win lists, and the caller holds
+// every one of their stripes' write locks: a window of whole stripes
+// with no pre-reads (the Condition 5 large-write path; ps holds its
+// pieces, see window), or a rebuild chunk's lost units (ps nil, see
+// rebuildStripes). Each disk's units go out in runs of consecutive
+// offsets, one vectored write per run, so that a layout placing a disk's
+// units of consecutive stripes side by side costs about one write per
+// disk per window. A parity unit is encoded from its stripe's new data
+// alone, into the next of the run's slots, when its run is assembled.
+// Stats still counts one write per unit, a rebuild unit's as degraded,
+// and a rebuild unit's stripe is marked rebuilt once its run has landed.
 func (s *Store) writeWindowLocked(ws *windowState, ps []piece) error {
 	// Bucket the units by disk, keeping stripe order within each disk:
 	// afterwards disk d's units are byDisk[pos[d-1]:pos[d]].
@@ -1053,7 +1058,7 @@ func (s *Store) writeWindowLocked(ws *windowState, ps []piece) error {
 	for _, to := range pos[:len(pos)-1] {
 		n := 0
 		for _, u := range byDisk[from:to] {
-			if u.shard >= u.k {
+			if u.buf == nil {
 				n++
 			}
 		}
@@ -1064,19 +1069,14 @@ func (s *Store) writeWindowLocked(ws *windowState, ps []piece) error {
 	}
 	for i := 0; i < len(byDisk); {
 		d, off := byDisk[i].disk, byDisk[i].off
-		j := i
-		for j < len(byDisk) && byDisk[j].disk == d && byDisk[j].off == off+j-i && !s.failsFor(byDisk[j].stripe).has(d) {
+		j := i + 1
+		for j < len(byDisk) && byDisk[j].disk == d && byDisk[j].off == off+j-i {
 			j++
-		}
-		if j == i { // a unit on a failed disk
-			i++
-			continue
 		}
 		iov, slots := ws.iov[:0], ws.slots
 		for _, u := range byDisk[i:j] {
-			data := ps[u.first : u.first+u.k]
-			if u.shard < u.k {
-				iov = append(iov, data[u.shard].buf)
+			if u.buf != nil {
+				iov = append(iov, u.buf)
 				continue
 			}
 			// Parity j is sum Coef(j, i) * data[i]: under XOR the plain XOR
@@ -1084,8 +1084,8 @@ func (s *Store) writeWindowLocked(ws *windowState, ps []piece) error {
 			pj := slots[:s.unitSize]
 			slots = slots[s.unitSize:]
 			clear(pj)
-			for i := range data {
-				code.MulAdd(pj, data[i].buf, s.codec.Coef(u.shard-u.k, i))
+			for i, pc := range ps[u.first : u.first+u.k] {
+				code.MulAdd(pj, pc.buf, s.codec.Coef(u.shard-u.k, i))
 			}
 			iov = append(iov, pj)
 		}
@@ -1093,10 +1093,14 @@ func (s *Store) writeWindowLocked(ws *windowState, ps []piece) error {
 		clear(iov)
 		ws.iov = iov[:0]
 		if err != nil {
-			return fmt.Errorf("store: full-stripe write disk %d: %w", d, err)
+			return fmt.Errorf("store: window write disk %d: %w", d, err)
 		}
-		for range j - i {
-			s.noteIO(d, true, false, s.unitSize)
+		for _, u := range byDisk[i:j] {
+			s.noteIO(d, true, u.rebuild, s.unitSize)
+			if u.rebuild {
+				s.rebuilt[u.stripe] = true
+				s.rebuiltStripes.Add(1)
+			}
 		}
 		i = j
 	}
@@ -1121,18 +1125,19 @@ func (s *Store) writeWindowLocked(ws *windowState, ps []piece) error {
 // surviving disks) workers claim chunks of rebuildChunk consecutive
 // stripes. A worker write-locks its chunk's stripes in ascending lock
 // index (see chunkLocks), reconstructs every stripe crossing the lost
-// disk into its own chunk buffer, writes the buffer to the replacement
-// with one WriteAt per run of consecutive disk offsets — on a declustered
-// layout about one per chunk, where a write per unit would cost the
-// replacement a syscall per unit — and only then marks those stripes
-// rebuilt and unlocks. Stats still counts one write per unit. Rebuild is
-// background work, though, so all but the first worker run only while the
-// store is foreground-idle: one that sees a public read or write complete
-// stands down until rebuildIdleWait passes without another, and under
-// steady load the rebuild proceeds on the caller's goroutine alone
-// (Stats.RebuildWorkers says how wide it is running). Any worker's error
-// stops them all; Rebuild returns the first, puts the old backend back,
-// and leaves the store as degraded as it was.
+// disk with the degraded-read executor, and has the window writer put
+// them on the replacement in runs of consecutive disk offsets — on a
+// declustered layout about one write per chunk, where a write per unit
+// would cost the replacement a syscall per unit — marking each run's
+// stripes rebuilt once it lands, then unlocks. Stats still counts one
+// degraded write per unit. Rebuild is background work, though, so all
+// but the first worker run only while the store is foreground-idle: one
+// that sees a public read or write complete stands down until
+// rebuildIdleWait passes without another, and under steady load the
+// rebuild proceeds on the caller's goroutine alone (Stats.RebuildWorkers
+// says how wide it is running). Any worker's error, a failed write to the
+// replacement included, stops them all; Rebuild returns the first, puts
+// the old backend back, and leaves the store as degraded as it was.
 func (s *Store) Rebuild(replacement Backend) error {
 	s.admin.Lock()
 	if s.rebuilding.Load() {
@@ -1158,23 +1163,16 @@ func (s *Store) Rebuild(replacement Backend) error {
 	s.rebuilding.Store(true)
 	s.unlockAll()
 	workers := min(runtime.GOMAXPROCS(0), len(s.disks)-len(fs.disks))
-	for len(s.rebuildBufs) < workers {
-		s.rebuildBufs = append(s.rebuildBufs, &rebuildBuf{
-			data:    make([]byte, rebuildChunk*s.unitSize),
-			stripes: make([]int, 0, rebuildChunk),
-			offs:    make([]int, 0, rebuildChunk),
-		})
-	}
 	s.admin.Unlock()
 
 	// Fan the schedule out: workers claim chunks of consecutive stripes
 	// from fan.next, each streaming its stripes' plans through its own pooled
 	// scratch (compile one, execute it, compile the next) into its own
-	// chunk buffer, so a rebuild allocates a few objects per worker whatever
-	// the array's size. The first error parks the cursor past the last
-	// stripe, which stops every worker at its next claim. Worker 0, on the
-	// caller's goroutine, never stands down; stop wakes the helpers that
-	// have once it is through.
+	// pooled windowState, so a rebuild allocates a few objects per worker
+	// whatever the array's size. The first error parks the cursor past the
+	// last stripe, which stops every worker at its next claim. Worker 0, on
+	// the caller's goroutine, never stands down; stop wakes the helpers
+	// that have once it is through.
 	stripes := int64(s.mapper.Stripes())
 	var fan struct { // one allocation for what the workers share
 		next atomic.Int64
@@ -1183,11 +1181,13 @@ func (s *Store) Rebuild(replacement Backend) error {
 		err  error
 	}
 	stop := make(chan struct{})
-	work := func(rb *rebuildBuf, helper bool) {
+	work := func(helper bool) {
 		defer fan.wg.Done()
 		defer s.rebuildWorkers.Add(-1)
 		sc := s.pool.Get().(*scratch)
 		defer s.pool.Put(sc)
+		ws := s.windows.Get().(*windowState)
+		defer s.windows.Put(ws)
 		seen := s.foregroundOps()
 		for fan.next.Load() < stripes {
 			if helper && s.foregroundOps() != seen {
@@ -1209,7 +1209,7 @@ func (s *Store) Rebuild(replacement Backend) error {
 			if helper {
 				s.helperChunks.Add(1)
 			}
-			if err := s.rebuildStripes(sc, rb, int(lo), int(min(lo+rebuildChunk, stripes)), target, fs.disks); err != nil {
+			if err := s.rebuildStripes(sc, ws, int(lo), int(min(lo+rebuildChunk, stripes)), target, fs.disks); err != nil {
 				fan.once.Do(func() { fan.err = err })
 				fan.next.Store(stripes)
 				return
@@ -1219,9 +1219,9 @@ func (s *Store) Rebuild(replacement Backend) error {
 	fan.wg.Add(workers)
 	s.rebuildWorkers.Add(int64(workers))
 	for w := 1; w < workers; w++ {
-		go work(s.rebuildBufs[w], true)
+		go work(true)
 	}
-	work(s.rebuildBufs[0], false)
+	work(false)
 	close(stop)
 	fan.wg.Wait()
 
@@ -1252,61 +1252,35 @@ func (s *Store) foregroundOps() int64 {
 }
 
 // rebuildStripes rebuilds one chunk, stripes [lo, hi), holding every
-// lock of the chunk: each stripe crossing the target disk is
-// reconstructed into the next unit of rb, then each run of units with
-// consecutive target offsets goes to the replacement in one WriteAt, and
-// only a written unit's stripe is marked rebuilt.
-func (s *Store) rebuildStripes(sc *scratch, rb *rebuildBuf, lo, hi, target int, failed []int) error {
+// lock of the chunk: each stripe crossing the target disk has its lost
+// unit reconstructed, as a degraded read would, into the next unit of
+// ws.slots and listed in ws.win, and the window writer then writes them
+// to the replacement in runs of consecutive offsets, marking each run's
+// stripes rebuilt once it has landed. A run's units are adjacent in
+// ws.slots, so writeRun hands them over as one buffer.
+func (s *Store) rebuildStripes(sc *scratch, ws *windowState, lo, hi, target int, failed []int) error {
 	s.chunkLocks(lo, hi, false)
 	defer s.chunkLocks(lo, hi, true)
-	rb.stripes, rb.offs = rb.stripes[:0], rb.offs[:0]
-	a := sc.a[:s.unitSize]
+	if len(ws.slots) < rebuildChunk*s.unitSize {
+		ws.slots = make([]byte, rebuildChunk*s.unitSize)
+	}
+	ws.win = ws.win[:0]
 	for stripe := lo; stripe < hi; stripe++ {
-		pl := &sc.p
-		crosses, err := sc.pln.RebuildStripe(stripe, target, failed, pl)
+		crosses, err := sc.pln.RebuildStripe(stripe, target, failed, &sc.p)
 		if err != nil {
 			return err
 		}
 		if !crosses {
 			continue
 		}
-		coef := sc.coef[:pl.DataShards+s.pm]
-		if err := s.codec.PlanReconstruct(pl.DataShards, pl.Missing, pl.TargetShard, coef); err != nil {
+		n := len(ws.win)
+		slot := ws.slots[n*s.unitSize : (n+1)*s.unitSize]
+		if err := s.execReadLocked(sc, 0, slot); err != nil {
 			return fmt.Errorf("store: rebuild stripe %d: %w", stripe, err)
 		}
-		n := len(rb.offs)
-		b := rb.data[n*s.unitSize : (n+1)*s.unitSize]
-		clear(b)
-		for _, st := range pl.Steps {
-			w := coef[s.mapper.ShardAt(st.Unit)]
-			if w == 0 {
-				continue
-			}
-			if _, err := s.disks[st.Disk].ReadAt(a, s.byteOff(st.Unit, 0)); err != nil {
-				return fmt.Errorf("store: rebuild read disk %d: %w", st.Disk, err)
-			}
-			code.MulAdd(b, a, w)
-			s.noteIO(st.Disk, false, true, len(a))
-		}
-		rb.stripes = append(rb.stripes, stripe)
-		rb.offs = append(rb.offs, pl.Target.Offset)
+		ws.win = append(ws.win, windowUnit{disk: target, off: sc.p.Target.Offset, stripe: stripe, buf: slot, rebuild: true})
 	}
-	for i := 0; i < len(rb.offs); {
-		j := i + 1
-		for j < len(rb.offs) && rb.offs[j] == rb.offs[j-1]+1 {
-			j++
-		}
-		if _, err := s.disks[target].WriteAt(rb.data[i*s.unitSize:j*s.unitSize], int64(rb.offs[i])*int64(s.unitSize)); err != nil {
-			return fmt.Errorf("store: rebuild write replacement: %w", err)
-		}
-		for _, stripe := range rb.stripes[i:j] {
-			s.noteIO(target, true, true, s.unitSize)
-			s.rebuilt[stripe] = true
-		}
-		s.rebuiltStripes.Add(int64(j - i))
-		i = j
-	}
-	return nil
+	return s.writeWindowLocked(ws, nil)
 }
 
 // VerifyParity checks every stripe's parity invariant against the stored

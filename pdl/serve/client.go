@@ -317,8 +317,8 @@ func (c *Client) addConn(nc net.Conn) {
 // handshake sends a v2 hello on every connection and records the
 // negotiated protocol level: the minimum version and the feature
 // intersection across connections. Every data op is a byte span, so a
-// server that does not accept wire.FeatByteSpans — a v1 server answers
-// the plain Info, which decodes as version 1 / no features — is refused.
+// server that does not accept wire.FeatByteSpans is refused; a v1
+// server's 20-byte Info already fails to decode.
 func (c *Client) handshake() error {
 	for i, cn := range c.conns {
 		var raw []byte
@@ -349,11 +349,11 @@ func (c *Client) handshake() error {
 	return nil
 }
 
-// decodeGeometry is wire.DecodeInfoAny plus the check that the answer is
+// decodeGeometry is wire.DecodeInfo plus the check that the answer is
 // a geometry the client can address: ReadAt and WriteAt divide by the unit
 // size, and a server is not trusted to send a usable one.
 func decodeGeometry(raw []byte, in *wire.Info) (version uint8, features uint64, err error) {
-	version, features, err = wire.DecodeInfoAny(raw, in)
+	version, features, err = wire.DecodeInfo(raw, in)
 	if err == nil && (in.UnitSize < 1 || in.Capacity < 0) {
 		err = fmt.Errorf("serve: server reports unit size %d, capacity %d units: not a usable geometry", in.UnitSize, in.Capacity)
 	}

@@ -100,71 +100,16 @@ func counter(t *testing.T, reg *obs.Registry, name string) int64 {
 	return 0
 }
 
-// multiFailCell renders the Stats row from a decoded stats document.
-func multiFailCell(st *serve.StoreStats) string {
-	if st.FailedDisks == nil && st.Codec == "" && st.ParityShards == 0 {
-		return fmt.Sprintf("absent: the client sees `failed_disk` %d only and reads the code as xor / 1", st.FailedDisk)
-	}
-	return fmt.Sprintf("%v / %s / %d", st.FailedDisks, st.Codec, st.ParityShards)
-}
-
-// v1ClientCells drives a hand-rolled wire v1 peer against the current
-// server over an array of the given manifest format.
-func v1ClientCells(t *testing.T, format int) []string {
+// v1ClientCells sends a wire v1 client's hello, unit read and unit write
+// to the current server: each is refused by name, and so is every row.
+func v1ClientCells(t *testing.T) []string {
 	t.Helper()
-	as, reg, cells0 := compatServer(t, format)
-	rc := dialRawV1(t, as.addr)
-	cells := []string{cells0}
-
-	resp := rc.do(t, wire.OpInfo, 0, nil)
-	var in wire.Info
-	if resp.Status != wire.StatusOK || wire.DecodeInfo(resp.Payload, &in) != nil {
-		t.Fatalf("v1 info: status %d, %d bytes", resp.Status, len(resp.Payload))
+	as, _, _ := compatServer(t, 1)
+	refuseV1(t, dialRawV2(t, as.addr), compatUnit)
+	cells := make([]string, len(compatFeatures))
+	for i := range cells {
+		cells[i] = fmt.Sprintf("refused at hello: `%v`", wire.ErrV1Retired)
 	}
-	cells = append(cells, fmt.Sprintf("no hello needed: plain %d-byte `Info`", len(resp.Payload)))
-
-	// A v1 client moves a span as unit ops; the server must open no stream.
-	span := payload(make([]byte, 20*compatUnit), 5)
-	for u := 0; u < 20; u++ {
-		if resp := rc.do(t, wire.OpWrite, uint64(3+u), span[u*compatUnit:(u+1)*compatUnit]); resp.Status != wire.StatusOK {
-			t.Fatalf("v1 write %d: %s", u, resp.Payload)
-		}
-	}
-	for u := 0; u < 20; u++ {
-		if resp := rc.do(t, wire.OpRead, uint64(3+u), nil); resp.Status != wire.StatusOK || !bytes.Equal(resp.Payload, span[u*compatUnit:(u+1)*compatUnit]) {
-			t.Fatalf("v1 read %d diverges", u)
-		}
-	}
-	cells = append(cells, "ok")
-	if n := counter(t, reg, "pdl_serve_read_spans_total") + counter(t, reg, "pdl_serve_write_streams_total"); n != 0 {
-		t.Fatalf("v1 peer opened %d streams", n)
-	}
-	cells = append(cells, "unit ops (all a v1 client has)")
-
-	down := 0
-	for d := 0; d < in.Disks && rc.do(t, wire.OpFail, uint64(d), nil).Status == wire.StatusOK; d++ {
-		down++
-	}
-	resp = rc.do(t, wire.OpStats, 0, nil)
-	// The Stats document as a v1 client declared it: newer fields must
-	// decode as ignorable extras.
-	var old struct {
-		Store struct {
-			FailedDisk int `json:"failed_disk"`
-		} `json:"store"`
-	}
-	var cur serve.ServerStats
-	if resp.Status != wire.StatusOK || json.Unmarshal(resp.Payload, &old) != nil || json.Unmarshal(resp.Payload, &cur) != nil || old.Store.FailedDisk != 0 {
-		t.Fatalf("v1 stats: status %d: %s", resp.Status, resp.Payload)
-	}
-	for i := 0; i < down; i++ {
-		if resp := rc.do(t, wire.OpRebuild, 0, nil); resp.Status != wire.StatusOK {
-			t.Fatalf("v1 rebuild %d: %s", i, resp.Payload)
-		}
-	}
-	cells = append(cells,
-		fmt.Sprintf("ok; up to %d down at once", down),
-		multiFailCell(&cur.Store)+" sent; a v1 decoder skips them and still reads `failed_disk`")
 	return cells
 }
 
@@ -187,8 +132,8 @@ func v2ClientCells(t *testing.T, format int) []string {
 			c.Close()
 			t.Fatal("Dial accepted a server without byte spans")
 		}
-		if !strings.Contains(err.Error(), "FeatByteSpans") {
-			t.Fatalf("Dial against a v1 server: %v, want the missing feature named", err)
+		if !strings.Contains(err.Error(), "wire v1") {
+			t.Fatalf("Dial against a v1 server: %v, want the v1 answer named", err)
 		}
 		cells := []string{"format 1 only: a binary refuses formats newer than it knows (`ErrVersion`)"}
 		for range compatFeatures[1:] {
@@ -258,7 +203,8 @@ func v2ClientCells(t *testing.T, format int) []string {
 	if healed, err := c.Stats(); err != nil || len(healed.Store.FailedDisks) != 0 {
 		t.Fatalf("after rebuilding: FailedDisks = %v, err %v", healed.Store.FailedDisks, err)
 	}
-	cells = append(cells, fmt.Sprintf("ok; up to %d down at once", down), multiFailCell(&st.Store))
+	cells = append(cells, fmt.Sprintf("ok; up to %d down at once", down),
+		fmt.Sprintf("%v / %s / %d", st.Store.FailedDisks, st.Store.Codec, st.Store.ParityShards))
 	return cells
 }
 
@@ -269,8 +215,7 @@ func TestCompatTable(t *testing.T) {
 		head  string
 		cells []string
 	}{
-		{"v1 client → v2 server, format-1 array", v1ClientCells(t, 1)},
-		{"v1 client → v2 server, format-2 array", v1ClientCells(t, 2)},
+		{"v1 client → this server", v1ClientCells(t)},
 		{"v2 client → v1 server", v2ClientCells(t, 0)},
 		{"v2 client → v2 server, format-1 array", v2ClientCells(t, 1)},
 		{"v2 client → v2 server, format-2 array", v2ClientCells(t, 2)},

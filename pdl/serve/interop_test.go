@@ -3,10 +3,8 @@ package serve_test
 import (
 	"bufio"
 	"bytes"
-	"fmt"
 	"net"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -14,111 +12,74 @@ import (
 	"repro/pdl/serve/wire"
 )
 
-// rawV1Client speaks wire v1 by hand over one TCP connection — the
-// protocol exactly as the previous client generation emitted it (plain
-// OpInfo with Arg 0, one frame per request, synchronous) — so the tests
-// prove a v2 server still serves v1 peers bit-for-bit.
-type rawV1Client struct {
-	conn net.Conn
-	br   *bufio.Reader
-	id   uint64
-}
-
-func dialRawV1(t *testing.T, addr string) *rawV1Client {
+// refuseV1 sends a wire v1 client's requests on rc — the hello (OpInfo
+// with Arg 0), a unit read (op 2) and a unit write (op 3) — and fails
+// unless each is answered with StatusErr carrying wire.ErrV1Retired.
+func refuseV1(t *testing.T, rc *rawV2Conn, unitSize int) {
 	t.Helper()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+	for _, req := range []wire.Request{
+		{ID: 1, Op: wire.OpInfo},
+		{ID: 2, Op: 2, Arg: 3},
+		{ID: 3, Op: 3, Arg: 3, Payload: make([]byte, unitSize)},
+	} {
+		rc.send(t, &req)
+		resp := rc.recv(t)
+		if resp.ID != req.ID || resp.Status != wire.StatusErr || string(resp.Payload) != wire.ErrV1Retired.Error() {
+			t.Fatalf("v1 op %d: id %d status %d %q, want StatusErr %q", req.Op, resp.ID, resp.Status, resp.Payload, wire.ErrV1Retired)
+		}
 	}
-	t.Cleanup(func() { conn.Close() })
-	return &rawV1Client{conn: conn, br: bufio.NewReader(conn)}
 }
 
-// do sends one v1 request frame and decodes the one response frame.
-func (r *rawV1Client) do(t *testing.T, op uint8, arg uint64, payload []byte) wire.Response {
-	t.Helper()
-	r.id++
-	frame := wire.AppendRequest(nil, &wire.Request{ID: r.id, Op: op, Arg: arg, Payload: payload})
-	if _, err := r.conn.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-	body, err := wire.ReadFrame(r.br, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var resp wire.Response
-	if err := wire.DecodeResponse(body, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.ID != r.id {
-		t.Fatalf("response id %d for request %d", resp.ID, r.id)
-	}
-	return resp
-}
-
-// TestInteropV1ClientAgainstV2Server drives a hand-rolled v1 client
-// against the current server: the plain Info payload (no version
-// extension), unit writes and reads, and error responses must all be
-// exactly what a v1 peer expects; a pre-byte-span v2 hello negotiates no
-// feature.
+// TestInteropV1ClientAgainstV2Server sends a wire v1 client's hello, unit
+// read and unit write to the current server: each is refused with
+// wire.ErrV1Retired, and the same connection then completes a v2 hello
+// and a byte-span round trip.
 func TestInteropV1ClientAgainstV2Server(t *testing.T) {
 	const unitSize = 64
 	f := mustFrontend(t, 13, 4, 1, unitSize, serve.Config{QueueDepth: 8, FlushDelay: -1})
-	addr := startServer(t, f)
-	rc := dialRawV1(t, addr)
-
-	// Info with Arg 0 (no hello) must answer the 20-byte v1 payload.
-	resp := rc.do(t, wire.OpInfo, 0, nil)
-	if resp.Status != wire.StatusOK {
-		t.Fatalf("info status %d: %s", resp.Status, resp.Payload)
-	}
-	var in wire.Info
-	if err := wire.DecodeInfo(resp.Payload, &in); err != nil {
-		t.Fatalf("info payload is not plain v1: %v (%d bytes)", err, len(resp.Payload))
-	}
-	if in.UnitSize != unitSize || in.Capacity != f.Store().Capacity() {
-		t.Fatalf("v1 info diverges: %+v", in)
-	}
+	rc := dialRawV2(t, startServer(t, f))
+	refuseV1(t, rc, unitSize)
 
 	// A v2 client from before byte spans proposes only bit 0, the
-	// retired unit streams: it is answered with no feature, so it keeps
-	// to the unit ops below.
-	resp = rc.do(t, wire.OpInfo, wire.EncodeHello(wire.Version2, 1<<0), nil)
-	if v, feats, err := wire.DecodeInfoAny(resp.Payload, &in); err != nil || v != wire.Version2 || feats != 0 {
+	// retired unit streams: it is answered with no feature.
+	var in wire.Info
+	rc.send(t, &wire.Request{ID: 4, Op: wire.OpInfo, Arg: wire.EncodeHello(wire.Version2, 1<<0)})
+	if v, feats, err := wire.DecodeInfo(rc.recv(t).Payload, &in); err != nil || v != wire.Version2 || feats != 0 {
 		t.Fatalf("hello proposing bit 0: v%d features %#x, %v; want v2 and none", v, feats, err)
 	}
-
-	// Unit write and read round-trip.
-	want := payload(make([]byte, unitSize), 7)
-	if resp := rc.do(t, wire.OpWrite, 3, want); resp.Status != wire.StatusOK {
-		t.Fatalf("write status %d: %s", resp.Status, resp.Payload)
+	rc.send(t, &wire.Request{ID: 5, Op: wire.OpInfo, Arg: wire.EncodeHello(wire.Version2, wire.Features)})
+	resp := rc.recv(t)
+	v, feats, err := wire.DecodeInfo(resp.Payload, &in)
+	if resp.Status != wire.StatusOK || err != nil || v != wire.Version2 || feats != wire.FeatByteSpans {
+		t.Fatalf("v2 hello: status %d, v%d features %#x, %v", resp.Status, v, feats, err)
 	}
-	resp = rc.do(t, wire.OpRead, 3, nil)
-	if resp.Status != wire.StatusOK || !bytes.Equal(resp.Payload, want) {
-		t.Fatalf("read diverges: status %d, %d bytes", resp.Status, len(resp.Payload))
+	if in.UnitSize != unitSize || in.Capacity != f.Store().Capacity() || in.Disks != 13 {
+		t.Fatalf("v2 info diverges: %+v", in)
 	}
 
-	// Server-side errors still come back as v1 StatusErr frames.
-	if resp := rc.do(t, wire.OpRead, uint64(f.Store().Capacity()+1), nil); resp.Status != wire.StatusErr {
-		t.Fatalf("out-of-range read: status %d, want StatusErr", resp.Status)
+	// A span with unaligned edges across two units.
+	want := payload(make([]byte, unitSize+10), 7)
+	start := uint64(unitSize / 2)
+	if resp := rc.writeSpan(t, 6, start, want); resp.ID != 6 || resp.Status != wire.StatusOK {
+		t.Fatalf("write span: id %d status %d: %s", resp.ID, resp.Status, resp.Payload)
+	}
+	if resp := rc.readSpan(t, 7, start, len(want)); resp.ID != 7 || resp.Status != wire.StatusChunk || !bytes.Equal(resp.Payload, want) {
+		t.Fatalf("read span: id %d status %d, %d bytes; want one chunk of the %d written", resp.ID, resp.Status, len(resp.Payload), len(want))
 	}
 }
 
-// startV1Server runs a minimal wire-v1 server — ReadFrame + full
-// DecodeRequest, one response frame per request, no v2 ops, and Info
-// answered with the plain payload whatever Arg says — the behavior of
-// the previous server generation, admin ops included: one failed disk at
-// most, and the Stats document of the time (no failed_disks, codec or
-// parity_shards). Unit payloads and the failed disk are guarded by mu.
+// startV1Server runs the handshake of a wire v1 server: every OpInfo,
+// whatever its Arg, is answered with the 20-byte v1 Info.
 func startV1Server(t *testing.T, unitSize, capacity int) (addr string) {
 	t.Helper()
 	return startStubServer(t, func() (int, int) { return unitSize, capacity }, false)
 }
 
-// startStubServer is startV1Server answering every Info with the unit
-// size and capacity geom returns at that moment, whatever they are. With
-// spans it answers a v2 hello with wire.FeatByteSpans and serves byte
-// spans over a sparse byte map, one chunk per read span.
+// startStubServer answers every OpInfo with the unit size and capacity
+// geom returns at that moment, whatever they are: with spans, as the
+// current server does a v2 hello (the Info accepting wire.FeatByteSpans);
+// without, as a v1 server (the Info's first 20 bytes, the v1 layout).
+// Every other op gets StatusErr: the tests using it end at the handshake.
 func startStubServer(t *testing.T, geom func() (unitSize, capacity int), spans bool) (addr string) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -126,10 +87,6 @@ func startStubServer(t *testing.T, geom func() (unitSize, capacity int), spans b
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	var mu sync.Mutex
-	units := make(map[int][]byte)
-	bytesAt := make(map[uint64]byte)
-	failed := -1
 	go func() {
 		for {
 			conn, err := ln.Accept()
@@ -139,100 +96,24 @@ func startStubServer(t *testing.T, geom func() (unitSize, capacity int), spans b
 			go func() {
 				defer conn.Close()
 				br := bufio.NewReader(conn)
-				var frame []byte
-				streams := make(map[uint64]*wire.WriteStream)
 				for {
-					body, err := wire.ReadFrame(br, frame)
+					body, err := wire.ReadFrame(br, nil)
 					if err != nil {
 						return
 					}
-					frame = body
 					var req wire.Request
 					if err := wire.DecodeRequest(body, &req); err != nil {
 						return
 					}
-					resp := wire.Response{ID: req.ID, Status: wire.StatusOK}
-					switch req.Op {
-					case wire.OpInfo:
-						// A v1 server ignores Arg: always the plain payload.
+					resp := wire.Response{ID: req.ID, Status: wire.StatusErr, Payload: []byte("unknown op")}
+					if req.Op == wire.OpInfo {
 						unitSize, capacity := geom()
-						mu.Lock()
-						in := wire.Info{UnitSize: unitSize, Capacity: capacity, Disks: 13, Failed: failed}
-						mu.Unlock()
-						if v, feats := wire.DecodeHello(req.Arg); spans && v >= wire.Version2 {
-							resp.Payload = wire.AppendInfoV2(nil, &in, wire.Version2, feats&wire.FeatByteSpans)
-						} else {
-							resp.Payload = wire.AppendInfo(nil, &in)
-						}
-					case wire.OpReadSpan, wire.OpWriteSpan, wire.OpWriteChunk:
+						in := wire.Info{UnitSize: unitSize, Capacity: capacity, Disks: 13}
+						_, feats := wire.DecodeHello(req.Arg)
+						resp.Status, resp.Payload = wire.StatusOK, wire.AppendInfo(nil, &in, wire.Version2, feats&wire.FeatByteSpans)
 						if !spans {
-							resp.Status = wire.StatusErr
-							resp.Payload = []byte("unknown op")
-							break
+							resp.Payload = resp.Payload[:20]
 						}
-						n, _ := wire.DecodeSpanLen(req.Payload)
-						switch req.Op {
-						case wire.OpReadSpan:
-							resp.Status = wire.StatusChunk
-							resp.Payload = make([]byte, n)
-							mu.Lock()
-							for i := range resp.Payload {
-								resp.Payload[i] = bytesAt[req.Arg+uint64(i)]
-							}
-							mu.Unlock()
-						case wire.OpWriteSpan:
-							streams[req.ID] = &wire.WriteStream{Start: req.Arg, Len: n}
-							continue // answered once its chunks are in
-						default:
-							ws := streams[req.ID]
-							if ws == nil || ws.Consume(req.Arg, len(req.Payload)) != nil {
-								return
-							}
-							mu.Lock()
-							for i, b := range req.Payload {
-								bytesAt[req.Arg+uint64(i)] = b
-							}
-							mu.Unlock()
-							if !ws.Done() {
-								continue
-							}
-							delete(streams, req.ID)
-						}
-					case wire.OpRead:
-						mu.Lock()
-						b, ok := units[int(req.Arg)]
-						mu.Unlock()
-						if !ok {
-							unitSize, _ := geom()
-							b = make([]byte, unitSize)
-						}
-						resp.Payload = b
-					case wire.OpWrite:
-						b := append([]byte(nil), req.Payload...)
-						mu.Lock()
-						units[int(req.Arg)] = b
-						mu.Unlock()
-					case wire.OpFail:
-						mu.Lock()
-						if failed >= 0 {
-							resp.Status = wire.StatusErr
-							resp.Payload = []byte("a disk is already failed")
-						} else {
-							failed = int(req.Arg)
-						}
-						mu.Unlock()
-					case wire.OpRebuild:
-						mu.Lock()
-						failed = -1
-						mu.Unlock()
-					case wire.OpStats:
-						mu.Lock()
-						resp.Payload = fmt.Appendf(nil, `{"store":{"failed_disk":%d,"rebuilding":false},"frontend":{}}`, failed)
-						mu.Unlock()
-					default:
-						// v2 ops (spans, chunks) are unknown to a v1 server.
-						resp.Status = wire.StatusErr
-						resp.Payload = []byte("unknown op")
 					}
 					if _, err := conn.Write(wire.AppendResponse(nil, &resp)); err != nil {
 						return
@@ -247,8 +128,7 @@ func startStubServer(t *testing.T, geom func() (unitSize, capacity int), spans b
 // TestInteropV2ClientAgainstV1Server dials a v1-only server with the
 // current client. Every client data op is a byte span, which a v1 server
 // cannot serve and which the client will not emulate with unit-op
-// read-modify-writes, so Dial must refuse the server and name the
-// missing feature.
+// read-modify-writes, so Dial must refuse the server and say why.
 func TestInteropV2ClientAgainstV1Server(t *testing.T) {
 	const unitSize, capacity = 64, 256
 	addr := startV1Server(t, unitSize, capacity)
@@ -257,8 +137,8 @@ func TestInteropV2ClientAgainstV1Server(t *testing.T) {
 		c.Close()
 		t.Fatal("Dial accepted a v1 server")
 	}
-	if !strings.Contains(err.Error(), "FeatByteSpans") {
-		t.Fatalf("Dial against a v1 server: %v, want the missing feature named", err)
+	if !strings.Contains(err.Error(), "wire v1") {
+		t.Fatalf("Dial against a v1 server: %v, want the v1 answer named", err)
 	}
 }
 

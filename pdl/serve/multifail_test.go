@@ -76,8 +76,7 @@ func TestServerClientTwoFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Store.FailedDisk != 2 || len(st.Store.FailedDisks) != 2 ||
-		st.Store.FailedDisks[0] != 2 || st.Store.FailedDisks[1] != 6 {
+	if len(st.Store.FailedDisks) != 2 || st.Store.FailedDisks[0] != 2 || st.Store.FailedDisks[1] != 6 {
 		t.Errorf("stats with two down: %+v", st.Store)
 	}
 
@@ -114,7 +113,7 @@ func TestServerClientTwoFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Store.FailedDisk != -1 || len(st.Store.FailedDisks) != 0 {
+	if len(st.Store.FailedDisks) != 0 {
 		t.Errorf("healthy stats: %+v", st.Store)
 	}
 }

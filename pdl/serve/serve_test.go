@@ -531,7 +531,7 @@ func TestServerClient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Store.FailedDisk != 5 || st.Store.Degraded == 0 {
+	if fd := st.Store.FailedDisks; len(fd) != 1 || fd[0] != 5 || st.Store.Degraded == 0 {
 		t.Errorf("stats after fail: %+v", st.Store)
 	}
 

@@ -28,13 +28,9 @@ type ServerStats struct {
 // StoreStats mirrors store.Stats for the wire (kept separate so the
 // protocol schema is explicit and stable).
 type StoreStats struct {
-	// FailedDisk is the lowest failed disk, -1 when healthy: a wire v1
-	// field that older clients still decode. Read FailedDisks.
-	FailedDisk int `json:"failed_disk"`
-
 	// FailedDisks lists every currently-failed disk in increasing order
 	// (multi-parity arrays tolerate several at once); absent when
-	// healthy, so pre-multi-failure clients see an unchanged schema.
+	// healthy.
 	FailedDisks []int `json:"failed_disks,omitempty"`
 
 	// Codec and ParityShards describe the array's erasure code ("xor"
@@ -252,8 +248,8 @@ func (fb *frameBuf) release() {
 
 // getBuf returns a pooled read buffer of n bytes. A pooled buffer too
 // short for n is replaced, so buffers track the sizes the server's reads
-// need (a unit for unit ops, up to a chunk for spans) and a one-unit read
-// never holds a chunk-sized buffer.
+// need (up to a chunk) and a one-unit read never holds a chunk-sized
+// buffer.
 func (s *Server) getBuf(n int) *[]byte {
 	bp := s.bufPool.Get().(*[]byte)
 	if cap(*bp) < n {
@@ -291,18 +287,17 @@ func (s *Server) getResp(id uint64, status uint8, payload []byte) *srvResp {
 	return r
 }
 
-// srvReq is the pooled completion state of one in-flight unit op, write
-// chunk, or read span inside one unit. cb is prebuilt at pool time and
-// forwards to complete, so submitting a request allocates nothing.
+// srvReq is the pooled completion state of one in-flight write chunk or
+// read span inside one unit. cb is prebuilt at pool time and forwards to
+// complete, so submitting a request allocates nothing.
 type srvReq struct {
-	s      *Server
-	st     *connState
-	id     uint64
-	fb     *frameBuf // write: payload alias reference, released on completion
-	buf    *[]byte   // read: pooled buffer the store fills
-	status uint8     // read: the answer's status, StatusOK or StatusChunk
-	ws     *wstream  // write chunk: its stream's state, nil for unit ops
-	cb     func(error)
+	s   *Server
+	st  *connState
+	id  uint64
+	fb  *frameBuf // write: payload alias reference, released on completion
+	buf *[]byte   // read: pooled buffer the store fills
+	ws  *wstream  // write: its stream's state
+	cb  func(error)
 }
 
 func (s *Server) getReq(st *connState, id uint64) *srvReq {
@@ -322,8 +317,8 @@ func (s *Server) putReq(sr *srvReq) {
 	s.reqPool.Put(sr)
 }
 
-// complete is every srvReq's completion: respond (or account the
-// stream), release the aliased buffers, recycle, and drop the pending
+// complete is every srvReq's completion: account the stream (or
+// respond), release the aliased buffers, recycle, and drop the pending
 // count last so the writer cannot close under a response in flight.
 func (sr *srvReq) complete(err error) {
 	s, st := sr.s, sr.st
@@ -331,22 +326,13 @@ func (sr *srvReq) complete(err error) {
 	case sr.ws != nil:
 		sr.fb.release()
 		sr.ws.chunkDone(err)
-	case sr.fb != nil:
-		sr.fb.release()
-		if err != nil {
-			st.respondErr(sr.id, err)
-		} else {
-			st.send(s.getResp(sr.id, wire.StatusOK, nil))
-		}
+	case err != nil:
+		s.bufPool.Put(sr.buf)
+		st.respondErr(sr.id, err)
 	default:
-		if err != nil {
-			s.bufPool.Put(sr.buf)
-			st.respondErr(sr.id, err)
-		} else {
-			r := s.getResp(sr.id, sr.status, *sr.buf)
-			r.buf = sr.buf
-			st.send(r)
-		}
+		r := s.getResp(sr.id, wire.StatusChunk, *sr.buf)
+		r.buf = sr.buf
+		st.send(r)
 	}
 	s.putReq(sr)
 	st.pending.Done()
@@ -585,17 +571,6 @@ func (st *connState) release(r *srvResp) {
 	s.respPool.Put(r)
 }
 
-// argBelow reports whether req.Arg indexes below n, answering the
-// request with an error if not: checked before int(req.Arg), which would
-// truncate an Arg past 32 bits onto a valid index where int is 32 bits.
-func (st *connState) argBelow(req *wire.Request, what string, n int) bool {
-	if req.Arg < uint64(n) {
-		return true
-	}
-	st.respondErr(req.ID, fmt.Errorf("serve: %s %d outside [0,%d)", what, req.Arg, n))
-	return false
-}
-
 // dispatch routes one decoded request. req.Payload aliases fb's buffer;
 // handlers that hand it to the store retain fb per aliasing request. A
 // false return drops the connection (hostile or broken peer).
@@ -603,46 +578,13 @@ func (s *Server) dispatch(st *connState, req *wire.Request, fb *frameBuf) bool {
 	stt := s.front.Store()
 	switch req.Op {
 	case wire.OpInfo:
-		info := wire.Info{
-			UnitSize: stt.UnitSize(),
-			Capacity: stt.Capacity(),
-			Disks:    stt.Mapper().Disks(),
-			Failed:   stt.Failed(),
-		}
-		// Arg carries a v2 client's hello; a v1 client's Arg is 0 and
-		// gets the plain v1 payload it expects.
-		if v, feats := wire.DecodeHello(req.Arg); v >= wire.Version2 {
-			st.send(s.getResp(req.ID, wire.StatusOK, wire.AppendInfoV2(nil, &info, wire.Version2, feats&wire.Features)))
-		} else {
-			st.send(s.getResp(req.ID, wire.StatusOK, wire.AppendInfo(nil, &info)))
-		}
-
-	case wire.OpRead:
-		if !st.argBelow(req, "logical", stt.Capacity()) {
+		v, feats := wire.DecodeHello(req.Arg)
+		if v < wire.Version2 {
+			st.respondErr(req.ID, wire.ErrV1Retired)
 			return true
 		}
-		s.goRead(st, req.ID, wire.StatusOK, Op{Kind: Read, Class: Class(req.Class), Logical: int(req.Arg)}, s.unit)
-
-	case wire.OpWrite:
-		if len(req.Payload) != s.unit {
-			st.respondErr(req.ID, fmt.Errorf("write payload %d bytes, want unit size %d", len(req.Payload), s.unit))
-			return true
-		}
-		if !st.argBelow(req, "logical", stt.Capacity()) {
-			return true
-		}
-		// The store writes straight from the read buffer: no copy. The
-		// op's reference keeps it alive until the completion runs.
-		fb.retain(1)
-		sr := s.getReq(st, req.ID)
-		sr.fb = fb
-		st.pending.Add(1)
-		if err := s.front.Go(s.ctx, Op{Kind: Write, Class: Class(req.Class), Logical: int(req.Arg), Buf: req.Payload}, sr.cb); err != nil {
-			fb.release()
-			s.putReq(sr)
-			st.pending.Done()
-			st.respondErr(req.ID, err)
-		}
+		info := wire.Info{UnitSize: stt.UnitSize(), Capacity: stt.Capacity(), Disks: stt.Mapper().Disks()}
+		st.send(s.getResp(req.ID, wire.StatusOK, wire.AppendInfo(nil, &info, wire.Version2, feats&wire.Features)))
 
 	case wire.OpReadSpan:
 		n, err := wire.DecodeSpanLen(req.Payload)
@@ -657,9 +599,9 @@ func (s *Server) dispatch(st *connState, req *wire.Request, fb *frameBuf) bool {
 		off := int64(req.Arg)
 		if within := int(off % int64(s.unit)); within+n <= s.unit {
 			// A span inside one unit is one chunk, answered straight from
-			// the Frontend's completion like a unit read; only longer
-			// spans need a span worker to keep their chunks in order.
-			s.goRead(st, req.ID, wire.StatusChunk, Op{Kind: Read, Class: Class(req.Class), Logical: int(off / int64(s.unit)), Within: within}, n)
+			// the Frontend's completion; only longer spans need a span
+			// worker to keep their chunks in order.
+			s.goRead(st, req.ID, Op{Kind: Read, Class: Class(req.Class), Logical: int(off / int64(s.unit)), Within: within}, n)
 			return true
 		}
 		st.startSpan(readSpanReq{id: req.ID, class: Class(req.Class), off: off, n: n})
@@ -704,7 +646,10 @@ func (s *Server) dispatch(st *connState, req *wire.Request, fb *frameBuf) bool {
 		return s.writeChunk(st, ws, req, fb)
 
 	case wire.OpFail:
-		if !st.argBelow(req, "disk", stt.Mapper().Disks()) {
+		// Compared as uint64: int(req.Arg) would truncate an Arg past 32
+		// bits onto a valid disk where int is 32 bits.
+		if n := stt.Mapper().Disks(); req.Arg >= uint64(n) {
+			st.respondErr(req.ID, fmt.Errorf("serve: disk %d outside [0,%d)", req.Arg, n))
 			return true
 		}
 		if err := s.fail(int(req.Arg)); err != nil {
@@ -734,18 +679,20 @@ func (s *Server) dispatch(st *connState, req *wire.Request, fb *frameBuf) bool {
 		}
 
 	default:
-		st.respondErr(req.ID, fmt.Errorf("unknown op %d", req.Op))
+		// Ops 2 and 3, wire v1's unit read and write: DecodeRequestHeader
+		// refuses every op outside the package's range.
+		st.respondErr(req.ID, wire.ErrV1Retired)
 	}
 	return true
 }
 
 // goRead submits op as a read of n bytes into a pooled buffer, answered
-// with status and the bytes from the Frontend's completion.
-func (s *Server) goRead(st *connState, id uint64, status uint8, op Op, n int) {
+// with one StatusChunk of the bytes from the Frontend's completion.
+func (s *Server) goRead(st *connState, id uint64, op Op, n int) {
 	bp := s.getBuf(n)
 	op.Buf = *bp
 	sr := s.getReq(st, id)
-	sr.buf, sr.status = bp, status
+	sr.buf = bp
 	st.pending.Add(1)
 	if err := s.front.Go(s.ctx, op, sr.cb); err != nil {
 		s.bufPool.Put(bp)
@@ -914,7 +861,6 @@ func (s *Server) stats() ServerStats {
 	stt := s.front.Store()
 	st := stt.Stats()
 	out := ServerStats{Frontend: s.front.Stats()}
-	out.Store.FailedDisk = stt.Failed()
 	out.Store.FailedDisks = st.FailedDisks
 	c := stt.Code()
 	out.Store.Codec = c.Name()

@@ -19,9 +19,9 @@ import (
 	"repro/pdl/store"
 )
 
-// rawV2Conn speaks the v2 framing by hand so tests can send frame
-// sequences the real client never emits — out-of-range spans, stale
-// chunk ids — and observe exactly how the server answers.
+// rawV2Conn speaks the framing by hand so tests can send frame sequences
+// the real client never emits — wire v1 requests, out-of-range spans,
+// stale chunk ids — and observe exactly how the server answers.
 type rawV2Conn struct {
 	conn net.Conn
 	br   *bufio.Reader
@@ -57,6 +57,23 @@ func (r *rawV2Conn) recv(t *testing.T) wire.Response {
 	return resp
 }
 
+// writeSpan writes p at byte off as a write span of one chunk and
+// returns the span's one response.
+func (r *rawV2Conn) writeSpan(t *testing.T, id, off uint64, p []byte) wire.Response {
+	t.Helper()
+	r.send(t, &wire.Request{ID: id, Op: wire.OpWriteSpan, Arg: off, Payload: wire.AppendSpanLen(nil, len(p))})
+	r.send(t, &wire.Request{ID: id, Op: wire.OpWriteChunk, Arg: off, Payload: p})
+	return r.recv(t)
+}
+
+// readSpan reads n bytes at byte off as a read span and returns its
+// first response: its one chunk when the span fits in one.
+func (r *rawV2Conn) readSpan(t *testing.T, id, off uint64, n int) wire.Response {
+	t.Helper()
+	r.send(t, &wire.Request{ID: id, Op: wire.OpReadSpan, Arg: off, Payload: wire.AppendSpanLen(nil, n)})
+	return r.recv(t)
+}
+
 // TestWriteStreamEarlyErrorDrains sends an out-of-range byte span with
 // its chunks already pipelined behind it — the way the real client
 // races ahead — and checks the server answers the span once with an
@@ -81,15 +98,13 @@ func TestWriteStreamEarlyErrorDrains(t *testing.T) {
 		t.Fatalf("span open: id %d status %d, want StatusErr", resp.ID, resp.Status)
 	}
 
-	// The connection survived the poisoned stream: a normal unit write
-	// still round-trips.
+	// The connection survived the poisoned stream: a one-unit span still
+	// round-trips.
 	want := payload(make([]byte, unitSize), 2)
-	rc.send(t, &wire.Request{ID: 2, Op: wire.OpWrite, Arg: 0, Payload: want})
-	if resp := rc.recv(t); resp.ID != 2 || resp.Status != wire.StatusOK {
+	if resp := rc.writeSpan(t, 2, 0, want); resp.ID != 2 || resp.Status != wire.StatusOK {
 		t.Fatalf("write after poisoned stream: id %d status %d", resp.ID, resp.Status)
 	}
-	rc.send(t, &wire.Request{ID: 3, Op: wire.OpRead, Arg: 0})
-	if resp := rc.recv(t); resp.Status != wire.StatusOK || !bytes.Equal(resp.Payload, want) {
+	if resp := rc.readSpan(t, 3, 0, unitSize); resp.Status != wire.StatusChunk || !bytes.Equal(resp.Payload, want) {
 		t.Fatal("read after poisoned stream diverges")
 	}
 }
@@ -111,10 +126,11 @@ func TestWriteChunkUnknownStreamDropsConn(t *testing.T) {
 	}
 }
 
-// TestUnitArgPastRangeRefused sends a unit write, a unit read, a Fail,
-// and a read and a write byte span whose Arg lies past the array and
-// past 32 bits: each must be refused by range, never truncated onto unit
-// 0, byte 0 or disk 3 where int is 32 bits.
+// TestUnitArgPastRangeRefused sends a Fail, and a read and a write byte
+// span whose Arg lies past the array and past 32 bits: each must be
+// refused by range, never truncated onto byte 0 or disk 3 where int is
+// 32 bits. Wire v1's unit write and read (ops 3 and 2) with such an Arg
+// are refused with wire.ErrV1Retired, whatever the Arg.
 func TestUnitArgPastRangeRefused(t *testing.T) {
 	const unitSize = 32
 	f := mustFrontend(t, 13, 4, 1, unitSize, serve.Config{QueueDepth: 8, FlushDelay: -1})
@@ -122,26 +138,28 @@ func TestUnitArgPastRangeRefused(t *testing.T) {
 	rc := dialRawV2(t, addr)
 
 	want := payload(make([]byte, unitSize), 4)
-	rc.send(t, &wire.Request{ID: 1, Op: wire.OpWrite, Arg: 0, Payload: want})
-	if resp := rc.recv(t); resp.ID != 1 || resp.Status != wire.StatusOK {
+	if resp := rc.writeSpan(t, 1, 0, want); resp.ID != 1 || resp.Status != wire.StatusOK {
 		t.Fatalf("write unit 0: id %d status %d", resp.ID, resp.Status)
 	}
 	for _, req := range []wire.Request{
-		{ID: 2, Op: wire.OpWrite, Arg: 1 << 32, Payload: payload(make([]byte, unitSize), 5)},
-		{ID: 3, Op: wire.OpRead, Arg: 1 << 32},
+		{ID: 2, Op: 3, Arg: 1 << 32, Payload: payload(make([]byte, unitSize), 5)},
+		{ID: 3, Op: 2, Arg: 1 << 32},
 		{ID: 4, Op: wire.OpFail, Arg: 1<<32 + 3},
 		{ID: 6, Op: wire.OpReadSpan, Arg: 1 << 32, Payload: wire.AppendSpanLen(nil, unitSize)},
 		{ID: 7, Op: wire.OpWriteSpan, Arg: 1 << 32, Payload: wire.AppendSpanLen(nil, unitSize)},
 	} {
 		rc.send(t, &req)
-		if resp := rc.recv(t); resp.ID != req.ID || resp.Status != wire.StatusErr {
+		resp := rc.recv(t)
+		if resp.ID != req.ID || resp.Status != wire.StatusErr {
 			t.Errorf("op %d arg %#x: id %d status %d, want StatusErr", req.Op, req.Arg, resp.ID, resp.Status)
+		}
+		if retired := req.Op == 2 || req.Op == 3; retired != (string(resp.Payload) == wire.ErrV1Retired.Error()) {
+			t.Errorf("op %d arg %#x: %q, want wire.ErrV1Retired for ops 2 and 3 only", req.Op, req.Arg, resp.Payload)
 		}
 	}
 	// The refused write span drains its chunk without writing it.
 	rc.send(t, &wire.Request{ID: 7, Op: wire.OpWriteChunk, Arg: 1 << 32, Payload: payload(make([]byte, unitSize), 6)})
-	rc.send(t, &wire.Request{ID: 5, Op: wire.OpRead, Arg: 0})
-	if resp := rc.recv(t); resp.ID != 5 || resp.Status != wire.StatusOK || !bytes.Equal(resp.Payload, want) {
+	if resp := rc.readSpan(t, 5, 0, unitSize); resp.ID != 5 || resp.Status != wire.StatusChunk || !bytes.Equal(resp.Payload, want) {
 		t.Error("unit 0 changed by a write past capacity")
 	}
 	if fd := f.Store().FailedDisks(); len(fd) != 0 {
@@ -217,7 +235,7 @@ func TestStreamMissequencedChunk(t *testing.T) {
 	if resp := rc.recv(t); resp.ID != 7 || resp.Status != wire.StatusErr {
 		t.Fatalf("missequenced stream: id %d status %d, want StatusErr", resp.ID, resp.Status)
 	}
-	rc.send(t, &wire.Request{ID: 8, Op: wire.OpInfo})
+	rc.send(t, &wire.Request{ID: 8, Op: wire.OpInfo, Arg: wire.EncodeHello(wire.Version2, wire.Features)})
 	if resp := rc.recv(t); resp.ID != 8 || resp.Status != wire.StatusOK {
 		t.Fatal("connection did not survive a missequenced stream")
 	}

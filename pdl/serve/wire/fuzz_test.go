@@ -22,8 +22,9 @@ func FuzzDecodeRequest(f *testing.F) {
 	for _, seed := range []wire.Request{
 		{ID: 1, Op: wire.OpInfo},
 		{ID: 2, Op: wire.OpInfo, Arg: wire.EncodeHello(wire.Version2, wire.FeatByteSpans)},
-		{ID: 42, Op: wire.OpRead, Class: 1, Arg: 7},
-		{ID: 9, Op: wire.OpWrite, Arg: 3, Payload: []byte("payload")},
+		// Ops 2 and 3, wire v1's reserved unit read and write.
+		{ID: 42, Op: 2, Class: 1, Arg: 7},
+		{ID: 9, Op: 3, Arg: 3, Payload: []byte("payload")},
 		{ID: 8, Op: wire.OpStats, Class: 200, Arg: ^uint64(0)},
 		{ID: 7, Op: wire.OpReadSpan, Arg: 5, Payload: wire.AppendSpanLen(nil, 16)},
 		{ID: 6, Op: wire.OpWriteSpan, Arg: 5, Payload: wire.AppendSpanLen(nil, 1<<20)},

@@ -12,36 +12,36 @@
 //
 // all integers big-endian. id correlates a response with its request, so
 // a connection may have many requests in flight and responses may arrive
-// in any order. arg carries the operand (logical unit for OpRead/OpWrite,
-// byte offset for the span ops, disk for OpFail, unused otherwise).
-// payload carries the unit bytes for OpWrite requests and OpRead
-// responses, the error text for StatusErr responses, and op-specific
-// encodings elsewhere (see the serve package).
+// in any order. arg carries the operand (the hello for OpInfo, byte
+// offset for the span ops, disk for OpFail, unused otherwise). payload
+// carries a span's byte length and chunks, the error text for StatusErr
+// responses, and op-specific encodings elsewhere (see the serve package).
 //
 // # Versioning
 //
-// The frame format above is wire version 1 and never changes. Version 2
-// adds capabilities negotiated in-band on the existing OpInfo handshake,
-// so the two directions stay compatible without an extra round trip:
+// The server speaks one protocol: wire version 2 with FeatByteSpans.
+// A client opens each connection with OpInfo whose Arg is its hello
+// (EncodeHello: its version and proposed feature bits), and the server
+// answers with the Info, its own version and the accepted feature
+// intersection (AppendInfo, DecodeInfo). A feature added later gets a new
+// bit, and a client must not send its ops unless the handshake accepted
+// that bit.
 //
-//   - A v2 client encodes a hello (its version and proposed feature
-//     bits) into OpInfo's otherwise-unused Arg. A v1 client sends Arg 0.
-//   - A v2 server answering a hello appends its version and the accepted
-//     feature intersection to the Info payload (DecodeInfoAny handles
-//     both lengths). Answering Arg 0 — a v1 client — it sends the plain
-//     v1 Info, so old clients decode exactly what they always did.
-//   - A v1 server ignores Arg and answers the plain Info; the v2 client
-//     sees no extension, so no feature was accepted (serve.Client refuses
-//     such a server at dial: it moves every data op as a byte span).
-//
-// Negotiated features gate everything new: a client must not send a v2
-// op unless the handshake accepted the corresponding feature bit.
+// Wire version 1 is retired. Its clients sent OpInfo with Arg 0 and moved
+// data with the one-unit ops 2 (read) and 3 (write). The server answers
+// all three with StatusErr carrying ErrV1Retired and keeps the
+// connection. Ops 2 and 3 stay reserved, never renumbered. A v1 server
+// answered the 20-byte Info without version and features; DecodeInfo
+// refuses that answer by name, so a v2 client refuses such a server at
+// dial. The Info word that was v1's lowest failed disk is reserved and
+// sent as 0xFFFFFFFF, which a client of the first byte-span servers still
+// decodes as healthy.
 //
 // # Byte-range spans (FeatByteSpans)
 //
-// Version 2's FeatByteSpans moves any byte range of the logical space —
-// a single unit, a partial unit, or many units with unaligned edges — as
-// a stream of bounded chunk frames:
+// FeatByteSpans moves any byte range of the logical space — a single
+// unit, a partial unit, or many units with unaligned edges — as a stream
+// of bounded chunk frames:
 //
 //   - OpReadSpan (Arg = first byte offset, payload = 4-byte byte
 //     length, at most MaxSpanBytes): the server answers with ordered
@@ -59,7 +59,7 @@
 // writes a partial unit under the stripe lock like any other piece:
 // there is no read-modify-write on the wire. Bit 0 (the unit-granularity
 // streams of earlier v2 peers) is reserved and no longer accepted, so such
-// a client negotiates no features and keeps to the v1 unit ops.
+// a client negotiates no features.
 package wire
 
 import (
@@ -71,17 +71,15 @@ import (
 
 // Request ops.
 const (
-	// OpInfo asks for the array geometry; the response payload is an Info.
-	// Arg 0 is a v1 client; a v2 client sends EncodeHello and the server
-	// answers with the extended Info (see DecodeInfoAny).
+	// OpInfo is the handshake: Arg is the client's hello (EncodeHello),
+	// and the response payload an Info (DecodeInfo). Arg 0, a v1 client's,
+	// is answered with ErrV1Retired.
 	OpInfo uint8 = 1 + iota
 
-	// OpRead reads the logical unit in Arg; the response payload is the
-	// unit's bytes.
-	OpRead
-
-	// OpWrite writes Payload (one unit) to the logical unit in Arg.
-	OpWrite
+	// Ops 2 and 3, wire v1's unit read and write, are reserved: the
+	// server answers them with ErrV1Retired.
+	_
+	_
 
 	// OpFail marks disk Arg failed; refused while a rebuild runs.
 	OpFail
@@ -121,14 +119,9 @@ const (
 	StatusChunk
 )
 
-// Protocol versions negotiated on the OpInfo handshake.
-const (
-	// Version1 is the original fixed-format protocol.
-	Version1 uint8 = 1
-
-	// Version2 adds the hello handshake and feature-gated ops.
-	Version2 uint8 = 2
-)
+// Version2 is the protocol version this package speaks: the hello
+// handshake and feature-gated ops. Version 1 is retired.
+const Version2 uint8 = 2
 
 // Feature bits proposed and accepted in the hello handshake.
 const (
@@ -162,7 +155,7 @@ const (
 
 	// MaxFrame is the largest frame body either side accepts: it bounds
 	// memory per connection against hostile length prefixes while
-	// leaving room for a 1 MiB unit payload plus headers.
+	// leaving room for a 1 MiB payload plus headers.
 	MaxFrame = 1<<20 + ReqHeaderLen
 
 	// MaxChunk is the most payload bytes one stream chunk frame carries.
@@ -179,17 +172,14 @@ const (
 
 // EncodeHello packs a client's protocol version and proposed feature
 // bits into OpInfo's Arg. The result is never zero for version >= 1, so
-// a v2 hello is always distinguishable from a v1 client's Arg 0.
+// a hello is always distinguishable from a v1 client's Arg 0.
 func EncodeHello(version uint8, features uint64) uint64 {
 	return uint64(version)<<56 | (features & helloFeatMask)
 }
 
-// DecodeHello unpacks an OpInfo Arg. Arg 0 — a v1 client — decodes as
-// (Version1, 0).
+// DecodeHello unpacks an OpInfo Arg. A v1 client's Arg 0 decodes as
+// version 0, no features.
 func DecodeHello(arg uint64) (version uint8, features uint64) {
-	if arg == 0 {
-		return Version1, 0
-	}
 	return uint8(arg >> 56), arg & helloFeatMask
 }
 
@@ -391,6 +381,10 @@ func (w *WriteStream) Consume(arg uint64, n int) error {
 // hostile peer.
 var ErrFrameTooLarge = errors.New("wire: frame exceeds MaxFrame")
 
+// ErrV1Retired answers a wire v1 request: OpInfo with Arg 0, or one of
+// the reserved ops 2 and 3.
+var ErrV1Retired = errors.New("wire: v1 retired; dial with a v2 client")
+
 // ReadFrame reads one frame body from r, reusing buf when it has the
 // capacity; it returns the body (len == the frame's length prefix).
 func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
@@ -425,66 +419,42 @@ type Info struct {
 
 	// Disks is the number of disks in the array.
 	Disks int
-
-	// Failed is the lowest failed disk, -1 when healthy: a wire v1 field
-	// kept for older clients. The serve.Client reads the failed set from
-	// OpStats instead.
-	Failed int
 }
 
-// infoLen is the encoded Info size: unit(4) capacity(8) disks(4) failed(4).
-const infoLen = 4 + 8 + 4 + 4
+const (
+	// infoV1Len is the 20-byte Info of a wire v1 server: unit(4)
+	// capacity(8) disks(4) and its lowest failed disk(4).
+	infoV1Len = 4 + 8 + 4 + 4
 
-// infoExtLen is the v2 extension: version(1) features(8).
-const infoExtLen = 1 + 8
+	// infoLen is the encoded Info: the v1 layout, its failed-disk word
+	// reserved, then version(1) features(8).
+	infoLen = infoV1Len + 1 + 8
+)
 
-// AppendInfo appends the v1 Info encoding.
-func AppendInfo(dst []byte, in *Info) []byte {
+// AppendInfo appends the Info encoding: in, the reserved word as
+// 0xFFFFFFFF, the server's version and the accepted feature bits.
+func AppendInfo(dst []byte, in *Info, version uint8, features uint64) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(in.UnitSize))
 	dst = binary.BigEndian.AppendUint64(dst, uint64(in.Capacity))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(in.Disks))
-	return binary.BigEndian.AppendUint32(dst, uint32(int32(in.Failed)))
-}
-
-// AppendInfoV2 appends the extended Info a v2 server sends a v2 client:
-// the v1 encoding plus the server's version and accepted feature bits.
-func AppendInfoV2(dst []byte, in *Info, version uint8, features uint64) []byte {
-	dst = AppendInfo(dst, in)
+	dst = binary.BigEndian.AppendUint32(dst, 0xFFFFFFFF)
 	dst = append(dst, version)
 	return binary.BigEndian.AppendUint64(dst, features)
 }
 
-// DecodeInfo parses a v1 Info encoding.
-func DecodeInfo(body []byte, in *Info) error {
-	if len(body) != infoLen {
-		return fmt.Errorf("wire: info payload %d bytes, want %d", len(body), infoLen)
+// DecodeInfo parses an Info encoding into in and returns the server's
+// version and accepted feature bits. It refuses a wire v1 server's
+// 20-byte answer by name.
+func DecodeInfo(body []byte, in *Info) (version uint8, features uint64, err error) {
+	switch len(body) {
+	case infoLen:
+	case infoV1Len:
+		return 0, 0, fmt.Errorf("wire: %d-byte info is a wire v1 server's: no hello, no byte spans", len(body))
+	default:
+		return 0, 0, fmt.Errorf("wire: info payload %d bytes, want %d", len(body), infoLen)
 	}
 	in.UnitSize = int(binary.BigEndian.Uint32(body))
 	in.Capacity = int(binary.BigEndian.Uint64(body[4:]))
 	in.Disks = int(binary.BigEndian.Uint32(body[12:]))
-	in.Failed = int(int32(binary.BigEndian.Uint32(body[16:])))
-	return nil
-}
-
-// DecodeInfoAny parses either Info encoding: the plain v1 payload (a v1
-// server, or a v2 server answering a v1 client) decodes with version
-// Version1 and no features; the extended payload carries the server's
-// version and the accepted feature intersection.
-func DecodeInfoAny(body []byte, in *Info) (version uint8, features uint64, err error) {
-	switch len(body) {
-	case infoLen:
-		return Version1, 0, DecodeInfo(body, in)
-	case infoLen + infoExtLen:
-		if err := DecodeInfo(body[:infoLen], in); err != nil {
-			return 0, 0, err
-		}
-		version = body[infoLen]
-		features = binary.BigEndian.Uint64(body[infoLen+1:])
-		if version < Version1 {
-			return 0, 0, fmt.Errorf("wire: info version %d", version)
-		}
-		return version, features, nil
-	default:
-		return 0, 0, fmt.Errorf("wire: info payload %d bytes, want %d or %d", len(body), infoLen, infoLen+infoExtLen)
-	}
+	return body[infoV1Len], binary.BigEndian.Uint64(body[infoV1Len+1:]), nil
 }

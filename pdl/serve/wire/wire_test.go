@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"strings"
 	"testing"
 
 	"repro/pdl/serve/wire"
@@ -14,8 +15,10 @@ import (
 func TestRequestRoundTrip(t *testing.T) {
 	cases := []wire.Request{
 		{ID: 1, Op: wire.OpInfo},
-		{ID: 42, Op: wire.OpRead, Class: 1, Arg: 7},
-		{ID: 1 << 60, Op: wire.OpWrite, Arg: 99, Payload: []byte("unit payload bytes")},
+		// Ops 2 and 3 (wire v1's unit read and write) are reserved but
+		// still frame: the server answers them with ErrV1Retired.
+		{ID: 42, Op: 2, Class: 1, Arg: 7},
+		{ID: 1 << 60, Op: 3, Arg: 99, Payload: []byte("unit payload bytes")},
 		{ID: 3, Op: wire.OpFail, Arg: 5},
 		{ID: 4, Op: wire.OpRebuild},
 		{ID: 5, Op: wire.OpStats},
@@ -74,8 +77,8 @@ func TestDecodeErrors(t *testing.T) {
 
 func TestReadFrame(t *testing.T) {
 	var stream []byte
-	stream = wire.AppendRequest(stream, &wire.Request{ID: 1, Op: wire.OpRead, Arg: 3})
-	stream = wire.AppendRequest(stream, &wire.Request{ID: 2, Op: wire.OpWrite, Arg: 4, Payload: []byte("abc")})
+	stream = wire.AppendRequest(stream, &wire.Request{ID: 1, Op: wire.OpStats, Arg: 3})
+	stream = wire.AppendRequest(stream, &wire.Request{ID: 2, Op: wire.OpWriteChunk, Arg: 4, Payload: []byte("abc")})
 	br := bufio.NewReader(bytes.NewReader(stream))
 	var buf []byte
 	for want := uint64(1); want <= 2; want++ {
@@ -111,23 +114,24 @@ func TestReadFrame(t *testing.T) {
 }
 
 func TestInfoRoundTrip(t *testing.T) {
-	want := wire.Info{UnitSize: 4096, Capacity: 123456, Disks: 17, Failed: -1}
-	b := wire.AppendInfo(nil, &want)
+	want := wire.Info{UnitSize: 4096, Capacity: 123456, Disks: 17}
+	b := wire.AppendInfo(nil, &want, wire.Version2, wire.FeatByteSpans)
 	var got wire.Info
-	if err := wire.DecodeInfo(b, &got); err != nil {
-		t.Fatal(err)
+	v, feats, err := wire.DecodeInfo(b, &got)
+	if err != nil || v != wire.Version2 || feats != wire.FeatByteSpans || got != want {
+		t.Fatalf("round trip: v%d feats %#x info %+v err %v", v, feats, got, err)
 	}
-	if got != want {
-		t.Fatalf("round trip diverges: %+v vs %+v", got, want)
-	}
-	if err := wire.DecodeInfo(b[:len(b)-1], &got); err == nil {
-		t.Error("short info accepted")
+	// The word that was wire v1's lowest failed disk is sent as -1
+	// (healthy), which a client of the first byte-span servers decodes.
+	if r := binary.BigEndian.Uint32(b[16:20]); r != 0xFFFFFFFF {
+		t.Fatalf("reserved word %#x, want 0xFFFFFFFF", r)
 	}
 }
 
 func TestHelloRoundTrip(t *testing.T) {
-	// A v1 client's Arg 0 decodes as version 1, no features.
-	if v, f := wire.DecodeHello(0); v != wire.Version1 || f != 0 {
+	// A v1 client's Arg 0 decodes as version 0, no features: below
+	// Version2, so the server answers it with ErrV1Retired.
+	if v, f := wire.DecodeHello(0); v != 0 || f != 0 {
 		t.Fatalf("zero arg: got v%d feats %#x", v, f)
 	}
 	arg := wire.EncodeHello(wire.Version2, wire.FeatByteSpans)
@@ -139,29 +143,19 @@ func TestHelloRoundTrip(t *testing.T) {
 	}
 }
 
+// TestInfoAny pins that DecodeInfo takes the extended Info only: a wire
+// v1 server's 20-byte answer is refused by name, and any other length is
+// refused.
 func TestInfoAny(t *testing.T) {
-	want := wire.Info{UnitSize: 1024, Capacity: 99, Disks: 5, Failed: 2}
-
-	// Plain v1 payload decodes as version 1, no features.
+	b := wire.AppendInfo(nil, &wire.Info{UnitSize: 1024, Capacity: 99, Disks: 5}, wire.Version2, wire.FeatByteSpans)
 	var got wire.Info
-	v, feats, err := wire.DecodeInfoAny(wire.AppendInfo(nil, &want), &got)
-	if err != nil || v != wire.Version1 || feats != 0 || got != want {
-		t.Fatalf("v1 payload: v%d feats %#x info %+v err %v", v, feats, got, err)
+	if _, _, err := wire.DecodeInfo(b[:20], &got); err == nil || !strings.Contains(err.Error(), "wire v1") {
+		t.Errorf("20-byte v1 info: %v, want it named a wire v1 answer", err)
 	}
-
-	// Extended payload carries version + accepted features.
-	b := wire.AppendInfoV2(nil, &want, wire.Version2, wire.FeatByteSpans)
-	got = wire.Info{}
-	v, feats, err = wire.DecodeInfoAny(b, &got)
-	if err != nil || v != wire.Version2 || feats != wire.FeatByteSpans || got != want {
-		t.Fatalf("v2 payload: v%d feats %#x info %+v err %v", v, feats, got, err)
+	if _, _, err := wire.DecodeInfo(b[:len(b)-1], &got); err == nil {
+		t.Error("truncated info accepted")
 	}
-
-	// Anything else is rejected.
-	if _, _, err := wire.DecodeInfoAny(b[:len(b)-1], &got); err == nil {
-		t.Error("truncated extended info accepted")
-	}
-	if _, _, err := wire.DecodeInfoAny(append(b, 0), &got); err == nil {
+	if _, _, err := wire.DecodeInfo(append(b, 0), &got); err == nil {
 		t.Error("oversized info accepted")
 	}
 }

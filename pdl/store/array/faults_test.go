@@ -7,36 +7,59 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"syscall"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/pdl"
 	"repro/pdl/layout"
+	"repro/pdl/store"
 	"repro/pdl/store/array"
 )
 
-// minorFaults is the process's minor page-fault count so far.
-func minorFaults(t *testing.T) int64 {
+// residentPages is how many pages of this process's mapping of the file
+// at path are resident: the Rss of that mapping in /proc/self/smaps. A
+// page a copy into the mapping faulted in counts; one written through
+// the file's descriptor does not until a read maps it.
+func residentPages(t *testing.T, path string) int64 {
 	t.Helper()
-	var ru syscall.Rusage
-	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+	b, err := os.ReadFile("/proc/self/smaps")
+	if err != nil {
 		t.Fatal(err)
 	}
-	return int64(ru.Minflt)
+	mine := false
+	for _, line := range strings.Split(string(b), "\n") {
+		f := strings.Fields(line)
+		switch {
+		case len(f) >= 5 && !strings.HasSuffix(f[0], ":"):
+			// A mapping's header: address range, perms, offset, device,
+			// inode, then the path of a file mapping.
+			mine = strings.Join(f[5:], " ") == path
+		case mine && len(f) == 3 && f[0] == "Rss:":
+			kb, err := strconv.ParseInt(f[1], 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return kb << 10 / int64(os.Getpagesize())
+		}
+	}
+	t.Fatalf("no mapping of %s in /proc/self/smaps", path)
+	return 0
 }
 
 // TestMmapRebuildTakesNoFaultPerPage pins that an mmap array's Rebuild
 // writes the lost disk through its file, not through the mapping: Fail
-// truncates the disk's file, and runs copied into those holes would take
-// a minor fault on almost every page (≈ 2 200 of G17's 2 560 at 32
-// copies). After one warm-up cycle, each of three Fail+Rebuild cycles
-// must take fewer than one fault per eight pages of the rebuilt disk, and
-// every cycle must leave it equal to the layout.Data model, read back
-// through the mapping. Linux only: that is where the fault count is
-// pinned.
+// truncates the disk's file, which unmaps its pages, and runs copied
+// into those holes would fault every page back into the mapping (all
+// 2 560 of G17's at 32 copies). After one warm-up cycle, each of
+// three Fail+Rebuild cycles must leave fewer than one page in eight of
+// the rebuilt disk's mapping resident — counted on that mapping alone,
+// before anything reads it — and every cycle must leave the disk equal to
+// the layout.Data model, read back through the mapping. Linux only: that
+// is where /proc/self/smaps gives the count.
 func TestMmapRebuildTakesNoFaultPerPage(t *testing.T) {
 	if runtime.GOOS != "linux" {
-		t.Skip("minor-fault counts are pinned on Linux only")
+		t.Skip("a mapping's resident pages are counted on Linux only")
 	}
 	const (
 		v, k, copies = 17, 5, 32
@@ -78,22 +101,19 @@ func TestMmapRebuildTakesNoFaultPerPage(t *testing.T) {
 
 	pages := int64(len(want) / os.Getpagesize())
 	got := make([]byte, len(want))
-	// Cycle 0 is an uncounted warm-up: a process's first rebuild also
-	// faults in memory of its own — the rebuild buffers and, under -race,
-	// the detector's shadow of them — a few hundred faults that have
-	// nothing to do with the mapping.
+	path := s.DiskBackend(target).(*store.MmapDisk).File().Name()
+	// Cycle 0 is an uncounted warm-up; the bound holds from cycle 1.
 	for cycle := 0; cycle <= 3; cycle++ {
 		if err := arr.Fail(target); err != nil {
 			t.Fatal(err)
 		}
-		before := minorFaults(t)
 		if _, err := arr.Rebuild(); err != nil {
 			t.Fatal(err)
 		}
-		faults := minorFaults(t) - before
-		t.Logf("cycle %d: %d minor faults rebuilding %d pages", cycle, faults, pages)
-		if cycle > 0 && faults >= pages/8 {
-			t.Errorf("cycle %d: Rebuild took %d minor faults for a %d-page disk, want < %d", cycle, faults, pages, pages/8)
+		resident := residentPages(t, path)
+		t.Logf("cycle %d: %d of %d pages of the rebuilt disk's mapping resident", cycle, resident, pages)
+		if cycle > 0 && resident >= pages/8 {
+			t.Errorf("cycle %d: Rebuild left %d pages of a %d-page disk's mapping resident, want < %d", cycle, resident, pages, pages/8)
 		}
 		if err := s.VerifyParity(); err != nil {
 			t.Fatal(err)

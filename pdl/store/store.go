@@ -420,9 +420,9 @@ func (s *Store) Capacity() int { return s.capacity }
 // Size returns the logical byte capacity (Capacity * UnitSize).
 func (s *Store) Size() int64 { return s.size }
 
-// Failed returns the lowest-numbered failed disk, -1 when healthy. It
-// serves only the single-disk fields of wire v1 that a serve.Server still
-// sends older clients, and the bench harness; read FailedDisks instead.
+// Failed returns the lowest-numbered failed disk, -1 when healthy. It is
+// kept only because the benchmark's rebuild cycle (bench/workloads.go)
+// calls it; read FailedDisks instead.
 func (s *Store) Failed() int { return s.fails.Load().first() }
 
 // FailedDisks returns the currently-failed disks in increasing order

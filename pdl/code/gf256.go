@@ -10,12 +10,14 @@
 //
 // The byte kernels (the per-parity encode/update loops) all funnel
 // through MulAdd, which is table-driven — one flat 64 KiB multiplication
-// table, one 256-byte inverse table, and on amd64 with AVX2 an 8 KiB set
-// of split-nibble tables feeding an assembly VPSHUFB kernel (Kernel names
-// the one in use) — and allocation-free in steady state, so the pdl/store
-// hot paths stay at 0 allocs/op (TestCodeHotPathAllocs pins this). Like
-// repro/pdl/layout, this package is part of the public API and depends on
-// nothing under internal/.
+// table, one 256-byte inverse table, and on amd64 one of two assembly
+// kernels derived from it: with GFNI, a 2 KiB table of 8×8 bit matrices
+// feeding one VGF2P8AFFINEQB per 32 bytes; with AVX2 but no GFNI, an
+// 8 KiB set of split-nibble tables feeding two VPSHUFB lookups (Kernel
+// names the one in use) — and allocation-free in steady state, so the
+// pdl/store hot paths stay at 0 allocs/op (TestCodeHotPathAllocs pins
+// this). Like repro/pdl/layout, this package is part of the public API
+// and depends on nothing under internal/.
 package code
 
 import "crypto/subtle"
@@ -126,11 +128,16 @@ func mulAddGeneric(dst, src []byte, c byte) {
 }
 
 // Kernel names the MulAdd implementation this process runs for
-// coefficients other than 0 and 1: "avx2" (amd64 with AVX2 enabled by the
-// OS) or "generic" (the portable table loop). It is chosen once at init
-// from what the CPU reports; there is nothing to configure.
+// coefficients other than 0 and 1: "gfni" (amd64 with GFNI and AVX2
+// enabled by the OS: one affine bit-matrix multiply per 32 bytes),
+// "avx2" (amd64 with AVX2 but no GFNI: split-nibble VPSHUFB lookups) or
+// "generic" (the portable table loop). It is chosen once at init from
+// what the CPU reports; there is nothing to configure.
 func Kernel() string {
-	if useAVX2 {
+	switch {
+	case useGFNI:
+		return "gfni"
+	case useAVX2:
 		return "avx2"
 	}
 	return "generic"

@@ -64,6 +64,48 @@ done:
 	VZEROUPPER
 	RET
 
+// func mulAddGFNI(mat uint64, dst, src *byte, n int)
+//
+// GF(2^8) multiply-accumulate by one affine transform: the coefficient's
+// 8x8 bit matrix sits in every qword of Y15, VGF2P8AFFINEQB multiplies
+// each source byte by it, and the product is folded into dst. 64 bytes
+// per iteration while they last, then at most one 32-byte block.
+TEXT ·mulAddGFNI(SB), NOSPLIT, $0-32
+	VPBROADCASTQ mat+0(FP), Y15
+	MOVQ         dst+8(FP), DI
+	MOVQ         src+16(FP), SI
+	MOVQ         n+24(FP), CX
+
+	CMPQ CX, $64
+	JB   gfniTail32
+
+gfniLoop64:
+	VMOVDQU        (SI), Y0
+	VMOVDQU        32(SI), Y1
+	VGF2P8AFFINEQB $0, Y15, Y0, Y0
+	VGF2P8AFFINEQB $0, Y15, Y1, Y1
+	VPXOR          (DI), Y0, Y0
+	VPXOR          32(DI), Y1, Y1
+	VMOVDQU        Y0, (DI)
+	VMOVDQU        Y1, 32(DI)
+	ADDQ           $64, SI
+	ADDQ           $64, DI
+	SUBQ           $64, CX
+	CMPQ           CX, $64
+	JAE            gfniLoop64
+
+gfniTail32:
+	TESTQ          CX, CX
+	JZ             gfniDone
+	VMOVDQU        (SI), Y0
+	VGF2P8AFFINEQB $0, Y15, Y0, Y0
+	VPXOR          (DI), Y0, Y0
+	VMOVDQU        Y0, (DI)
+
+gfniDone:
+	VZEROUPPER
+	RET
+
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

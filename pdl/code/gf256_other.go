@@ -3,7 +3,7 @@
 package code
 
 // No vector kernel on this GOARCH: MulAdd is the portable loop.
-const useAVX2 = false
+const useAVX2, useGFNI = false, false
 
 func initKernel() {}
 

@@ -16,16 +16,30 @@ func aligned32(n, mis, guard int) (backing []byte, start int) {
 	return backing, start
 }
 
+// namedKernel is one MulAdd implementation under test: run handles a
+// leading part of src and returns how many bytes it handled, and the
+// portable loop finishes the rest.
+type namedKernel struct {
+	name string
+	run  func(dst, src []byte, c byte) int
+}
+
 // TestMulAddKernelsAgree is the differential net under the vector
-// kernel: for every coefficient and a seeded sample of (length, source
+// kernels: for every coefficient and a seeded sample of (length, source
 // misalignment, destination misalignment) triples — block-boundary
 // lengths always included — MulAdd (whatever Kernel() dispatches to),
-// the portable loop called by name, and the carry-less polynomial
-// reference must agree byte for byte, leave src alone, and touch nothing
-// outside dst[:n] (guard canaries either side).
+// the portable loop and each vector kernel the CPU can run, all called
+// by name, and the carry-less polynomial reference must agree byte for
+// byte, leave src alone, and touch nothing outside dst[:n] (guard
+// canaries either side). Calling every runnable kernel by name keeps the
+// one MulAdd does not dispatch to (avx2 on a GFNI CPU) under test too.
 func TestMulAddKernelsAgree(t *testing.T) {
 	const guard = 64
 	const canary = 0xA5
+	kernels := append([]namedKernel{
+		{"MulAdd (" + Kernel() + ")", func(dst, src []byte, c byte) int { MulAdd(dst, src, c); return len(src) }},
+		{"generic", func(dst, src []byte, c byte) int { mulAddGeneric(dst, src, c); return len(src) }},
+	}, vectorKernels()...)
 	rng := rand.New(rand.NewSource(12))
 	edges := []int{0, 1, 31, 32, 33, 63, 64, 65, 95, 96, 97, 127, 128, 4095, 4096, 4200}
 	for c := 0; c < 256; c++ {
@@ -43,33 +57,34 @@ func TestMulAddKernelsAgree(t *testing.T) {
 			src := sb[so : so+n : so+n]
 			rng.Read(src)
 			srcWas := append([]byte(nil), src...)
-			backing, off := aligned32(n, dstMis, guard)
-			for j := range backing {
-				backing[j] = canary
-			}
-			dst := backing[off : off+n : off+n]
-			rng.Read(dst)
-			generic := append([]byte(nil), dst...)
-			want := append([]byte(nil), dst...)
+			dstWas := make([]byte, n)
+			rng.Read(dstWas)
+			want := append([]byte(nil), dstWas...)
 			for j, s := range src {
 				want[j] ^= ref[s]
 			}
 
-			MulAdd(dst, src, byte(c))
-			mulAddGeneric(generic, src, byte(c))
+			for _, k := range kernels {
+				backing, off := aligned32(n, dstMis, guard)
+				for j := range backing {
+					backing[j] = canary
+				}
+				dst := backing[off : off+n : off+n]
+				copy(dst, dstWas)
 
-			if !bytes.Equal(dst, want) {
-				t.Fatalf("c=%d n=%d src+%d dst+%d: %s kernel differs from polynomial reference", c, n, srcMis, dstMis, Kernel())
-			}
-			if !bytes.Equal(generic, want) {
-				t.Fatalf("c=%d n=%d: portable loop differs from polynomial reference", c, n)
-			}
-			if !bytes.Equal(src, srcWas) {
-				t.Fatalf("c=%d n=%d src+%d dst+%d: src modified", c, n, srcMis, dstMis)
-			}
-			for j, b := range backing {
-				if (j < off || j >= off+n) && b != canary {
-					t.Fatalf("c=%d n=%d src+%d dst+%d: byte %d outside dst[:n] overwritten", c, n, srcMis, dstMis, j-off)
+				done := k.run(dst, src, byte(c))
+				mulAddGeneric(dst[done:], src[done:], byte(c))
+
+				if !bytes.Equal(dst, want) {
+					t.Fatalf("c=%d n=%d src+%d dst+%d: %s kernel differs from polynomial reference", c, n, srcMis, dstMis, k.name)
+				}
+				if !bytes.Equal(src, srcWas) {
+					t.Fatalf("c=%d n=%d src+%d dst+%d: %s kernel modified src", c, n, srcMis, dstMis, k.name)
+				}
+				for j, b := range backing {
+					if (j < off || j >= off+n) && b != canary {
+						t.Fatalf("c=%d n=%d src+%d dst+%d: %s kernel overwrote byte %d outside dst[:n]", c, n, srcMis, dstMis, k.name, j-off)
+					}
 				}
 			}
 		}

@@ -597,10 +597,11 @@ func (s *Server) dispatch(st *connState, req *wire.Request, fb *frameBuf) bool {
 		}
 		s.readSpans.Add(1)
 		off := int64(req.Arg)
-		if within := int(off % int64(s.unit)); within+n <= s.unit {
-			// A span inside one unit is one chunk, answered straight from
-			// the Frontend's completion; only longer spans need a span
-			// worker to keep their chunks in order.
+		if within := int(off % int64(s.unit)); within+n <= s.unit && n <= streamChunkBytes(s.unit) {
+			// A span inside one unit that fits one chunk is answered
+			// straight from the Frontend's completion; longer spans,
+			// including a whole unit larger than wire.MaxChunk, need a
+			// span worker to cut them into ordered chunks.
 			s.goRead(st, req.ID, Op{Kind: Read, Class: Class(req.Class), Logical: int(off / int64(s.unit)), Within: within}, n)
 			return true
 		}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"runtime"
 	"sync"
@@ -447,4 +448,53 @@ func TestConnSpanBound(t *testing.T) {
 	waitUntil(t, "the connection's goroutines exit", func() bool {
 		return runtime.NumGoroutine() <= before
 	})
+}
+
+// TestUnitAboveMaxChunkRoundTrips serves a unit larger than a frame: a
+// one-unit read span must come back as ordered chunks of at most
+// wire.MaxChunk bytes, never as one chunk past wire.MaxFrame that drops
+// the connection, and a one-unit WriteAt and ReadAt through the client
+// must round-trip.
+func TestUnitAboveMaxChunkRoundTrips(t *testing.T) {
+	const unitSize = 1<<20 + 4<<10
+	f := mustFrontend(t, 4, 3, 1, unitSize, serve.Config{QueueDepth: 8, FlushDelay: -1})
+	addr := startServer(t, f)
+	c, err := serve.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+
+	// Random bytes, not payload's 256-byte period, so a chunk delivered
+	// at the wrong offset shows.
+	want := make([]byte, unitSize)
+	rand.New(rand.NewSource(1)).Read(want)
+	const off = unitSize // unit 1
+	if n, err := c.WriteAt(want, off); err != nil || n != unitSize {
+		t.Fatalf("one-unit WriteAt: n=%d err=%v", n, err)
+	}
+	got := make([]byte, unitSize)
+	if n, err := c.ReadAt(got, off); err != nil || n != unitSize {
+		t.Fatalf("one-unit ReadAt: n=%d err=%v", n, err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("one-unit round trip diverges")
+	}
+
+	rc := dialRawV2(t, addr)
+	rc.send(t, &wire.Request{ID: 1, Op: wire.OpReadSpan, Arg: off, Payload: wire.AppendSpanLen(nil, unitSize)})
+	got = got[:0]
+	for len(got) < unitSize {
+		resp := rc.recv(t)
+		if resp.ID != 1 || resp.Status != wire.StatusChunk {
+			t.Fatalf("after %d bytes: id %d status %d %q, want a StatusChunk", len(got), resp.ID, resp.Status, resp.Payload)
+		}
+		if len(resp.Payload) > wire.MaxChunk {
+			t.Errorf("chunk of %d bytes, want at most wire.MaxChunk = %d", len(resp.Payload), wire.MaxChunk)
+		}
+		got = append(got, resp.Payload...)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("raw one-unit read span diverges")
+	}
 }
